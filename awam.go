@@ -73,6 +73,13 @@ type System struct {
 	prog *term.Program
 	mod  *wam.Module
 
+	// cond is the module's SCC condensation, built once on first use and
+	// shared by the specializer, the store-backed forward engine and the
+	// backward engine; each of the two engines fingerprints it under its
+	// own salt.
+	condOnce sync.Once
+	cond     *inc.Condensation
+
 	// spec is the per-SCC specialized transfer program, built lazily on
 	// the first specialized Analyze and shared by all later analyses of
 	// this System (it depends only on the compiled code, not on analysis
@@ -87,15 +94,22 @@ type System struct {
 	bwdEng  *backward.Engine
 }
 
+// condensation returns the System's shared SCC condensation, building
+// it on first use.
+func (s *System) condensation() *inc.Condensation {
+	s.condOnce.Do(func() { s.cond = inc.NewCondensation(s.mod) })
+	return s.cond
+}
+
 // specProgram builds (once) the specialized abstract transfer streams
-// for this System's code: the module's condensation supplies the SCC
+// for this System's code: the shared condensation supplies the SCC
 // components, a static opcode profile picks the fusion set, and
 // pre-interning is enabled.
 func (s *System) specProgram() *specialize.Program {
 	s.specOnce.Do(func() {
-		plan := inc.Condense(s.mod, core.Config{})
-		comps := make([][]term.Functor, len(plan.SCCs))
-		for i, scc := range plan.SCCs {
+		sccs := s.condensation().SCCs
+		comps := make([][]term.Functor, len(sccs))
+		for i, scc := range sccs {
 			comps[i] = scc.Members
 		}
 		s.spec = specialize.Build(s.mod, comps, specialize.StaticProfile(s.mod),
@@ -379,6 +393,20 @@ type Analysis struct {
 	// inc is set when the analysis ran through a SummaryCache
 	// (see Incremental in cache.go).
 	inc *inc.Result
+
+	// The per-predicate accessors (Summary and its string views) share
+	// two lookup structures, each built once on first use, so reading
+	// every predicate costs O(P), not O(P²). byName resolves "name/arity"
+	// and byFn groups the table entries per predicate, in table order.
+	// dets is the determinacy table and nondet its per-predicate verdict;
+	// computing it runs on an's heap, which the Once also keeps from
+	// being used by concurrent callers.
+	indexOnce sync.Once
+	byName    map[string]term.Functor
+	byFn      map[term.Functor][]*core.Entry
+	detOnce   sync.Once
+	dets      []core.DetEntry
+	nondet    map[term.Functor]bool
 }
 
 // AnalysisStats are run statistics (the paper's Table 1 columns).
@@ -426,7 +454,7 @@ func (s *System) AnalyzeContext(ctx context.Context, opts ...AnalyzeOption) (*An
 		if err := c.validateCacheOptions(); err != nil {
 			return nil, err
 		}
-		ir, err := c.cache.engine().AnalyzeAll(ctx, s.mod, c.cfg)
+		ir, err := c.cache.engine().AnalyzeCondensed(ctx, s.condensation(), c.cfg)
 		if err != nil {
 			return nil, wrapAnalysisErr(err)
 		}
@@ -486,7 +514,23 @@ func (s *System) LoadAnalysis(text string) (*Analysis, error) {
 // Determinacy reports, per calling pattern, whether at most one clause
 // can match ("det pred(...)" / "nondet(N) pred(...)" lines).
 func (a *Analysis) Determinacy() string {
-	return core.DeterminacyReport(a.sys.tab, a.an.Determinacy(a.res))
+	dets, _ := a.determinacy()
+	return core.DeterminacyReport(a.sys.tab, dets)
+}
+
+// determinacy computes the determinacy table once per Analysis, with
+// the set of predicates that have a nondeterminate calling pattern.
+func (a *Analysis) determinacy() ([]core.DetEntry, map[term.Functor]bool) {
+	a.detOnce.Do(func() {
+		a.dets = a.an.Determinacy(a.res)
+		a.nondet = make(map[term.Functor]bool)
+		for _, d := range a.dets {
+			if !d.Det() {
+				a.nondet[d.CP.CP.Fn] = true
+			}
+		}
+	})
+	return a.dets, a.nondet
 }
 
 // CallGraphDot renders the analysis-annotated call graph in Graphviz
@@ -515,25 +559,36 @@ func (a *Analysis) Predicates() []string {
 	return out
 }
 
-// findPred resolves a "name/arity" string.
-func (a *Analysis) findPred(pred string) (term.Functor, bool) {
-	for _, fn := range a.res.Predicates() {
-		if a.sys.tab.FuncString(fn) == pred {
-			return fn, true
+// findPred resolves a "name/arity" string and returns the predicate's
+// table entries.
+func (a *Analysis) findPred(pred string) (term.Functor, []*core.Entry, bool) {
+	a.indexOnce.Do(func() {
+		a.byFn = make(map[term.Functor][]*core.Entry)
+		for _, e := range a.res.Entries {
+			a.byFn[e.CP.Fn] = append(a.byFn[e.CP.Fn], e)
 		}
-	}
-	return term.Functor{}, false
+		fns := a.res.Predicates()
+		a.byName = make(map[string]term.Functor, len(fns))
+		for _, fn := range fns {
+			name := a.sys.tab.FuncString(fn)
+			if _, dup := a.byName[name]; !dup {
+				a.byName[name] = fn
+			}
+		}
+	})
+	fn, ok := a.byName[pred]
+	return fn, a.byFn[fn], ok
 }
 
 // CallingPatterns returns the calling patterns recorded for a predicate
 // given as "name/arity".
 func (a *Analysis) CallingPatterns(pred string) []string {
-	fn, ok := a.findPred(pred)
+	_, ents, ok := a.findPred(pred)
 	if !ok {
 		return nil
 	}
 	var out []string
-	for _, e := range a.res.EntriesFor(fn) {
+	for _, e := range ents {
 		out = append(out, e.CP.String(a.sys.tab))
 	}
 	sort.Strings(out)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"awam/internal/backward"
 	"awam/internal/term"
@@ -118,7 +119,8 @@ type BackwardStats struct {
 	VisitedSCCs, TotalSCCs   int
 	ReusedSCCs, ExecutedSCCs int
 	// CondenseMS, ForwardMS and SolveMS split the wall time: call-graph
-	// condensation plus cone discovery, the lazy forward success
+	// condensation (paid by the first query of a System, whose analyses
+	// share one) plus cone discovery and hashing, the lazy forward success
 	// pre-pass (zero when every component was served from the store),
 	// and the backward fixpoint itself.
 	CondenseMS, ForwardMS, SolveMS int64
@@ -160,13 +162,17 @@ func (s *System) AnalyzeBackwardContext(ctx context.Context, opts ...BackwardOpt
 		}
 		cfg.Goals = append(cfg.Goals, fn)
 	}
-	res, err := s.backwardEngine(c.store).Analyze(ctx, s.mod, s.prog, cfg)
+	t0 := time.Now()
+	cond := s.condensation()
+	condDur := time.Since(t0)
+	res, err := s.backwardEngine(c.store).Analyze(ctx, cond, s.prog, cfg)
 	if err != nil {
 		if errors.Is(err, backward.ErrUnknownGoal) {
 			return nil, fmt.Errorf("%w: %w", ErrBadOption, err)
 		}
 		return nil, wrapAnalysisErr(err)
 	}
+	res.CondenseDur += condDur
 	return &BackwardAnalysis{sys: s, res: res}, nil
 }
 

@@ -40,7 +40,9 @@ import (
 // Result is one backward analysis outcome: per-predicate demands over
 // the visited cone, plus fixpoint and cache accounting.
 type Result struct {
-	Tab  *term.Tab
+	Tab *term.Tab
+	// Plan is the shared condensation with the demanded cone (and the
+	// components it calls) fingerprinted under the demand record salt.
 	Plan *inc.Plan
 	// Demands maps every predicate of the visited cone — goal
 	// predicates, their transitive demand callees, and undefined
@@ -63,7 +65,8 @@ type Result struct {
 	ReusedSCCs, ExecutedSCCs int
 	// Store is the summary store's state after the run.
 	Store cache.Stats
-	// Phase wall-clock: condensation+cone, the lazy forward success
+	// Phase wall-clock: cone discovery and cone fingerprinting (the
+	// condensation itself is the caller's), the lazy forward success
 	// pre-pass (zero when every component was served), and the gfp.
 	CondenseDur, ForwardDur, SolveDur time.Duration
 }

@@ -43,6 +43,9 @@ type Config struct {
 	Goals []term.Functor
 }
 
+// planContext is the configuration salt of the demand fingerprints.
+func planContext(depth int) string { return fmt.Sprintf("bwd depth=%d", depth) }
+
 func (c Config) withDefaults() Config {
 	if c.Depth == 0 {
 		c.Depth = 4
@@ -83,11 +86,14 @@ type flusher interface {
 	Flush()
 }
 
-// Analyze infers demands for cfg.Goals over mod/prog. prog must be the
-// source program mod was compiled from: demands are computed over its
-// control-expanded clauses, whose auxiliary predicates line up with the
-// compiled module's by construction.
-func (e *Engine) Analyze(ctx context.Context, mod *wam.Module, prog *term.Program, cfg Config) (*Result, error) {
+// Analyze infers demands for cfg.Goals over the condensed module c.Mod
+// and its source program prog. prog must be the program c.Mod was
+// compiled from: demands are computed over its control-expanded
+// clauses, whose auxiliary predicates line up with the compiled
+// module's by construction. The condensation is only read, so one can
+// be shared with the forward engine and the specializer; only the
+// demanded cone is fingerprinted.
+func (e *Engine) Analyze(ctx context.Context, c *inc.Condensation, prog *term.Program, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Depth < 0 {
 		return nil, fmt.Errorf("backward: negative depth %d", cfg.Depth)
@@ -95,6 +101,7 @@ func (e *Engine) Analyze(ctx context.Context, mod *wam.Module, prog *term.Progra
 	if cfg.MaxSteps < 0 {
 		return nil, fmt.Errorf("backward: negative step budget %d", cfg.MaxSteps)
 	}
+	mod := c.Mod
 	tab := mod.Tab
 	exp, err := compiler.ExpandedProgram(tab, prog)
 	if err != nil {
@@ -103,17 +110,17 @@ func (e *Engine) Analyze(ctx context.Context, mod *wam.Module, prog *term.Progra
 	builtins := wam.Builtins(tab)
 
 	t0 := time.Now()
-	plan := inc.NewPlanFormat(mod, fpFormat, fmt.Sprintf("bwd depth=%d", cfg.Depth))
 	goals := cfg.Goals
 	if len(goals) == 0 {
 		goals = defaultGoals(tab, mod)
 	}
 	for _, g := range goals {
-		if _, ok := plan.PredSCC[g]; !ok {
+		if _, ok := c.PredSCC[g]; !ok {
 			return nil, fmt.Errorf("backward: %w %s", ErrUnknownGoal, tab.FuncString(g))
 		}
 	}
-	visited := demandCone(tab, plan, exp, builtins, goals)
+	visited := demandCone(tab, c, exp, builtins, goals)
+	plan := c.Fingerprint(fpFormat, planContext(cfg.Depth), visited)
 
 	res := &Result{
 		Tab:         tab,
@@ -128,8 +135,8 @@ func (e *Engine) Analyze(ctx context.Context, mod *wam.Module, prog *term.Progra
 	if p, ok := e.store.(prefetcher); ok {
 		var fps []cache.Fingerprint
 		for _, idx := range visited {
-			if scc := plan.SCCs[idx]; !scc.Undefined {
-				fps = append(fps, cache.Fingerprint(scc.Fingerprint))
+			if !plan.SCCs[idx].Undefined {
+				fps = append(fps, cache.Fingerprint(plan.Fingerprints[idx]))
 			}
 		}
 		p.Prefetch(fps)
@@ -172,8 +179,16 @@ func (e *Engine) Analyze(ctx context.Context, mod *wam.Module, prog *term.Progra
 		if err != nil {
 			return fmt.Errorf("backward: forward success pre-pass: %w", err)
 		}
+		// Each entry predicate's lubbed success, as fres.SuccessFor
+		// computes it, in one pass over the table: SuccessFor per
+		// predicate would rescan the whole table for each one.
 		for _, en := range entries {
-			succ[en.Fn] = fres.SuccessFor(en.Fn)
+			succ[en.Fn] = nil
+		}
+		for _, e := range fres.Entries {
+			if acc, ok := succ[e.CP.Fn]; ok && e.Succ != nil {
+				succ[e.CP.Fn] = domain.LubPattern(fres.Tab, acc, e.Succ)
+			}
 		}
 		return nil
 	}
@@ -188,7 +203,7 @@ func (e *Engine) Analyze(ctx context.Context, mod *wam.Module, prog *term.Progra
 			res.Demands[scc.Members[0]] = nil
 			continue
 		}
-		fp := cache.Fingerprint(scc.Fingerprint)
+		fp := cache.Fingerprint(plan.Fingerprints[idx])
 		if data, ok := e.store.Get(fp); ok {
 			if ds, derr := decodeDemands(tab, scc, data); derr == nil {
 				for i, m := range scc.Members {
@@ -241,11 +256,11 @@ func defaultGoals(tab *term.Tab, mod *wam.Module) []term.Functor {
 // auxiliaries excluded (backward demands nothing from \+ G) and
 // fail-containing clauses skipped (their demand is bottom regardless of
 // any callee).
-func demandCone(tab *term.Tab, plan *inc.Plan, exp *term.Program, builtins map[term.Functor]wam.BuiltinID, goals []term.Functor) []int {
+func demandCone(tab *term.Tab, cond *inc.Condensation, exp *term.Program, builtins map[term.Functor]wam.BuiltinID, goals []term.Functor) []int {
 	seen := make(map[int]bool)
 	var queue []int
 	for _, g := range goals {
-		if idx, ok := plan.PredSCC[g]; ok && !seen[idx] {
+		if idx, ok := cond.PredSCC[g]; ok && !seen[idx] {
 			seen[idx] = true
 			queue = append(queue, idx)
 		}
@@ -253,7 +268,7 @@ func demandCone(tab *term.Tab, plan *inc.Plan, exp *term.Program, builtins map[t
 	for len(queue) > 0 {
 		idx := queue[0]
 		queue = queue[1:]
-		scc := plan.SCCs[idx]
+		scc := cond.SCCs[idx]
 		if scc.Undefined {
 			continue
 		}
@@ -276,7 +291,7 @@ func demandCone(tab *term.Tab, plan *inc.Plan, exp *term.Program, builtins map[t
 					if isNotAux(tab, fn) {
 						continue
 					}
-					if j, ok := plan.PredSCC[fn]; ok && !seen[j] {
+					if j, ok := cond.PredSCC[fn]; ok && !seen[j] {
 						seen[j] = true
 						queue = append(queue, j)
 					}

@@ -11,6 +11,7 @@ import (
 	"awam/internal/cache"
 	"awam/internal/compiler"
 	"awam/internal/core"
+	"awam/internal/inc"
 	"awam/internal/parser"
 	"awam/internal/term"
 	"awam/internal/wam"
@@ -37,7 +38,7 @@ func analyzeBwd(t *testing.T, src string, goals ...string) (*term.Tab, *Result) 
 	for _, g := range goals {
 		cfg.Goals = append(cfg.Goals, indicator(t, tab, g))
 	}
-	res, err := NewEngine(nil).Analyze(context.Background(), mod, prog, cfg)
+	res, err := NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), prog, cfg)
 	if err != nil {
 		t.Fatalf("backward analyze: %v", err)
 	}
@@ -267,7 +268,7 @@ needs_int(X) :- integer(X).
 func TestDemandCone(t *testing.T) {
 	p := bench.WideProgramSeeded(64, 0)
 	tab, mod, prog := build(t, p.Source)
-	res, err := NewEngine(nil).Analyze(context.Background(), mod, prog, Config{
+	res, err := NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), prog, Config{
 		Goals: []term.Functor{tab.Func("p0_rev", 2)},
 	})
 	if err != nil {
@@ -286,6 +287,28 @@ func TestDemandCone(t *testing.T) {
 	if _, ok := res.DemandFor(tab.Func("p0_rev", 2)); !ok {
 		t.Error("goal predicate missing from result")
 	}
+
+	// Only the cone is hashed, and its addresses are the whole-program
+	// ones: the fingerprinted set is closed under callees.
+	full := res.Plan.Condensation.Fingerprint(fpFormat, planContext(4), nil)
+	hashed := 0
+	for i, fp := range res.Plan.Fingerprints {
+		if fp == "" {
+			continue
+		}
+		hashed++
+		if fp != full.Fingerprints[i] {
+			t.Fatalf("component %d: cone fingerprint %s, whole-program %s", i, fp, full.Fingerprints[i])
+		}
+	}
+	for _, idx := range res.Visited {
+		if res.Plan.Fingerprints[idx] == "" {
+			t.Fatalf("visited component %d left unfingerprinted", idx)
+		}
+	}
+	if hashed*16 > res.TotalSCCs {
+		t.Errorf("hashed %d of %d components for a one-family cone", hashed, res.TotalSCCs)
+	}
 }
 
 // TestWarmReuse: a repeat query against the same store re-executes zero
@@ -300,7 +323,7 @@ func TestWarmReuse(t *testing.T) {
 	eng := NewEngine(store)
 
 	tab1, mod1, prog1 := build(t, p.Source)
-	cold, err := eng.Analyze(context.Background(), mod1, prog1, Config{Goals: []term.Functor{tab1.Func("qsort", 3)}})
+	cold, err := eng.Analyze(context.Background(), inc.NewCondensation(mod1), prog1, Config{Goals: []term.Functor{tab1.Func("qsort", 3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +333,7 @@ func TestWarmReuse(t *testing.T) {
 
 	// Fresh parse/compile (fresh symbol table) — only the store carries over.
 	tab2, mod2, prog2 := build(t, p.Source)
-	warm, err := eng.Analyze(context.Background(), mod2, prog2, Config{Goals: []term.Functor{tab2.Func("qsort", 3)}})
+	warm, err := eng.Analyze(context.Background(), inc.NewCondensation(mod2), prog2, Config{Goals: []term.Functor{tab2.Func("qsort", 3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +365,14 @@ leafb(b).
 `
 	tab, mod, prog := build(t, base)
 	goals := []term.Functor{tab.Func("top", 1), tab.Func("other", 1)}
-	if _, err := eng.Analyze(context.Background(), mod, prog, Config{Goals: goals}); err != nil {
+	if _, err := eng.Analyze(context.Background(), inc.NewCondensation(mod), prog, Config{Goals: goals}); err != nil {
 		t.Fatal(err)
 	}
 	// Edit leafa: top's chain re-executes, other's chain is served.
 	edited := strings.Replace(base, "leafa(a).", "leafa(aa).", 1)
 	tab2, mod2, prog2 := build(t, edited)
 	goals2 := []term.Functor{tab2.Func("top", 1), tab2.Func("other", 1)}
-	res, err := eng.Analyze(context.Background(), mod2, prog2, Config{Goals: goals2})
+	res, err := eng.Analyze(context.Background(), inc.NewCondensation(mod2), prog2, Config{Goals: goals2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,17 +392,16 @@ func TestCorruptRecordIsMiss(t *testing.T) {
 	eng := NewEngine(store)
 	tab, mod, prog := build(t, p.Source)
 	goals := []term.Functor{tab.Func("qsort", 3)}
-	cold, err := eng.Analyze(context.Background(), mod, prog, Config{Goals: goals})
+	cold, err := eng.Analyze(context.Background(), inc.NewCondensation(mod), prog, Config{Goals: goals})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, idx := range cold.Visited {
-		scc := cold.Plan.SCCs[idx]
-		if !scc.Undefined {
-			store.Put(cache.Fingerprint(scc.Fingerprint), []byte("garbage\n"))
+		if !cold.Plan.SCCs[idx].Undefined {
+			store.Put(cache.Fingerprint(cold.Plan.Fingerprints[idx]), []byte("garbage\n"))
 		}
 	}
-	again, err := eng.Analyze(context.Background(), mod, prog, Config{Goals: goals})
+	again, err := eng.Analyze(context.Background(), inc.NewCondensation(mod), prog, Config{Goals: goals})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +444,7 @@ func TestRecordRoundTrip(t *testing.T) {
 // are rejected up front.
 func TestUnknownGoal(t *testing.T) {
 	tab, mod, prog := build(t, "p(a).")
-	_, err := NewEngine(nil).Analyze(context.Background(), mod, prog, Config{
+	_, err := NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), prog, Config{
 		Goals: []term.Functor{tab.Func("nosuch", 2)},
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown goal") {
@@ -434,7 +456,7 @@ func TestUnknownGoal(t *testing.T) {
 func TestStepLimit(t *testing.T) {
 	p, _ := bench.ByName("qsort")
 	_, mod, prog := build(t, p.Source)
-	_, err := NewEngine(nil).Analyze(context.Background(), mod, prog, Config{MaxSteps: 1})
+	_, err := NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), prog, Config{MaxSteps: 1})
 	if !errors.Is(err, core.ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
 	}
@@ -446,7 +468,7 @@ func TestCanceled(t *testing.T) {
 	_, mod, prog := build(t, p.Source)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewEngine(nil).Analyze(ctx, mod, prog, Config{})
+	_, err := NewEngine(nil).Analyze(ctx, inc.NewCondensation(mod), prog, Config{})
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -191,13 +191,15 @@ type Analyzer struct {
 	// Observability state (observe.go). met is this goroutine's private
 	// counter shard (never nil); tr mirrors cfg.Tracer. attrFn/attrStart
 	// attribute step deltas to predicates at exploration boundaries.
-	// budget points at the step budget shared by every goroutine of one
-	// analysis; allow is the locally reserved allowance (refillSteps).
+	// budget is the step budget shared by every goroutine of one
+	// analysis; reserved is this goroutine's current reservation from
+	// it and allow the part not yet charged (refillSteps).
 	met       *metricsShard
 	tr        Tracer
 	attrFn    term.Functor
 	attrStart int64
-	budget    *int64
+	budget    *stepBudget
+	reserved  int64
 	allow     int64
 	// heapHW tracks the high-water mark across discarded fixpoint heaps;
 	// queueWait accumulates this parallel worker's queue waiting time.
@@ -236,8 +238,7 @@ func NewWith(mod *wam.Module, cfg Config) *Analyzer {
 	a.tr = cfg.Tracer
 	a.in = domain.NewInterner()
 	a.memo = domain.NewMemo()
-	budget := cfg.MaxSteps
-	a.budget = &budget
+	a.budget = newStepBudget(cfg.MaxSteps)
 	return a
 }
 
@@ -438,8 +439,8 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 	a.table = a.newTable()
 	a.Steps = 0
 	a.err = nil
-	*a.budget = a.cfg.MaxSteps
-	a.allow = 0
+	a.budget.reset(a.cfg.MaxSteps, 1)
+	a.reserved, a.allow = 0, 0
 	execStart := time.Now()
 	const maxIterations = 1000 // backstop; the finite domain terminates first
 	for a.Iterations = 1; a.Iterations <= maxIterations; a.Iterations++ {

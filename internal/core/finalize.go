@@ -127,14 +127,13 @@ func (f *finState) consult(id domain.PatternID, cp *domain.Pattern) {
 func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]*Entry, error) {
 	savedSteps := a.Steps
 	savedMet, savedTr := a.met, a.tr
-	savedBudget, savedAllow := a.budget, a.allow
+	savedBudget, savedReserved, savedAllow := a.budget, a.reserved, a.allow
 	savedAttrFn, savedAttrStart := a.attrFn, a.attrStart
 	a.Steps = 0
 	a.met = newMetricsShard()
 	a.tr = nil
-	finBudget := a.cfg.MaxSteps
-	a.budget = &finBudget
-	a.allow = 0
+	a.budget = newStepBudget(a.cfg.MaxSteps)
+	a.reserved, a.allow = 0, 0
 	a.attrFn = term.Functor{}
 	a.attrStart = 0
 	a.fin = &finState{
@@ -146,7 +145,7 @@ func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]
 		a.fin = nil
 		a.Steps = savedSteps
 		a.met, a.tr = savedMet, savedTr
-		a.budget, a.allow = savedBudget, savedAllow
+		a.budget, a.reserved, a.allow = savedBudget, savedReserved, savedAllow
 		a.attrFn, a.attrStart = savedAttrFn, savedAttrStart
 	}()
 	for _, cp := range entries {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"awam/internal/specialize"
@@ -23,8 +23,8 @@ import (
 //     (each parallel worker is a private Analyzer with its own shard);
 //     shards are merged only after the worker WaitGroup barrier, so
 //     metric collection is race-free without atomics in the hot loop.
-//   - Only the shared step *budget* is atomic (see refillSteps), and it
-//     is touched once per budgetChunk instructions, not per step.
+//   - Only the shared step *budget* is synchronized (see refillSteps),
+//     and it is touched once per reserved chunk, not per step.
 //   - The finalize replay and the determinacy pass are not observable:
 //     their instructions are charged to a scratch shard and their
 //     events suppressed, so Metrics totals stay equal to Result.Steps
@@ -253,40 +253,90 @@ func (a *Analyzer) attrRestore(prev term.Functor) {
 	a.attrStart = a.Steps
 }
 
-// budgetChunk is the step-allowance granularity: workers reserve this
-// many steps from the shared budget at a time, so the shared atomic is
-// touched once per chunk rather than per instruction.
+// budgetChunk is the largest step allowance a goroutine reserves at a
+// time, so the shared budget is touched once per chunk rather than per
+// instruction.
 const budgetChunk = 4096
 
-// refillSteps reserves another allowance chunk from the shared step
-// budget, reporting false when the budget is exhausted. Unused
-// allowance is refunded by refundSteps, so the global bound is exact up
-// to the chunks currently held by running workers.
-func (a *Analyzer) refillSteps() bool {
-	for {
-		r := atomic.LoadInt64(a.budget)
-		if r <= 0 {
-			return false
-		}
-		take := r
-		if take > budgetChunk {
-			take = budgetChunk
-		}
-		if atomic.CompareAndSwapInt64(a.budget, r, r-take) {
-			a.allow = take
-			return true
-		}
+// stepBudget is the step budget shared by every goroutine of one
+// analysis. Goroutines reserve allowances from pool and charge steps
+// against them locally; held is the sum of the reservations not yet
+// used up or refunded. The budget is exhausted only when both are zero:
+// then every step of it has actually been charged. A goroutine that
+// finds the pool empty while others still hold allowance waits for
+// them to charge it (and find the budget exhausted too) or refund it.
+type stepBudget struct {
+	mu    sync.Mutex
+	freed sync.Cond // broadcast when held shrinks
+	pool  int64
+	held  int64
+	// share caps one reservation at a fair slice of the budget, so a
+	// small budget is not reserved whole by the first worker.
+	share int64
+}
+
+func newStepBudget(max int64) *stepBudget {
+	b := &stepBudget{}
+	b.freed.L = &b.mu
+	b.reset(max, 1)
+	return b
+}
+
+// reset refills the budget to max steps for an analysis run by workers
+// goroutines.
+func (b *stepBudget) reset(max int64, workers int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.pool, b.held = max, 0
+	b.share = max / int64(workers)
+	if b.share > budgetChunk {
+		b.share = budgetChunk
+	}
+	if b.share < 1 {
+		b.share = 1
 	}
 }
 
-// refundSteps returns unused allowance to the shared budget (called
-// before a parallel worker parks on the queue, so an idle worker never
-// starves the others of budget).
-func (a *Analyzer) refundSteps() {
-	if a.allow > 0 {
-		atomic.AddInt64(a.budget, a.allow)
-		a.allow = 0
+// refillSteps reserves the next allowance, reporting false once every
+// step of the budget has been charged. The previous allowance is used
+// up when this is called (allow reached zero), so its reservation is
+// released first.
+func (a *Analyzer) refillSteps() bool {
+	b := a.budget
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if a.reserved > 0 {
+		b.held -= a.reserved
+		a.reserved = 0
+		b.freed.Broadcast()
 	}
+	for b.pool == 0 {
+		if b.held == 0 {
+			return false
+		}
+		b.freed.Wait()
+	}
+	take := min(b.pool, b.share)
+	b.pool -= take
+	b.held += take
+	a.reserved, a.allow = take, take
+	return true
+}
+
+// refundSteps returns unused allowance to the shared budget. A parallel
+// worker calls it before it parks on the queue or stops, so an idle or
+// finished worker never starves the others of budget.
+func (a *Analyzer) refundSteps() {
+	if a.reserved == 0 {
+		return
+	}
+	b := a.budget
+	b.mu.Lock()
+	b.pool += a.allow
+	b.held -= a.reserved
+	b.freed.Broadcast()
+	b.mu.Unlock()
+	a.reserved, a.allow = 0, 0
 }
 
 // buildMetrics assembles the public Metrics from the driver's shard,

@@ -162,8 +162,8 @@ func (a *Analyzer) analyzeParallel(entries []*domain.Pattern) (*Result, error) {
 	// One budget for the whole analysis: every worker draws chunked
 	// allowances from this shared counter (observe.go), so Config.MaxSteps
 	// bounds the total work regardless of worker count.
-	*a.budget = a.cfg.MaxSteps
-	a.allow = 0
+	a.budget.reset(a.cfg.MaxSteps, n)
+	a.reserved, a.allow = 0, 0
 	ps := newParState(n)
 	if a.specPre {
 		ps.table = NewDenseShardedTable()
@@ -302,6 +302,7 @@ func (w *Analyzer) runWorker(id int) {
 			w.Iterations++ // per-worker exploration count
 			w.explorePar(e)
 			if w.err != nil {
+				w.refundSteps()
 				ps.fail(w.err)
 				w.attrClose()
 				return

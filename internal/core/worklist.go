@@ -162,8 +162,8 @@ func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
 	a.table = a.newTable()
 	a.Steps = 0
 	a.err = nil
-	*a.budget = a.cfg.MaxSteps
-	a.allow = 0
+	a.budget.reset(a.cfg.MaxSteps, 1)
+	a.reserved, a.allow = 0, 0
 	a.wl = newWLState(a.specPre)
 	a.h = rt.NewHeap()
 	execStart := time.Now()

@@ -8,6 +8,7 @@ import (
 	"awam/internal/backward"
 	"awam/internal/compiler"
 	"awam/internal/core"
+	"awam/internal/inc"
 	"awam/internal/parser"
 	"awam/internal/term"
 )
@@ -35,7 +36,7 @@ func CheckBackward(c Case, opt Options) (*Violation, Stats, error) {
 	if err != nil {
 		return nil, st, fmt.Errorf("fuzz: compile: %w", err)
 	}
-	bres, err := backward.NewEngine(nil).Analyze(context.Background(), mod, prog,
+	bres, err := backward.NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), prog,
 		backward.Config{Depth: opt.Depth, MaxSteps: opt.AbstractSteps})
 	if errors.Is(err, core.ErrStepLimit) {
 		st.Skipped++

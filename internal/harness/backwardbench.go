@@ -10,6 +10,7 @@ import (
 	"awam/internal/backward"
 	"awam/internal/bench"
 	"awam/internal/compiler"
+	"awam/internal/inc"
 	"awam/internal/parser"
 	"awam/internal/term"
 	"awam/internal/wam"
@@ -101,7 +102,7 @@ func MeasureBackward(families int, quick bool, progress io.Writer) (*BackwardEnt
 	var cold *backward.Result
 	start := time.Now()
 	for i := 0; i < coldIters; i++ {
-		cold, err = backward.NewEngine(nil).Analyze(ctx, mod, prog, cfg)
+		cold, err = backward.NewEngine(nil).Analyze(ctx, inc.NewCondensation(mod), prog, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +114,7 @@ func MeasureBackward(families int, quick bool, progress io.Writer) (*BackwardEnt
 
 	// Warm: one engine primed by its first query, then repeat queries.
 	eng := backward.NewEngine(nil)
-	if _, err := eng.Analyze(ctx, mod, prog, cfg); err != nil {
+	if _, err := eng.Analyze(ctx, inc.NewCondensation(mod), prog, cfg); err != nil {
 		return nil, err
 	}
 	say("  %s/backward: %d warm runs...\n", base.Name, warmIters)
@@ -121,7 +122,7 @@ func MeasureBackward(families int, quick bool, progress io.Writer) (*BackwardEnt
 	var warm *backward.Result
 	start = time.Now()
 	for i := 0; i < warmIters; i++ {
-		warm, err = eng.Analyze(ctx, mod, prog, cfg)
+		warm, err = eng.Analyze(ctx, inc.NewCondensation(mod), prog, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +146,7 @@ func MeasureBackward(families int, quick bool, progress io.Writer) (*BackwardEnt
 	egoal := emod.Tab.Func("p0_rev", 2)
 	say("  %s/backward: one-edit re-query...\n", base.Name)
 	start = time.Now()
-	eres, err := eng.Analyze(ctx, emod, eprog, backward.Config{Goals: []term.Functor{egoal}})
+	eres, err := eng.Analyze(ctx, inc.NewCondensation(emod), eprog, backward.Config{Goals: []term.Functor{egoal}})
 	if err != nil {
 		return nil, err
 	}

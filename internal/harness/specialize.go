@@ -46,9 +46,9 @@ func SpecProfile(m *core.Metrics) *specialize.Profile {
 // buildSpecProgram assembles the specialized program for mod the way
 // the facade does, but from a measured profile when one is available.
 func buildSpecProgram(mod *wam.Module, prof *specialize.Profile, opts specialize.Options) *specialize.Program {
-	plan := inc.Condense(mod, core.Config{})
-	comps := make([][]term.Functor, len(plan.SCCs))
-	for i, scc := range plan.SCCs {
+	sccs := inc.NewCondensation(mod).SCCs
+	comps := make([][]term.Functor, len(sccs))
+	for i, scc := range sccs {
 		comps[i] = scc.Members
 	}
 	if prof == nil {

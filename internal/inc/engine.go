@@ -53,7 +53,8 @@ type flusher interface {
 // plus the condensation and cache accounting of this run.
 type Result struct {
 	*core.Result
-	// Plan is the module's fingerprinted condensation.
+	// Plan is the module's condensation, fingerprinted under this run's
+	// configuration salt.
 	Plan *Plan
 	// WarmSCCs counts components served from the store — record present,
 	// well-formed, and entire callee cone also served — out of
@@ -95,8 +96,17 @@ func configContext(cfg core.Config) string {
 // engine always runs the worklist strategy (warm seeding is defined for
 // it); cfg.Strategy and cfg.Warm are overwritten.
 func (e *Engine) AnalyzeAll(ctx context.Context, mod *wam.Module, cfg core.Config) (*Result, error) {
+	return e.AnalyzeCondensed(ctx, NewCondensation(mod), cfg)
+}
+
+// AnalyzeCondensed is AnalyzeAll over a prebuilt condensation of the
+// module c.Mod, so a caller that also specializes the module or runs
+// the backward engine over it condenses it only once. Only the
+// fingerprinting pass, salted with cfg, is done here.
+func (e *Engine) AnalyzeCondensed(ctx context.Context, c *Condensation, cfg core.Config) (*Result, error) {
 	cfg.Strategy = core.StrategyWorklist
-	plan := NewPlan(mod, configContext(cfg))
+	mod := c.Mod
+	plan := c.Fingerprint(fpFormat, configContext(cfg), nil)
 	before := e.store.Stats()
 	warm, cached := e.loadWarm(mod.Tab, plan)
 	cfg.Warm = nil
@@ -198,9 +208,9 @@ type cachedSCC struct {
 // served, so cold runs skip warm probes entirely.
 func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) (*warmTable, map[int]*cachedSCC) {
 	if p, ok := e.store.(prefetcher); ok {
-		fps := make([]cache.Fingerprint, len(plan.SCCs))
-		for i, scc := range plan.SCCs {
-			fps[i] = cache.Fingerprint(scc.Fingerprint)
+		fps := make([]cache.Fingerprint, len(plan.Fingerprints))
+		for i, fp := range plan.Fingerprints {
+			fps[i] = cache.Fingerprint(fp)
 		}
 		p.Prefetch(fps)
 	}
@@ -219,7 +229,7 @@ func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) (*warmTable, map[int]*cache
 		if !coneOK {
 			continue
 		}
-		data, ok := e.store.Get(cache.Fingerprint(scc.Fingerprint))
+		data, ok := e.store.Get(cache.Fingerprint(plan.Fingerprints[i]))
 		if !ok {
 			continue
 		}
@@ -294,7 +304,7 @@ func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, res *core.Result, cache
 		if c != nil && bytes.Equal(c.raw, data) {
 			continue
 		}
-		e.store.Put(cache.Fingerprint(plan.SCCs[i].Fingerprint), data)
+		e.store.Put(cache.Fingerprint(plan.Fingerprints[i]), data)
 	}
 }
 
@@ -309,7 +319,8 @@ func explored(scc *SCC, runs map[term.Functor]int64) bool {
 }
 
 // Condense is a convenience for tools and tests: the fingerprinted plan
-// for mod under cfg's effective configuration.
+// for mod under cfg's effective configuration. Callers that need only
+// the components use NewCondensation, which skips the hashing.
 func Condense(mod *wam.Module, cfg core.Config) *Plan {
 	return NewPlan(mod, configContext(cfg))
 }

@@ -25,10 +25,14 @@ import (
 // never satisfy a post-closure run, and vice versa.
 const fpFormat = "awam-scc-fp 3"
 
-// fingerprint computes every component's content address, bottom-up.
-// A fingerprint covers:
+// Fingerprint computes content addresses over the condensation,
+// bottom-up, under one salt: format names the record schema (fpFormat
+// for forward summaries; the backward engine keys its demand records
+// under its own, so the two record universes can never satisfy each
+// other's probes, even through a shared store) and context the analysis
+// configuration. A fingerprint covers:
 //
-//   - the schema version and the analysis configuration (context),
+//   - the schema name and the configuration,
 //   - each member's compiled code, encoded position-independently
 //     (addresses relative to the procedure entry, callee identity by
 //     name — see relInstr),
@@ -41,42 +45,61 @@ const fpFormat = "awam-scc-fp 3"
 // Undefined pseudo-components hash their name/arity: defining the
 // predicate later replaces the pseudo-fingerprint with a code hash and
 // thereby dirties every caller.
-func (p *Plan) fingerprint(context string) { p.fingerprintWith(fpFormat, context) }
-
-// fingerprintWith is fingerprint with an explicit schema name. It
-// exists so tests can key records under a different format generation
-// and prove the salt isolates them; production code always hashes
-// fpFormat.
-func (p *Plan) fingerprintWith(format, context string) {
+//
+// With roots nil every component is hashed. Otherwise only the roots
+// and the components they reach through Callees are: that set is closed
+// under callees, so each of its fingerprints is identical to the
+// whole-program one, and the rest of the plan stays "".
+func (c *Condensation) Fingerprint(format, context string, roots []int) *Plan {
+	p := &Plan{Condensation: c, Fingerprints: make([]string, len(c.SCCs))}
+	var need []bool
+	if roots != nil {
+		need = make([]bool, len(c.SCCs))
+		stack := append([]int(nil), roots...)
+		for len(stack) > 0 {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if need[i] {
+				continue
+			}
+			need[i] = true
+			stack = append(stack, c.SCCs[i].Callees...)
+		}
+	}
 	var bw binWriter
-	for _, scc := range p.SCCs {
+	var fps []string
+	for i, scc := range c.SCCs {
+		if need != nil && !need[i] {
+			continue
+		}
 		bw.buf = bw.buf[:0]
 		bw.str(format)
 		bw.str(context)
 		for _, fn := range scc.Members {
 			if scc.Undefined {
 				bw.str("undefined")
-				bw.str(p.Mod.Tab.Name(fn.Name))
+				bw.str(c.Mod.Tab.Name(fn.Name))
 				bw.uint(uint64(fn.Arity))
 				continue
 			}
-			sp := p.spans[fn]
-			writeProcBin(&bw, p.Mod, fn, sp[0], sp[1])
+			sp := c.spans[fn]
+			writeProcBin(&bw, c.Mod, fn, sp[0], sp[1])
 		}
 		// Callee fingerprints sorted lexically: the set matters, not the
 		// call order (summaries are order-free), and sorting keeps the
 		// hash stable under clause reordering that preserves the set.
-		fps := make([]string, len(scc.Callees))
-		for i, j := range scc.Callees {
-			fps[i] = p.SCCs[j].Fingerprint
+		fps = fps[:0]
+		for _, j := range scc.Callees {
+			fps = append(fps, p.Fingerprints[j])
 		}
 		sort.Strings(fps)
 		for _, fp := range fps {
 			bw.str(fp)
 		}
 		sum := sha256.Sum256(bw.buf)
-		scc.Fingerprint = hex.EncodeToString(sum[:])
+		p.Fingerprints[i] = hex.EncodeToString(sum[:])
 	}
+	return p
 }
 
 // binWriter builds the fingerprint's hash input: a flat byte string of
@@ -242,12 +265,12 @@ func relInstr(ins wam.Instr, base int) wam.Instr {
 // predicate's code — a readable view of what its fingerprint covers
 // (the hash input itself is the binary form of writeProcBin). Exposed
 // for tests and the debug CLI; returns "" for undefined predicates.
-func (p *Plan) ProcText(fn term.Functor) string {
-	sp, ok := p.spans[fn]
+func (c *Condensation) ProcText(fn term.Functor) string {
+	sp, ok := c.spans[fn]
 	if !ok {
 		return ""
 	}
 	var b strings.Builder
-	writeProcText(&b, p.Mod, fn, sp[0], sp[1])
+	writeProcText(&b, c.Mod, fn, sp[0], sp[1])
 	return b.String()
 }

@@ -9,9 +9,9 @@ import (
 // fpByName maps predicate spellings to their component fingerprints.
 func fpByName(tab *term.Tab, p *Plan) map[string]string {
 	out := make(map[string]string)
-	for _, scc := range p.SCCs {
+	for i, scc := range p.SCCs {
 		for _, fn := range scc.Members {
-			out[tab.FuncString(fn)] = scc.Fingerprint
+			out[tab.FuncString(fn)] = p.Fingerprints[i]
 		}
 	}
 	return out

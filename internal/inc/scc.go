@@ -32,22 +32,21 @@ type SCC struct {
 	// name/arity) so that defining it later changes every caller's
 	// fingerprint and dirties their cones.
 	Undefined bool
-	// Callees holds the indices (into Plan.SCCs) of components this one
+	// Callees holds the indices (into SCCs) of components this one
 	// calls, ascending, excluding itself. Because components are emitted
 	// in reverse topological order, every callee index is smaller than
 	// the component's own.
 	Callees []int
-	// Fingerprint is the content address of the component's summaries:
-	// a hash of its members' compiled code (addresses relativized), the
-	// analysis configuration, and its callees' fingerprints — so it
-	// covers the entire transitive cone. Computed by Plan construction.
-	Fingerprint string
 }
 
-// Plan is the condensation of one compiled module: its components in
-// bottom-up (reverse topological) order, fingerprinted and ready for
-// cache probes.
-type Plan struct {
+// Condensation is the SCC condensation of one compiled module's static
+// call graph: components, callee edges, the predicate index and code
+// spans — everything that does not depend on a fingerprint salt. It is
+// never mutated after construction, so one condensation serves every
+// consumer of a module: the specializer reads its member lists, and the
+// forward and backward engines each fingerprint it under their own salt
+// (see Fingerprint).
+type Condensation struct {
 	Mod *wam.Module
 	// SCCs lists components callees-first: every edge goes from a later
 	// component to an earlier one.
@@ -60,32 +59,40 @@ type Plan struct {
 	spans map[term.Functor][2]int
 }
 
-// NewPlan condenses mod's static call graph and fingerprints every
-// component. context is the configuration salt (configContext): records
-// produced under different analysis parameters must not be confused, so
-// it is hashed into every fingerprint. The construction is fully
-// deterministic — nodes in definition order, neighbors in code order —
-// so the same module always yields the same plan and fingerprints.
-func NewPlan(mod *wam.Module, context string) *Plan {
-	return NewPlanFormat(mod, fpFormat, context)
+// Plan is a condensation fingerprinted under one salt and ready for
+// cache probes.
+type Plan struct {
+	*Condensation
+	// Fingerprints holds each component's content address, indexed like
+	// SCCs: a hash of its members' compiled code (addresses
+	// relativized), the salt, and its callees' fingerprints — so it
+	// covers the entire transitive cone. A plan fingerprinted over a cone
+	// leaves the components outside it "".
+	Fingerprints []string
 }
 
-// NewPlanFormat is NewPlan with an explicit fingerprint schema name.
-// Alternate analyses that reuse the condensation but compute different
-// facts over it — the backward engine keys its plans under
-// "awam-bwd-fp 1" — salt their fingerprints with a distinct format so
-// the two record universes can never satisfy each other's cache probes,
-// even through a shared store.
-func NewPlanFormat(mod *wam.Module, format, context string) *Plan {
-	p := &Plan{
+// NewCondensation condenses mod's static call graph. The construction
+// is fully deterministic — nodes in definition order, neighbors in code
+// order — so the same module always yields the same components in the
+// same order.
+func NewCondensation(mod *wam.Module) *Condensation {
+	c := &Condensation{
 		Mod:     mod,
 		PredSCC: make(map[term.Functor]int),
 		spans:   procSpans(mod),
 	}
-	nodes, adj := callAdjacency(mod, p.spans)
-	p.condense(nodes, adj)
-	p.fingerprintWith(format, context)
-	return p
+	nodes, adj := callAdjacency(mod, c.spans)
+	c.condense(nodes, adj)
+	return c
+}
+
+// NewPlan condenses mod and fingerprints every component under the
+// forward record schema. context is the configuration salt
+// (configContext): records produced under different analysis
+// parameters must not be confused, so it is hashed into every
+// fingerprint.
+func NewPlan(mod *wam.Module, context string) *Plan {
+	return NewCondensation(mod).Fingerprint(fpFormat, context, nil)
 }
 
 // procSpans computes each defined predicate's code range. Procedures
@@ -153,8 +160,8 @@ func callAdjacency(mod *wam.Module, spans map[term.Functor][2]int) ([]term.Funct
 // components in reverse topological order (a component completes only
 // after everything it reaches), which is exactly the bottom-up order
 // the engine analyzes in; member lists are normalized to definition
-// order so the emitted plan is schedule-free.
-func (p *Plan) condense(nodes []term.Functor, adj map[term.Functor][]term.Functor) {
+// order so the condensation is schedule-free.
+func (c *Condensation) condense(nodes []term.Functor, adj map[term.Functor][]term.Functor) {
 	orderIdx := make(map[term.Functor]int, len(nodes))
 	for i, fn := range nodes {
 		orderIdx[fn] = i
@@ -196,14 +203,14 @@ func (p *Plan) condense(nodes []term.Functor, adj map[term.Functor][]term.Functo
 			sort.Slice(members, func(i, j int) bool {
 				return orderIdx[members[i]] < orderIdx[members[j]]
 			})
-			id := len(p.SCCs)
+			id := len(c.SCCs)
 			scc := &SCC{Members: members}
-			if _, ok := p.spans[members[0]]; !ok {
+			if _, ok := c.spans[members[0]]; !ok {
 				scc.Undefined = true
 			}
-			p.SCCs = append(p.SCCs, scc)
+			c.SCCs = append(c.SCCs, scc)
 			for _, m := range members {
-				p.PredSCC[m] = id
+				c.PredSCC[m] = id
 			}
 		}
 	}
@@ -214,11 +221,11 @@ func (p *Plan) condense(nodes []term.Functor, adj map[term.Functor][]term.Functo
 	}
 
 	// Cross-component callee lists, ascending, self excluded.
-	for i, scc := range p.SCCs {
+	for i, scc := range c.SCCs {
 		seen := make(map[int]bool)
 		for _, m := range scc.Members {
 			for _, w := range adj[m] {
-				if j := p.PredSCC[w]; j != i && !seen[j] {
+				if j := c.PredSCC[w]; j != i && !seen[j] {
 					seen[j] = true
 					scc.Callees = append(scc.Callees, j)
 				}
@@ -228,15 +235,15 @@ func (p *Plan) condense(nodes []term.Functor, adj map[term.Functor][]term.Functo
 	}
 }
 
-// StaticEdges re-derives the plan's edge relation in the shape
+// StaticEdges re-derives the condensation's edge relation in the shape
 // core.StaticCallEdges produces; the equivalence test pins the two
 // views of the call graph together.
-func (p *Plan) StaticEdges() map[[2]term.Functor]bool {
+func (c *Condensation) StaticEdges() map[[2]term.Functor]bool {
 	edges := make(map[[2]term.Functor]bool)
-	for _, fn := range p.Mod.Order {
-		sp := p.spans[fn]
+	for _, fn := range c.Mod.Order {
+		sp := c.spans[fn]
 		for addr := sp[0]; addr < sp[1]; addr++ {
-			ins := p.Mod.Code[addr]
+			ins := c.Mod.Code[addr]
 			if ins.Op == wam.OpCall || ins.Op == wam.OpExecute {
 				edges[[2]term.Functor{fn, ins.Fn}] = true
 			}

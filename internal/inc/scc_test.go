@@ -148,11 +148,11 @@ func TestPlanDeterministic(t *testing.T) {
 			t.Fatalf("%s: condensation not deterministic:\n%q\n%q", prog.Name, got, want)
 		}
 		for i := range p1.SCCs {
-			if p1.SCCs[i].Fingerprint != p2.SCCs[i].Fingerprint {
+			if p1.Fingerprints[i] != p2.Fingerprints[i] {
 				t.Fatalf("%s: SCC %d fingerprint differs across fresh compiles", prog.Name, i)
 			}
-			if len(p1.SCCs[i].Fingerprint) != 64 {
-				t.Fatalf("%s: SCC %d fingerprint not sha256 hex: %q", prog.Name, i, p1.SCCs[i].Fingerprint)
+			if len(p1.Fingerprints[i]) != 64 {
+				t.Fatalf("%s: SCC %d fingerprint not sha256 hex: %q", prog.Name, i, p1.Fingerprints[i])
 			}
 		}
 	}

@@ -41,11 +41,15 @@ func Build(mod *wam.Module, comps [][]term.Functor, prof *Profile, opts Options)
 		}
 	}
 	b.compOf = compOf
+	var total int64
+	if prof != nil {
+		total = prof.totalPredSteps()
+	}
 	for ci, members := range comps {
 		cs := &CompStream{
 			Index:      ci,
 			Members:    members,
-			FusionMask: enabledMask(prof, members, opts),
+			FusionMask: enabledMask(prof, total, members, opts),
 		}
 		b.cs = cs
 		b.cellIdx = make(map[rt.Cell]int32)

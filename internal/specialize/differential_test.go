@@ -51,7 +51,7 @@ partition([X|L], Y, L1, [X|L2]).
 partition([], _G0, [], []).
 `
 
-func buildMod(t *testing.T, src string) (*term.Tab, *wam.Module) {
+func buildMod(t testing.TB, src string) (*term.Tab, *wam.Module) {
 	t.Helper()
 	tab := term.NewTab()
 	prog, err := parser.ParseProgram(tab, src)
@@ -69,12 +69,17 @@ func buildMod(t *testing.T, src string) (*term.Tab, *wam.Module) {
 // components from the module's condensation, fusion set from the static
 // opcode profile.
 func buildSpec(mod *wam.Module, opts specialize.Options) *specialize.Program {
-	plan := inc.Condense(mod, core.Config{})
-	comps := make([][]term.Functor, len(plan.SCCs))
-	for i, scc := range plan.SCCs {
+	return specialize.Build(mod, components(mod), specialize.StaticProfile(mod), opts)
+}
+
+// components lists the member sets of mod's condensation.
+func components(mod *wam.Module) [][]term.Functor {
+	sccs := inc.NewCondensation(mod).SCCs
+	comps := make([][]term.Functor, len(sccs))
+	for i, scc := range sccs {
 		comps[i] = scc.Members
 	}
-	return specialize.Build(mod, comps, specialize.StaticProfile(mod), opts)
+	return comps
 }
 
 func analyzeWith(t *testing.T, mod *wam.Module, strat core.Strategy, workers int, spec *specialize.Program) *core.Result {

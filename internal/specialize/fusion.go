@@ -97,12 +97,14 @@ func slotCount(prof *Profile) int64 {
 // anchor and slot opcodes must actually occur in the profile. The
 // decision is per component and per rule — the mask is recorded on the
 // stream and folded into the program hash, so the incremental cache
-// distinguishes runs with different fusion sets.
-func enabledMask(prof *Profile, members []term.Functor, opts Options) uint32 {
+// distinguishes runs with different fusion sets. total is
+// prof.totalPredSteps(), computed once per Build by the caller so that
+// selection costs O(members) per component, not O(predicates).
+func enabledMask(prof *Profile, total int64, members []term.Functor, opts Options) uint32 {
 	if !opts.Fuse || prof == nil {
 		return 0
 	}
-	if total := prof.totalPredSteps(); total > 0 {
+	if total > 0 {
 		var mine int64
 		for _, fn := range members {
 			mine += prof.PredSteps[fn]

@@ -49,3 +49,24 @@ func TestPerfSmoke(t *testing.T) {
 		t.Fatalf("specialized engine slower than generic on wide_256: %v vs %v", specialized, generic)
 	}
 }
+
+// BenchmarkBuild measures specialize.Build alone — static profile and
+// fusion selection included, condensation excluded — on growing wide
+// programs, so its scaling can be read off ns/op and allocs/op:
+//
+//	go test -run NONE -bench BenchmarkBuild -benchmem ./internal/specialize
+func BenchmarkBuild(b *testing.B) {
+	for _, n := range []int{256, 512, 1024} {
+		prog := bench.WideProgram(n)
+		b.Run(prog.Name, func(b *testing.B) {
+			_, mod := buildMod(b, prog.Source)
+			comps := components(mod)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				specialize.Build(mod, comps, specialize.StaticProfile(mod),
+					specialize.Options{Fuse: true, PreIntern: true})
+			}
+		})
+	}
+}

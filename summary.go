@@ -225,13 +225,21 @@ type Summary struct {
 // Summary returns the typed analysis summary of a predicate given as
 // "name/arity", and whether the predicate appears in the analysis.
 func (a *Analysis) Summary(pred string) (Summary, bool) {
-	fn, ok := a.findPred(pred)
+	fn, ents, ok := a.findPred(pred)
 	if !ok {
 		return Summary{}, false
 	}
-	cp := a.res.CallFor(fn)
-	succ := a.res.SuccessFor(fn)
-	s := Summary{Pred: pred, Succeeds: succ != nil, Det: true}
+	// The lubbed calling and success patterns, as core.Result's CallFor
+	// and SuccessFor compute them, over the pre-grouped entries.
+	var cp, succ *domain.Pattern
+	for _, e := range ents {
+		cp = domain.LubPattern(a.res.Tab, cp, e.CP)
+		if e.Succ != nil {
+			succ = domain.LubPattern(a.res.Tab, succ, e.Succ)
+		}
+	}
+	_, nondet := a.determinacy()
+	s := Summary{Pred: pred, Succeeds: succ != nil, Det: !nondet[fn]}
 	if cp != nil {
 		s.Call = cp.String(a.sys.tab)
 	}
@@ -257,12 +265,6 @@ func (a *Analysis) Summary(pred string) (Summary, bool) {
 				arg.SuccessType = typeOf(succ.Args[i].Kind)
 			}
 			s.Args[i] = arg
-		}
-	}
-	for _, d := range a.an.Determinacy(a.res) {
-		if d.CP.CP.Fn == fn && !d.Det() {
-			s.Det = false
-			break
 		}
 	}
 	return s, true
