@@ -314,31 +314,17 @@ func WithStrategy(s Strategy) AnalyzeOption {
 	}
 }
 
-// WithHashTable replaces the paper's linear extension table by a hashed
-// one.
-//
-// Deprecated: use WithTable(TableHash).
-func WithHashTable() AnalyzeOption { return WithTable(TableHash) }
-
 // WithoutIndexing makes the abstract machine explore every clause
 // regardless of indexing instructions.
 func WithoutIndexing() AnalyzeOption {
 	return func(c *analyzeCfg) { c.cfg.Indexing = false }
 }
 
-// WithWorklist selects the dependency-tracking worklist fixpoint instead
-// of the paper's naive iteration. Summaries are at least as precise and
-// the worklist executes fewer abstract instructions; its table keeps
-// only the calling patterns reachable at the fixpoint.
-//
-// Deprecated: use WithStrategy(Worklist).
-func WithWorklist() AnalyzeOption { return WithStrategy(Worklist) }
-
 // WithParallelism selects the parallel fixpoint engine with n workers
 // over a sharded extension table. n = 0 sizes the pool to
 // runtime.GOMAXPROCS(0); negative n is rejected by Analyze with
-// ErrBadOption. The result is byte-identical to WithWorklist for every
-// worker count and schedule.
+// ErrBadOption. The result is byte-identical to WithStrategy(Worklist)
+// for every worker count and schedule.
 func WithParallelism(n int) AnalyzeOption {
 	return func(c *analyzeCfg) {
 		if n < 0 {
@@ -375,12 +361,13 @@ func WithEntry(pattern string) AnalyzeOption {
 // WithSpecializedTransfer toggles the per-SCC specialized abstract
 // transfer streams (on by default). When on, the analysis executes each
 // component's clauses from a flattened instruction stream with fused
-// superinstructions and pre-resolved intra-SCC calls instead of the
-// generic abstract-WAM switch; results — summaries, Marshal bytes, step
-// counts, opcode histograms — are byte-identical either way, only the
-// wall time differs. The specialization is built once per System and
-// reused across analyses. A WithTracer analysis always runs the generic
-// engine (the trace callbacks observe individual generic instructions).
+// superinstructions, pre-resolved intra-SCC calls and pre-interned call
+// patterns; when off, it executes the plain stream — one word per
+// abstract-WAM instruction — built per analysis. Results — summaries,
+// Marshal bytes, step counts, opcode histograms, and the events a
+// WithTracer tracer sees — are byte-identical either way, only the wall
+// time differs. The specialization is built once per System and reused
+// across analyses.
 func WithSpecializedTransfer(on bool) AnalyzeOption {
 	return func(c *analyzeCfg) { c.specOff = !on }
 }
@@ -447,7 +434,7 @@ func (s *System) AnalyzeContext(ctx context.Context, opts ...AnalyzeOption) (*An
 	if c.tracer != nil {
 		c.cfg.Tracer = coreTracer{tab: s.tab, t: c.tracer}
 	}
-	if !c.specOff && c.tracer == nil {
+	if !c.specOff {
 		c.cfg.Spec = s.specProgram()
 	}
 	if c.cache != nil && c.cache.engine() != nil {
@@ -625,28 +612,6 @@ func (a *Analysis) AliasPairs(pred string) [][2]int {
 		return nil
 	}
 	return s.AliasPairs
-}
-
-// OptimizeStats reports what Specialize changed.
-type OptimizeStats struct {
-	// Specialized counts rewritten instructions by kind.
-	Specialized map[string]int
-	// Total is the number of rewritten instructions.
-	Total int
-	// PredsTouched is the number of predicates with rewrites.
-	PredsTouched int
-}
-
-// Specialize returns a new System whose code is specialized using the
-// analysis (read-only unification where arguments are proven nonvar).
-// This is the ungated single-pass form kept for compatibility.
-//
-// Deprecated: use Optimize, which runs the full differentially-gated
-// pass pipeline and reports per-pass deltas and measured speedup.
-func (s *System) Specialize(a *Analysis) (*System, OptimizeStats) {
-	opt, stats := optimize.Specialize(s.mod, a.res)
-	return &System{tab: s.tab, prog: s.prog, mod: opt},
-		OptimizeStats{Specialized: stats.Specialized, Total: stats.Total, PredsTouched: stats.PredsTouched}
 }
 
 // StripUnreachable returns a new System without the predicates the

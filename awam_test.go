@@ -312,8 +312,11 @@ func TestDeterminacyAndSaveFacade(t *testing.T) {
 		t.Fatalf("reloaded analysis differs: %q vs %q", s1, s2)
 	}
 	// The reloaded analysis still drives the optimizer.
-	opt, stats := sys.Specialize(back)
-	if stats.Total == 0 {
+	opt, rep, err := sys.Optimize(back, WithPasses("specialize"), WithMeasureRuns(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Passes[0].Total == 0 {
 		t.Fatal("reloaded analysis produced no specializations")
 	}
 	if ok, err := opt.RunMain(); err != nil || !ok {

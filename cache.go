@@ -153,21 +153,6 @@ type SummaryCache struct {
 
 var _ Store = (*SummaryCache)(nil)
 
-// NewSummaryCache returns a cache holding up to budgetBytes of records
-// in memory (<= 0 selects the default, 64 MiB). A non-empty dir enables
-// persistence: records are written there as fingerprint-named files and
-// survive process restarts; evicted records are re-served from disk.
-//
-// Deprecated: use NewStore with WithMemoryBudget and WithDiskDir (and
-// WithRemote to join a summary fabric).
-func NewSummaryCache(budgetBytes int64, dir string) (*SummaryCache, error) {
-	s, err := NewStore(WithMemoryBudget(budgetBytes), WithDiskDir(dir))
-	if err != nil {
-		return nil, err
-	}
-	return s.(*SummaryCache), nil
-}
-
 // CacheStats is a point-in-time snapshot of summary-store traffic.
 type CacheStats struct {
 	// Hits and Misses count record probes (one probe per program

@@ -197,50 +197,6 @@ func TestSummaryCacheDiskDir(t *testing.T) {
 	}
 }
 
-// TestDeprecatedNewSummaryCache: the two-arg constructor still works —
-// it must behave exactly like NewStore(WithMemoryBudget, WithDiskDir).
-// This is the shim's dedicated compatibility test; every other caller
-// is on the option constructor (see deprecated_lint_test.go).
-func TestDeprecatedNewSummaryCache(t *testing.T) {
-	dir := t.TempDir()
-	sc, err := NewSummaryCache(1<<20, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ Store = sc // the shim's result implements the new interface
-	sys, err := Load(cacheProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := sys.Analyze(WithStrategy(Worklist))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := sys.Analyze(WithSummaryCache(sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Marshal() != ref.Marshal() {
-		t.Fatal("deprecated-constructor cache changed the analysis result")
-	}
-	// The dir took effect: a fresh store over it warm-starts fully.
-	sc2, err := NewStore(WithDiskDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys2, err := Load(cacheProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := sys2.Analyze(WithSummaryCache(sc2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc, ok := warm.Incremental(); !ok || inc.WarmSCCs != inc.SCCs {
-		t.Fatalf("shim's disk dir not shared with NewStore: %+v ok=%t", inc, ok)
-	}
-}
-
 // TestStoreBatchMethods: the fabric-protocol surface of a Store —
 // positional Has/GetRecords, PutRecords round trip, malformed
 // fingerprints skipped.

@@ -32,7 +32,7 @@ main :- qsort([3,1,2], _, []).
 def daemon_modes(base):
     body = json.dumps({"source": QSORT, "timeout_ms": 5000}).encode()
     req = urllib.request.Request(
-        base + "/analyze", data=body, headers={"Content-Type": "application/json"}
+        base + "/v1/analyze", data=body, headers={"Content-Type": "application/json"}
     )
     with urllib.request.urlopen(req, timeout=10) as resp:
         out = json.load(resp)

@@ -18,8 +18,7 @@
 // Endpoints (see the awam/api package for the wire types): POST
 // /v1/analyze, POST /v1/backward (demand queries against the same
 // shared store, under their own record salt), POST /v1/optimize, GET
-// /v1/healthz, GET /v1/metrics, plus the unversioned legacy aliases
-// /analyze, /healthz and /metrics. SIGINT/SIGTERM drain in-flight
+// /v1/healthz and GET /v1/metrics. SIGINT/SIGTERM drain in-flight
 // requests before exit.
 package main
 

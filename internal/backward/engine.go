@@ -13,6 +13,7 @@ import (
 	"awam/internal/core"
 	"awam/internal/domain"
 	"awam/internal/inc"
+	"awam/internal/specialize"
 	"awam/internal/term"
 	"awam/internal/wam"
 )
@@ -174,7 +175,18 @@ func (e *Engine) Analyze(ctx context.Context, c *inc.Condensation, prog *term.Pr
 				entries = append(entries, allAny(m))
 			}
 		}
-		an := core.NewWith(mod, core.Config{Depth: cfg.Depth})
+		// The pre-pass executes the plain transfer stream of the
+		// fingerprinted cone only — the visited components closed under
+		// callees, which is every predicate the entries can reach —
+		// instead of building one for the whole module.
+		var comps [][]term.Functor
+		for i, scc := range plan.SCCs {
+			if plan.Fingerprints[i] != "" && !scc.Undefined {
+				comps = append(comps, scc.Members)
+			}
+		}
+		spec := specialize.Build(mod, comps, nil, specialize.Options{})
+		an := core.NewWith(mod, core.Config{Depth: cfg.Depth, Spec: spec})
 		fres, err := an.AnalyzeEntriesContext(ctx, entries)
 		if err != nil {
 			return fmt.Errorf("backward: forward success pre-pass: %w", err)

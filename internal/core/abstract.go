@@ -296,15 +296,3 @@ func (a *Analyzer) materializeTerm(t *domain.Term, groups map[int]genInt) int {
 	}
 	return addr
 }
-
-// applyPattern unifies a success pattern onto the caller's argument
-// cells: the deterministic return of the extension-table scheme.
-func (a *Analyzer) applyPattern(p *domain.Pattern, argAddrs []int) bool {
-	matAddrs := a.materialize(p)
-	for i := range argAddrs {
-		if !a.absUnify(rt.MkRef(argAddrs[i]), rt.MkRef(matAddrs[i])) {
-			return false
-		}
-	}
-	return true
-}

@@ -50,12 +50,12 @@ type Config struct {
 	// safe for concurrent use.
 	Tracer Tracer
 	// Spec, when non-nil, is the specialized transfer program
-	// (internal/specialize): clauses with a specialized stream execute
-	// through the dense jump-threaded dispatch loop instead of the
-	// generic opcode switch, with results byte-identical to the generic
-	// engine (execspec.go documents the contract). Ignored when a Tracer
-	// is installed — the per-instruction trace contract requires the
-	// generic loop.
+	// (internal/specialize) the analysis executes: fused
+	// superinstructions, pre-resolved call sites and, under PreIntern,
+	// the pattern caches. Nil runs the plain stream, built once per
+	// Analyzer when the first analysis starts. Results are
+	// byte-identical either way (exec.go documents the contract), and
+	// a Tracer observes the same events.
 	Spec *specialize.Program
 	// Warm, when non-nil, supplies converged summaries from a previous
 	// analysis of an unchanged program region (the incremental engine,
@@ -169,13 +169,12 @@ type Analyzer struct {
 	parReadEnts []*Entry
 	parReadVals []domain.PatternID
 
-	// Specialized-engine state (execspec.go). spec mirrors cfg.Spec;
-	// specOn is set once per analysis (spec present, no tracer); specPre
-	// additionally requires Options.PreIntern (dense tables, static
-	// call-site cache, materialization plans). The pools and caches are
-	// goroutine-private, like the metrics shard.
+	// Stream-engine state (exec.go, execspec.go). spec is cfg.Spec or,
+	// when that is nil, the plain stream; specPre mirrors
+	// Options.PreIntern (dense tables, static call-site cache,
+	// materialization plans). The pools and caches are goroutine-private,
+	// like the metrics shard.
 	spec        *specialize.Program
-	specOn      bool
 	specPre     bool
 	staticCalls []staticPat
 	matPlans    []*matPlan
@@ -416,9 +415,13 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 		default:
 		}
 	}
-	a.spec = a.cfg.Spec
-	a.specOn = a.spec != nil && a.tr == nil
-	a.specPre = a.specOn && a.spec.Opts.PreIntern
+	if a.spec == nil {
+		a.spec = a.cfg.Spec
+		if a.spec == nil {
+			a.spec = specialize.Build(a.mod, nil, nil, specialize.Options{})
+		}
+	}
+	a.specPre = a.spec.Opts.PreIntern
 	// The extension table only ever stores widened canonical patterns —
 	// the invariant behind schedule confluence (every stored element is a
 	// fixed point of the Widen closure, on which lub∘widen is
@@ -450,11 +453,7 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 			a.tr.Iteration(a.Iterations)
 		}
 		a.noteHeap()
-		if a.specOn && a.h != nil {
-			a.h.Reset()
-		} else {
-			a.h = rt.NewHeap()
-		}
+		a.resetHeap()
 		for _, e := range entries {
 			a.solve(e.Canonical())
 			if a.err != nil {
@@ -515,8 +514,8 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 	return res, nil
 }
 
-// tick is the periodic safety check inside runClause (every few
-// thousand abstract instructions): context cancellation, on top of the
+// tick is the periodic safety check inside charge (every few thousand
+// abstract instructions): context cancellation, on top of the
 // per-instruction step-budget check.
 func (a *Analyzer) tick() bool {
 	if a.ctx != nil {
@@ -530,28 +529,26 @@ func (a *Analyzer) tick() bool {
 	return true
 }
 
-// solve explores a calling pattern: the reinterpreted call instruction
-// (Section 5). It returns the success pattern (nil = bottom/fail).
+// solve explores a top-level calling pattern (the entry loops):
+// solveID over its interned ID.
 func (a *Analyzer) solve(cp *domain.Pattern) *domain.Pattern {
-	if a.fin != nil {
-		return a.solveFin(cp)
-	}
-	if a.par != nil {
-		return a.solvePar(cp)
-	}
-	if a.wl != nil {
-		return a.solveWL(cp)
-	}
-	if a.err != nil {
-		return nil
-	}
-	succ, _ := a.solveNaiveID(cp, a.intern(cp))
+	succ, _ := a.solveID(cp, a.intern(cp))
 	return succ
 }
 
-// solveNaiveID is solve's naive-strategy core over a pre-interned
-// calling pattern, returning the success pattern with its interned ID
-// (the specialized engine's solveID keeps IDs flowing end to end).
+// resetHeap empties the heap between top-level explorations, keeping its
+// capacity: nothing survives between them.
+func (a *Analyzer) resetHeap() {
+	if a.h == nil {
+		a.h = rt.NewHeap()
+	} else {
+		a.h.Reset()
+	}
+}
+
+// solveNaiveID is the reinterpreted call under the naive strategy: the
+// table entry's success pattern with its interned ID, exploring the
+// entry once per iteration.
 func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
 	if a.err != nil {
 		return nil, domain.BottomID

@@ -3,10 +3,31 @@ package core
 import (
 	"fmt"
 
+	"awam/internal/domain"
 	"awam/internal/rt"
+	"awam/internal/specialize"
 	"awam/internal/term"
 	"awam/internal/wam"
 )
+
+// This file is the abstract WAM's one dispatch loop. Every clause the
+// fixpoint explores runs through runStream over its transfer stream
+// (internal/specialize): the plain stream — one word per wam
+// instruction — that analyze builds when Config.Spec is nil, or the
+// supplied specialized program with fused superinstructions and
+// pre-interned call sites. Calls recurse through the extension table
+// (solveID); there are no choice points — clause enumeration lives in
+// the strategies' explore loops (the paper: "creation and reclamation
+// of backtracking points would better be incorporated into call and
+// proceed rather than try and trust").
+//
+// Byte-identity contract: every word charges its base opcode through
+// charge — error check, budget draw, step increment, periodic tick,
+// opcode-histogram charge, Tracer event, in that order — and fused
+// words charge each base opcode at the point its sub-operation runs.
+// Results, Steps, the opcode histogram and the Tracer's event sequence
+// are therefore identical under every stream configuration; only wall
+// time (and, under PreIntern, interner traffic) changes.
 
 type absMode uint8
 
@@ -15,220 +36,396 @@ const (
 	writeMode
 )
 
-// runClause executes one clause's code abstractly, from its first
-// instruction to proceed/execute. It returns the clause's abstract
-// success. Calls recurse through solve; there are no choice points —
-// clause enumeration lives in solve (the paper: "creation and
-// reclamation of backtracking points would better be incorporated into
-// call and proceed rather than try and trust").
-func (a *Analyzer) runClause(addr int) bool {
+// run executes one clause abstractly through its transfer stream and
+// returns the clause's abstract success.
+func (a *Analyzer) run(clauseAddr int) bool {
+	loc := a.spec.Loc(clauseAddr)
+	if loc.Comp < 0 {
+		a.fail(fmt.Errorf("core: clause at %d lies outside the transfer program's components", clauseAddr))
+		return false
+	}
+	return a.runStream(a.spec.Comps[loc.Comp], loc.Clause)
+}
+
+// charge performs the per-instruction accounting for one base opcode;
+// false aborts the clause.
+func (a *Analyzer) charge(op wam.Op) bool {
+	if a.err != nil {
+		return false
+	}
+	// Step accounting draws on the shared budget in budgetChunk
+	// reservations (observe.go), so the common case is a single local
+	// decrement and the bound stays global across parallel workers.
+	if a.allow <= 0 && !a.refillSteps() {
+		a.fail(ErrStepLimit)
+		return false
+	}
+	a.allow--
+	a.Steps++
+	if a.Steps&0xFFF == 0 && !a.tick() {
+		return false
+	}
+	a.met.opcodes[op]++
+	if a.tr != nil {
+		a.tr.Instr(a.attrFn, op)
+	}
+	return true
+}
+
+// trapErr is the error of an executed trap word: code the builder could
+// not translate into a straight-line transfer (specialize.Build).
+func (a *Analyzer) trapErr(ins *specialize.SInstr) error {
+	p := int(ins.K)
+	switch ins.A {
+	case specialize.TrapEnd:
+		return fmt.Errorf("core: clause runs off the end of the code at %d", p)
+	case specialize.TrapRegister:
+		return fmt.Errorf("core: register operand out of range in %s inside clause at %d",
+			a.mod.DisasmInstr(a.mod.Code[p]), p)
+	}
+	return fmt.Errorf("core: unexpected opcode %s inside clause at %d",
+		a.mod.DisasmInstr(a.mod.Code[p]), p)
+}
+
+// runStream executes one clause's stream: a dense switch over
+// compact 16-byte words with pre-resolved operands, register growth
+// hoisted to clause entry, and environment frames drawn from a reusable
+// pool instead of the garbage collector.
+func (a *Analyzer) runStream(cs *specialize.CompStream, clause int32) bool {
+	ci := &cs.Clauses[clause]
+	a.ensureX(int(ci.MaxX))
 	var env []rt.Cell
+	defer func() {
+		if env != nil {
+			a.releaseEnv(env)
+		}
+	}()
 	s := 0
 	mode := readMode
-	p := addr
-	for {
-		if a.err != nil {
+	code := cs.Code
+	for p := int(ci.Off); ; p++ {
+		ins := &code[p]
+		if !a.charge(ins.W) {
 			return false
-		}
-		// Step accounting draws on the shared budget in budgetChunk
-		// reservations (observe.go), so the common case is a single local
-		// decrement and the bound stays global across parallel workers.
-		if a.allow <= 0 && !a.refillSteps() {
-			a.fail(ErrStepLimit)
-			return false
-		}
-		a.allow--
-		a.Steps++
-		if a.Steps&0xFFF == 0 && !a.tick() {
-			return false
-		}
-		ins := a.mod.Code[p]
-		a.met.opcodes[ins.Op]++
-		if a.tr != nil {
-			a.tr.Instr(a.attrFn, ins.Op)
-		}
-		if ins.A1 > ins.A2 {
-			a.ensureX(ins.A1)
-		} else {
-			a.ensureX(ins.A2)
 		}
 		switch ins.Op {
-		case wam.OpNop:
+		case specialize.SNop:
 
 		// --- get instructions (Section 4.2 reinterpretation) ---
-		case wam.OpGetVarX:
-			a.ensureX(ins.A2)
-			a.x[ins.A2] = a.x[ins.A1]
-		case wam.OpGetVarY:
-			env[ins.A2] = a.x[ins.A1]
-		case wam.OpGetValX:
-			if !a.absUnify(a.x[ins.A2], a.x[ins.A1]) {
+		case specialize.SGetVarX:
+			a.x[ins.B] = a.x[ins.A]
+		case specialize.SGetVarY:
+			env[ins.B] = a.x[ins.A]
+		case specialize.SGetValX:
+			if !a.absUnify(a.x[ins.B], a.x[ins.A]) {
 				return false
 			}
-		case wam.OpGetValY:
-			if !a.absUnify(env[ins.A2], a.x[ins.A1]) {
+		case specialize.SGetValY:
+			if !a.absUnify(env[ins.B], a.x[ins.A]) {
 				return false
 			}
-		case wam.OpGetConst, wam.OpGetConstCmp:
-			if !a.absUnify(a.x[ins.A1], rt.MkCon(ins.Fn.Name)) {
+		case specialize.SGetCell:
+			if !a.absUnify(a.x[ins.A], cs.Cells[ins.K]) {
 				return false
 			}
-		case wam.OpGetInt, wam.OpGetIntCmp:
-			if !a.absUnify(a.x[ins.A1], rt.MkInt(ins.I)) {
-				return false
-			}
-		case wam.OpGetNil, wam.OpGetNilCmp:
-			if !a.absUnify(a.x[ins.A1], rt.MkCon(a.tab.Nil)) {
-				return false
-			}
-		case wam.OpGetList, wam.OpGetListRead:
-			ok, ns, nm := a.getList(a.x[ins.A1])
+		case specialize.SGetList:
+			ok, ns, nm := a.getList(a.x[ins.A])
 			if !ok {
 				return false
 			}
 			s, mode = ns, nm
-		case wam.OpGetStruct, wam.OpGetStructRead:
-			ok, ns, nm := a.getStruct(a.x[ins.A1], ins.Fn)
+		case specialize.SGetStruct:
+			ok, ns, nm := a.getStruct(a.x[ins.A], cs.Fns[ins.K])
 			if !ok {
 				return false
 			}
 			s, mode = ns, nm
 
 		// --- put instructions (unchanged from the concrete machine) ---
-		case wam.OpPutVarX:
+		case specialize.SPutVarX:
 			v := a.h.PushVar()
-			a.ensureX(ins.A2)
-			a.x[ins.A2] = rt.MkRef(v)
-			a.x[ins.A1] = rt.MkRef(v)
-		case wam.OpPutVarY:
+			a.x[ins.B] = rt.MkRef(v)
+			a.x[ins.A] = rt.MkRef(v)
+		case specialize.SPutVarY:
 			v := a.h.PushVar()
-			env[ins.A2] = rt.MkRef(v)
-			a.x[ins.A1] = rt.MkRef(v)
-		case wam.OpPutValX:
-			a.ensureX(ins.A2)
-			a.x[ins.A1] = a.x[ins.A2]
-		case wam.OpPutValY:
-			a.x[ins.A1] = env[ins.A2]
-		case wam.OpPutConst:
-			a.x[ins.A1] = rt.MkCon(ins.Fn.Name)
-		case wam.OpPutInt:
-			a.x[ins.A1] = rt.MkInt(ins.I)
-		case wam.OpPutNil:
-			a.x[ins.A1] = rt.MkCon(a.tab.Nil)
-		case wam.OpPutList:
-			a.x[ins.A1] = rt.Cell{Tag: rt.Lis, A: a.h.Top()}
+			env[ins.B] = rt.MkRef(v)
+			a.x[ins.A] = rt.MkRef(v)
+		case specialize.SPutValX:
+			a.x[ins.A] = a.x[ins.B]
+		case specialize.SPutValY:
+			a.x[ins.A] = env[ins.B]
+		case specialize.SPutCell:
+			a.x[ins.A] = cs.Cells[ins.K]
+		case specialize.SPutList:
+			a.x[ins.A] = rt.Cell{Tag: rt.Lis, A: a.h.Top()}
 			mode = writeMode
-		case wam.OpPutStruct:
-			fnAddr := a.h.Push(rt.Cell{Tag: rt.Fun, F: ins.Fn})
-			a.x[ins.A1] = rt.Cell{Tag: rt.Str, A: fnAddr}
+		case specialize.SPutStruct:
+			fnAddr := a.h.Push(rt.Cell{Tag: rt.Fun, F: cs.Fns[ins.K]})
+			a.x[ins.A] = rt.Cell{Tag: rt.Str, A: fnAddr}
 			mode = writeMode
 
 		// --- unify instructions ---
-		case wam.OpUnifyVarX:
-			a.ensureX(ins.A2)
+		case specialize.SUnifyVarX:
 			if mode == readMode {
-				a.x[ins.A2] = rt.MkRef(s)
+				a.x[ins.A] = rt.MkRef(s)
 				s++
 			} else {
-				a.x[ins.A2] = rt.MkRef(a.h.PushVar())
+				a.x[ins.A] = rt.MkRef(a.h.PushVar())
 			}
-		case wam.OpUnifyVarY:
+		case specialize.SUnifyVarY:
 			if mode == readMode {
-				env[ins.A2] = rt.MkRef(s)
+				env[ins.A] = rt.MkRef(s)
 				s++
 			} else {
-				env[ins.A2] = rt.MkRef(a.h.PushVar())
+				env[ins.A] = rt.MkRef(a.h.PushVar())
 			}
-		case wam.OpUnifyValX:
+		case specialize.SUnifyValX:
 			if mode == readMode {
-				if !a.absUnify(a.x[ins.A2], rt.MkRef(s)) {
+				if !a.absUnify(a.x[ins.A], rt.MkRef(s)) {
 					return false
 				}
 				s++
 			} else {
-				a.h.Push(a.x[ins.A2])
+				a.h.Push(a.x[ins.A])
 			}
-		case wam.OpUnifyValY:
+		case specialize.SUnifyValY:
 			if mode == readMode {
-				if !a.absUnify(env[ins.A2], rt.MkRef(s)) {
+				if !a.absUnify(env[ins.A], rt.MkRef(s)) {
 					return false
 				}
 				s++
 			} else {
-				a.h.Push(env[ins.A2])
+				a.h.Push(env[ins.A])
 			}
-		case wam.OpUnifyConst:
+		case specialize.SUnifyCell:
 			if mode == readMode {
-				if !a.absUnify(rt.MkRef(s), rt.MkCon(ins.Fn.Name)) {
+				if !a.absUnify(rt.MkRef(s), cs.Cells[ins.K]) {
 					return false
 				}
 				s++
 			} else {
-				a.h.Push(rt.MkCon(ins.Fn.Name))
+				a.h.Push(cs.Cells[ins.K])
 			}
-		case wam.OpUnifyInt:
+		case specialize.SUnifyVoid:
 			if mode == readMode {
-				if !a.absUnify(rt.MkRef(s), rt.MkInt(ins.I)) {
-					return false
-				}
-				s++
+				s += int(ins.A)
 			} else {
-				a.h.Push(rt.MkInt(ins.I))
-			}
-		case wam.OpUnifyNil:
-			if mode == readMode {
-				if !a.absUnify(rt.MkRef(s), rt.MkCon(a.tab.Nil)) {
-					return false
-				}
-				s++
-			} else {
-				a.h.Push(rt.MkCon(a.tab.Nil))
-			}
-		case wam.OpUnifyVoid:
-			if mode == readMode {
-				s += ins.A2
-			} else {
-				for i := 0; i < ins.A2; i++ {
+				for i := 0; i < int(ins.A); i++ {
 					a.h.PushVar()
 				}
 			}
 
 		// --- procedural instructions (Section 5 reinterpretation) ---
-		case wam.OpAllocate:
-			env = make([]rt.Cell, ins.A2)
-		case wam.OpDeallocate:
-			// The frame stays reachable until the clause ends; nothing
-			// to reclaim in the abstract machine (the paper notes
-			// environment reclamation tricks are "overkill" here).
-		case wam.OpCall, wam.OpExecute:
-			if !a.absCall(ins.Fn) {
+		case specialize.SAllocate:
+			env = a.allocEnv(int(ins.A))
+		case specialize.SDeallocate:
+			// The frame stays reachable until the clause ends (it returns
+			// to the pool then); the paper notes environment reclamation
+			// tricks are "overkill" in the abstract machine.
+		case specialize.SCall:
+			if !a.specCall(cs, ins.K) {
 				return false
 			}
-			if ins.Op == wam.OpExecute {
-				// execute = call + proceed. specFail poisons the clause's
-				// success after speculative parallel discovery (absCall).
-				return !a.specFail
+		case specialize.SExecute:
+			if !a.specCall(cs, ins.K) {
+				return false
 			}
-		case wam.OpProceed:
 			return !a.specFail
-		case wam.OpBuiltin:
-			if !a.absBuiltin(wam.BuiltinID(ins.A1), ins.A2) {
+		case specialize.SProceed:
+			return !a.specFail
+		case specialize.SBuiltin:
+			if !a.absBuiltin(wam.BuiltinID(ins.A), int(ins.B)) {
 				return false
 			}
-		case wam.OpHalt:
+		case specialize.SHalt:
 			return !a.specFail
 
 		// --- cut: ignored (sound over-approximation; analyzing as if
 		// every clause is reachable only adds success patterns) ---
-		case wam.OpNeckCut, wam.OpGetLevel, wam.OpCutTo:
-
-		default:
-			a.fail(fmt.Errorf("core: unexpected opcode %s inside clause at %d",
-				a.mod.DisasmInstr(ins), p))
+		case specialize.SCutNop:
+		case specialize.STrap:
+			a.fail(a.trapErr(ins))
 			return false
+
+		// --- fused superinstructions: anchor + two unify slots, each
+		// sub-operation charged at its own execution point so budget
+		// exhaustion and failure land on the same step as unfused ---
+		case specialize.SFGetList2:
+			ok, ns, nm := a.getList(a.x[ins.A])
+			if !ok {
+				return false
+			}
+			s, mode = ns, nm
+			a.met.fusedOps[0]++
+			if s, mode, ok = a.fusedSlot(cs, ins.M&3, ins.W1, ins.B, s, mode); !ok {
+				return false
+			}
+			if s, mode, ok = a.fusedSlot(cs, (ins.M>>2)&3, ins.W2, ins.C, s, mode); !ok {
+				return false
+			}
+		case specialize.SFGetStruct2:
+			ok, ns, nm := a.getStruct(a.x[ins.A], cs.Fns[ins.K])
+			if !ok {
+				return false
+			}
+			s, mode = ns, nm
+			a.met.fusedOps[1]++
+			if s, mode, ok = a.fusedSlot(cs, ins.M&3, ins.W1, ins.B, s, mode); !ok {
+				return false
+			}
+			if s, mode, ok = a.fusedSlot(cs, (ins.M>>2)&3, ins.W2, ins.C, s, mode); !ok {
+				return false
+			}
+		case specialize.SFPutList2:
+			a.x[ins.A] = rt.Cell{Tag: rt.Lis, A: a.h.Top()}
+			mode = writeMode
+			a.met.fusedOps[2]++
+			var ok bool
+			if s, mode, ok = a.fusedSlot(cs, ins.M&3, ins.W1, ins.B, s, mode); !ok {
+				return false
+			}
+			if s, mode, ok = a.fusedSlot(cs, (ins.M>>2)&3, ins.W2, ins.C, s, mode); !ok {
+				return false
+			}
+		case specialize.SFPutStruct2:
+			fnAddr := a.h.Push(rt.Cell{Tag: rt.Fun, F: cs.Fns[ins.K]})
+			a.x[ins.A] = rt.Cell{Tag: rt.Str, A: fnAddr}
+			mode = writeMode
+			a.met.fusedOps[3]++
+			var ok bool
+			if s, mode, ok = a.fusedSlot(cs, ins.M&3, ins.W1, ins.B, s, mode); !ok {
+				return false
+			}
+			if s, mode, ok = a.fusedSlot(cs, (ins.M>>2)&3, ins.W2, ins.C, s, mode); !ok {
+				return false
+			}
 		}
-		p++
 	}
+}
+
+// fusedSlot executes one fused unify slot: charge its base opcode, then
+// run the same mode-dependent transfer as the unfused unify word.
+func (a *Analyzer) fusedSlot(cs *specialize.CompStream, kind uint8, w wam.Op, operand uint16, s int, mode absMode) (int, absMode, bool) {
+	if !a.charge(w) {
+		return s, mode, false
+	}
+	switch kind {
+	case specialize.SlotVarX:
+		if mode == readMode {
+			a.x[operand] = rt.MkRef(s)
+			s++
+		} else {
+			a.x[operand] = rt.MkRef(a.h.PushVar())
+		}
+	case specialize.SlotValX:
+		if mode == readMode {
+			if !a.absUnify(a.x[operand], rt.MkRef(s)) {
+				return s, mode, false
+			}
+			s++
+		} else {
+			a.h.Push(a.x[operand])
+		}
+	case specialize.SlotCell:
+		if mode == readMode {
+			if !a.absUnify(rt.MkRef(s), cs.Cells[operand]) {
+				return s, mode, false
+			}
+			s++
+		} else {
+			a.h.Push(cs.Cells[operand])
+		}
+	}
+	return s, mode, true
+}
+
+// staticPat caches a static call site's calling pattern: the builder
+// proved the site's arguments are rebuilt identically on every
+// execution, so the abstraction and interner round trip run once per
+// analysis.
+type staticPat struct {
+	cp *domain.Pattern
+	id domain.PatternID
+	ok bool
+}
+
+// specCall is the reinterpreted call instruction (Section 5) over a
+// pre-resolved CallRef: abstract the argument registers into a calling
+// pattern, consult the extension table (solving recursively when
+// unexplored), and apply the success pattern deterministically.
+// Argument slices come from a pool; under pre-interning, static sites
+// read their cached calling pattern and the success pattern is applied
+// through the materialization-plan cache.
+func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
+	cr := &cs.Calls[k]
+	fn := cr.Fn
+	argAddrs := a.allocArgs(fn.Arity)
+	defer a.releaseArgs(argAddrs)
+	for i := 0; i < fn.Arity; i++ {
+		a.ensureX(i + 1)
+		c := a.x[i+1]
+		if c.Tag == rt.Ref {
+			argAddrs[i] = c.A
+		} else {
+			argAddrs[i] = a.h.Push(c)
+		}
+	}
+	var cp *domain.Pattern
+	var id domain.PatternID
+	if a.specPre && cr.Static >= 0 {
+		if a.staticCalls == nil {
+			a.staticCalls = make([]staticPat, a.spec.StaticSites)
+		}
+		sc := &a.staticCalls[cr.Static]
+		if !sc.ok {
+			sc.cp = a.abstractArgs(fn, argAddrs)
+			sc.id = a.intern(sc.cp)
+			sc.cp = a.in.Pattern(sc.id)
+			sc.ok = true
+		}
+		cp, id = sc.cp, sc.id
+	} else {
+		cp = a.abstractArgs(fn, argAddrs)
+		id = a.intern(cp)
+	}
+	succ, succID := a.solveID(cp, id)
+	if a.err != nil {
+		return false
+	}
+	if succ == nil {
+		if a.par != nil {
+			// Parallel discovery: a bottom summary may just mean the
+			// callee has not converged yet (it was deferred to the work
+			// queue, never explored inline). Keep executing the clause to
+			// discover the calling patterns of later goals, but poison
+			// its success (specFail) — dependency edges guarantee a
+			// re-exploration once the callee grows.
+			a.specFail = true
+			return true
+		}
+		return false
+	}
+	// succ ⊑ cp argument-wise, but the caller's actual cells can be
+	// strictly below cp (e.g. a specific constant vs atom); a clash
+	// means this particular call has no successes.
+	return a.applyPatternID(succ, succID, argAddrs)
+}
+
+// solveID explores a pre-interned calling pattern under the running
+// strategy's table discipline, returning the success pattern (nil =
+// bottom) with its interned ID so callers can reuse it
+// (materialization plans, growth checks).
+func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
+	if a.fin != nil {
+		return a.solveFinID(cp, id)
+	}
+	if a.par != nil {
+		return a.solveParID(cp, id)
+	}
+	if a.wl != nil {
+		return a.solveWLID(cp, id)
+	}
+	return a.solveNaiveID(cp, id)
 }
 
 // getList reinterprets get_list over the abstract domain — the paper's
@@ -317,46 +514,4 @@ func (a *Analyzer) instStruct(addr int, fn term.Functor, arg rt.Cell) (bool, int
 	}
 	a.h.Bind(addr, rt.Cell{Tag: rt.Str, A: fnAddr})
 	return true, fnAddr + 1, readMode
-}
-
-// absCall implements the reinterpreted call instruction: abstract the
-// argument registers into a calling pattern, consult the extension
-// table (solving recursively when unexplored), and apply the success
-// pattern deterministically.
-func (a *Analyzer) absCall(fn term.Functor) bool {
-	argAddrs := make([]int, fn.Arity)
-	for i := 0; i < fn.Arity; i++ {
-		a.ensureX(i + 1)
-		c := a.x[i+1]
-		if c.Tag == rt.Ref {
-			argAddrs[i] = c.A
-		} else {
-			argAddrs[i] = a.h.Push(c)
-		}
-	}
-	cp := a.abstractArgs(fn, argAddrs)
-	succ := a.solve(cp)
-	if a.err != nil {
-		return false
-	}
-	if succ == nil {
-		if a.par != nil {
-			// Parallel discovery: a bottom summary may just mean the
-			// callee has not converged yet (it was deferred to the work
-			// queue, never explored inline). Keep executing the clause to
-			// discover the calling patterns of later goals, but poison
-			// its success (specFail) — dependency edges guarantee a
-			// re-exploration once the callee grows.
-			a.specFail = true
-			return true
-		}
-		return false
-	}
-	if !a.applyPattern(succ, argAddrs) {
-		// succ ⊑ cp argument-wise, but the caller's actual cells can be
-		// strictly below cp (e.g. a specific constant vs atom); a clash
-		// means this particular call has no successes.
-		return false
-	}
-	return true
 }

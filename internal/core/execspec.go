@@ -3,375 +3,14 @@ package core
 import (
 	"awam/internal/domain"
 	"awam/internal/rt"
-	"awam/internal/specialize"
 	"awam/internal/wam"
 )
 
-// This file is the execution side of the specialization stage
-// (internal/specialize): a dense dispatch loop over the per-SCC
-// specialized streams, superinstruction transfer functions, the static
-// call-site pattern cache and the materialization-plan cache.
-//
-// Byte-identity contract: every path here reuses the generic engine's
-// transfer helpers (getList, getStruct, absUnify, absBuiltin,
-// abstractArgs, materialize) and reproduces runClause's per-instruction
-// accounting order exactly — error check, budget draw, step increment,
-// periodic tick, opcode-histogram charge — with fused words charging
-// each base opcode at the point its sub-operation runs. Results, Steps
-// and the opcode histogram are therefore identical to the generic
-// switch; only wall time (and, under PreIntern, interner traffic)
-// changes.
-
-// run executes one clause abstractly, through the specialized stream
-// when the clause was specialized and specialization is active, else
-// through the generic switch. Tracing runs force the generic path: the
-// Tracer contract fires per wam instruction, which the fused words no
-// longer are.
-func (a *Analyzer) run(clauseAddr int) bool {
-	if a.specOn {
-		if loc := a.spec.Loc(clauseAddr); loc.Comp >= 0 {
-			return a.runStream(a.spec.Comps[loc.Comp], loc.Clause)
-		}
-	}
-	return a.runClause(clauseAddr)
-}
-
-// charge performs runClause's per-instruction accounting for one base
-// opcode; false aborts the clause exactly as the generic loop would.
-func (a *Analyzer) charge(op wam.Op) bool {
-	if a.err != nil {
-		return false
-	}
-	if a.allow <= 0 && !a.refillSteps() {
-		a.fail(ErrStepLimit)
-		return false
-	}
-	a.allow--
-	a.Steps++
-	if a.Steps&0xFFF == 0 && !a.tick() {
-		return false
-	}
-	a.met.opcodes[op]++
-	return true
-}
-
-// runStream executes one specialized clause: a dense switch over
-// compact 16-byte words with pre-resolved operands, register growth
-// hoisted to clause entry, and environment frames drawn from a reusable
-// pool instead of the garbage collector.
-func (a *Analyzer) runStream(cs *specialize.CompStream, clause int32) bool {
-	ci := &cs.Clauses[clause]
-	a.ensureX(int(ci.MaxX))
-	var env []rt.Cell
-	defer func() {
-		if env != nil {
-			a.releaseEnv(env)
-		}
-	}()
-	s := 0
-	mode := readMode
-	code := cs.Code
-	for p := int(ci.Off); ; p++ {
-		ins := &code[p]
-		if !a.charge(ins.W) {
-			return false
-		}
-		switch ins.Op {
-		case specialize.SNop:
-
-		case specialize.SGetVarX:
-			a.x[ins.B] = a.x[ins.A]
-		case specialize.SGetVarY:
-			env[ins.B] = a.x[ins.A]
-		case specialize.SGetValX:
-			if !a.absUnify(a.x[ins.B], a.x[ins.A]) {
-				return false
-			}
-		case specialize.SGetValY:
-			if !a.absUnify(env[ins.B], a.x[ins.A]) {
-				return false
-			}
-		case specialize.SGetCell:
-			if !a.absUnify(a.x[ins.A], cs.Cells[ins.K]) {
-				return false
-			}
-		case specialize.SGetList:
-			ok, ns, nm := a.getList(a.x[ins.A])
-			if !ok {
-				return false
-			}
-			s, mode = ns, nm
-		case specialize.SGetStruct:
-			ok, ns, nm := a.getStruct(a.x[ins.A], cs.Fns[ins.K])
-			if !ok {
-				return false
-			}
-			s, mode = ns, nm
-
-		case specialize.SPutVarX:
-			v := a.h.PushVar()
-			a.x[ins.B] = rt.MkRef(v)
-			a.x[ins.A] = rt.MkRef(v)
-		case specialize.SPutVarY:
-			v := a.h.PushVar()
-			env[ins.B] = rt.MkRef(v)
-			a.x[ins.A] = rt.MkRef(v)
-		case specialize.SPutValX:
-			a.x[ins.A] = a.x[ins.B]
-		case specialize.SPutValY:
-			a.x[ins.A] = env[ins.B]
-		case specialize.SPutCell:
-			a.x[ins.A] = cs.Cells[ins.K]
-		case specialize.SPutList:
-			a.x[ins.A] = rt.Cell{Tag: rt.Lis, A: a.h.Top()}
-			mode = writeMode
-		case specialize.SPutStruct:
-			fnAddr := a.h.Push(rt.Cell{Tag: rt.Fun, F: cs.Fns[ins.K]})
-			a.x[ins.A] = rt.Cell{Tag: rt.Str, A: fnAddr}
-			mode = writeMode
-
-		case specialize.SUnifyVarX:
-			if mode == readMode {
-				a.x[ins.A] = rt.MkRef(s)
-				s++
-			} else {
-				a.x[ins.A] = rt.MkRef(a.h.PushVar())
-			}
-		case specialize.SUnifyVarY:
-			if mode == readMode {
-				env[ins.A] = rt.MkRef(s)
-				s++
-			} else {
-				env[ins.A] = rt.MkRef(a.h.PushVar())
-			}
-		case specialize.SUnifyValX:
-			if mode == readMode {
-				if !a.absUnify(a.x[ins.A], rt.MkRef(s)) {
-					return false
-				}
-				s++
-			} else {
-				a.h.Push(a.x[ins.A])
-			}
-		case specialize.SUnifyValY:
-			if mode == readMode {
-				if !a.absUnify(env[ins.A], rt.MkRef(s)) {
-					return false
-				}
-				s++
-			} else {
-				a.h.Push(env[ins.A])
-			}
-		case specialize.SUnifyCell:
-			if mode == readMode {
-				if !a.absUnify(rt.MkRef(s), cs.Cells[ins.K]) {
-					return false
-				}
-				s++
-			} else {
-				a.h.Push(cs.Cells[ins.K])
-			}
-		case specialize.SUnifyVoid:
-			if mode == readMode {
-				s += int(ins.A)
-			} else {
-				for i := 0; i < int(ins.A); i++ {
-					a.h.PushVar()
-				}
-			}
-
-		case specialize.SAllocate:
-			env = a.allocEnv(int(ins.A))
-		case specialize.SDeallocate:
-			// Same as the generic engine: the frame stays reachable until
-			// the clause ends (it returns to the pool then).
-		case specialize.SCall:
-			if !a.specCall(cs, ins.K) {
-				return false
-			}
-		case specialize.SExecute:
-			if !a.specCall(cs, ins.K) {
-				return false
-			}
-			return !a.specFail
-		case specialize.SProceed:
-			return !a.specFail
-		case specialize.SBuiltin:
-			if !a.absBuiltin(wam.BuiltinID(ins.A), int(ins.B)) {
-				return false
-			}
-		case specialize.SHalt:
-			return !a.specFail
-		case specialize.SCutNop:
-
-		// --- fused superinstructions: anchor + two unify slots, each
-		// sub-operation charged at its own execution point so budget
-		// exhaustion and failure land on the same step as generic ---
-		case specialize.SFGetList2:
-			ok, ns, nm := a.getList(a.x[ins.A])
-			if !ok {
-				return false
-			}
-			s, mode = ns, nm
-			a.met.fusedOps[0]++
-			if s, mode, ok = a.fusedSlot(cs, ins.M&3, ins.W1, ins.B, s, mode); !ok {
-				return false
-			}
-			if s, mode, ok = a.fusedSlot(cs, (ins.M>>2)&3, ins.W2, ins.C, s, mode); !ok {
-				return false
-			}
-		case specialize.SFGetStruct2:
-			ok, ns, nm := a.getStruct(a.x[ins.A], cs.Fns[ins.K])
-			if !ok {
-				return false
-			}
-			s, mode = ns, nm
-			a.met.fusedOps[1]++
-			if s, mode, ok = a.fusedSlot(cs, ins.M&3, ins.W1, ins.B, s, mode); !ok {
-				return false
-			}
-			if s, mode, ok = a.fusedSlot(cs, (ins.M>>2)&3, ins.W2, ins.C, s, mode); !ok {
-				return false
-			}
-		case specialize.SFPutList2:
-			a.x[ins.A] = rt.Cell{Tag: rt.Lis, A: a.h.Top()}
-			mode = writeMode
-			a.met.fusedOps[2]++
-			var ok bool
-			if s, mode, ok = a.fusedSlot(cs, ins.M&3, ins.W1, ins.B, s, mode); !ok {
-				return false
-			}
-			if s, mode, ok = a.fusedSlot(cs, (ins.M>>2)&3, ins.W2, ins.C, s, mode); !ok {
-				return false
-			}
-		case specialize.SFPutStruct2:
-			fnAddr := a.h.Push(rt.Cell{Tag: rt.Fun, F: cs.Fns[ins.K]})
-			a.x[ins.A] = rt.Cell{Tag: rt.Str, A: fnAddr}
-			mode = writeMode
-			a.met.fusedOps[3]++
-			var ok bool
-			if s, mode, ok = a.fusedSlot(cs, ins.M&3, ins.W1, ins.B, s, mode); !ok {
-				return false
-			}
-			if s, mode, ok = a.fusedSlot(cs, (ins.M>>2)&3, ins.W2, ins.C, s, mode); !ok {
-				return false
-			}
-		}
-	}
-}
-
-// fusedSlot executes one fused unify slot: charge its base opcode, then
-// run the same mode-dependent transfer the generic switch would.
-func (a *Analyzer) fusedSlot(cs *specialize.CompStream, kind uint8, w wam.Op, operand uint16, s int, mode absMode) (int, absMode, bool) {
-	if !a.charge(w) {
-		return s, mode, false
-	}
-	switch kind {
-	case specialize.SlotVarX:
-		if mode == readMode {
-			a.x[operand] = rt.MkRef(s)
-			s++
-		} else {
-			a.x[operand] = rt.MkRef(a.h.PushVar())
-		}
-	case specialize.SlotValX:
-		if mode == readMode {
-			if !a.absUnify(a.x[operand], rt.MkRef(s)) {
-				return s, mode, false
-			}
-			s++
-		} else {
-			a.h.Push(a.x[operand])
-		}
-	case specialize.SlotCell:
-		if mode == readMode {
-			if !a.absUnify(rt.MkRef(s), cs.Cells[operand]) {
-				return s, mode, false
-			}
-			s++
-		} else {
-			a.h.Push(cs.Cells[operand])
-		}
-	}
-	return s, mode, true
-}
-
-// staticPat caches a static call site's calling pattern: the builder
-// proved the site's arguments are rebuilt identically on every
-// execution, so the abstraction and interner round trip run once per
-// analysis.
-type staticPat struct {
-	cp *domain.Pattern
-	id domain.PatternID
-	ok bool
-}
-
-// specCall is absCall over a pre-resolved CallRef: argument slices come
-// from a pool, static sites read their cached calling pattern, and the
-// success pattern is applied through the materialization-plan cache.
-func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
-	cr := &cs.Calls[k]
-	fn := cr.Fn
-	argAddrs := a.allocArgs(fn.Arity)
-	defer a.releaseArgs(argAddrs)
-	for i := 0; i < fn.Arity; i++ {
-		a.ensureX(i + 1)
-		c := a.x[i+1]
-		if c.Tag == rt.Ref {
-			argAddrs[i] = c.A
-		} else {
-			argAddrs[i] = a.h.Push(c)
-		}
-	}
-	var cp *domain.Pattern
-	var id domain.PatternID
-	if a.specPre && cr.Static >= 0 {
-		if a.staticCalls == nil {
-			a.staticCalls = make([]staticPat, a.spec.StaticSites)
-		}
-		sc := &a.staticCalls[cr.Static]
-		if !sc.ok {
-			sc.cp = a.abstractArgs(fn, argAddrs)
-			sc.id = a.intern(sc.cp)
-			sc.cp = a.in.Pattern(sc.id)
-			sc.ok = true
-		}
-		cp, id = sc.cp, sc.id
-	} else {
-		cp = a.abstractArgs(fn, argAddrs)
-		id = a.intern(cp)
-	}
-	succ, succID := a.solveID(cp, id)
-	if a.err != nil {
-		return false
-	}
-	if succ == nil {
-		if a.par != nil {
-			// Parallel speculative discovery, as in absCall: keep running
-			// to surface later goals' calling patterns, poison the success.
-			a.specFail = true
-			return true
-		}
-		return false
-	}
-	return a.applyPatternID(succ, succID, argAddrs)
-}
-
-// solveID is solve over a pre-interned calling pattern: the same
-// strategy dispatch, returning the success pattern with its interned ID
-// so callers can reuse it (materialization plans, growth checks).
-func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
-	if a.fin != nil {
-		return a.solveFinID(cp, id)
-	}
-	if a.par != nil {
-		return a.solveParID(cp, id)
-	}
-	if a.wl != nil {
-		return a.solveWLID(cp, id)
-	}
-	return a.solveNaiveID(cp, id)
-}
+// This file holds the caches and pools behind the dispatch loop
+// (exec.go): the materialization-plan cache, the per-ID clause-selection
+// cache and the environment/argument pools. The caches are active only
+// under specialize.Options.PreIntern; they change wall time and
+// interner traffic, never results, Steps or the opcode histogram.
 
 // matPlan is a cached materialization: the cell block materialize(p)
 // pushes, with address payloads relativized to the block base, plus the
@@ -473,10 +112,11 @@ func recordPlan(h *rt.Heap, base int, roots []int) *matPlan {
 	return pl
 }
 
-// applyPatternID is applyPattern through the materialization-plan cache
-// when pre-interning is active. The materialized roots are only read
-// inside the unification loop, so the replay path borrows a pooled
-// slice instead of allocating.
+// applyPatternID unifies a success pattern onto the caller's argument
+// cells — the deterministic return of the extension-table scheme —
+// materializing it through the plan cache when pre-interning is active.
+// The materialized roots are only read inside the unification loop, so
+// the replay path borrows a pooled slice instead of allocating.
 func (a *Analyzer) applyPatternID(p *domain.Pattern, id domain.PatternID, argAddrs []int) bool {
 	var matAddrs []int
 	var pooled bool

@@ -149,15 +149,10 @@ func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]
 		a.attrFn, a.attrStart = savedAttrFn, savedAttrStart
 	}()
 	for _, cp := range entries {
-		// Top level: nothing survives between explorations (the
-		// specialized engine reuses heap capacity via Reset; the parallel
+		// Top level: nothing survives between explorations (the parallel
 		// driver reaches here with a nil heap of its own).
-		if a.specOn && a.h != nil {
-			a.h.Reset()
-		} else {
-			a.h = rt.NewHeap()
-		}
-		a.solveFin(cp.Canonical())
+		a.resetHeap()
+		a.solve(cp.Canonical())
 		if a.err != nil {
 			return nil, a.err
 		}
@@ -168,23 +163,13 @@ func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]
 	return a.fin.order, nil
 }
 
-// solveFin is the reinterpreted call during finalization: memo-return
+// solveFinID is the reinterpreted call during finalization: memo-return
 // when the calling pattern was already presented, otherwise record it
 // and explore its clauses once (inline, depth-first — the discovery
 // order of a sequential first sight), recomputing its summary from the
 // clause successes. While the entry's own clauses run, Succ holds the
 // converged oracle summary so that cyclic consultations read the
 // fixpoint value; exploreFin replaces it with the recomputed lub.
-func (a *Analyzer) solveFin(cp *domain.Pattern) *domain.Pattern {
-	if a.err != nil {
-		return nil
-	}
-	succ, _ := a.solveFinID(cp, a.intern(cp))
-	return succ
-}
-
-// solveFinID is solveFin's core over a pre-interned calling pattern;
-// see solveNaiveID.
 func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
 	if a.err != nil {
 		return nil, domain.BottomID
@@ -212,7 +197,7 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) (*domain.
 			prev := a.fin.cur
 			a.fin.cur = e
 			for _, dep := range a.cfg.Warm.Trace(cp.Fn, e.CP.Key()) {
-				a.solveFin(dep)
+				a.solve(dep)
 				if a.err != nil {
 					break
 				}

@@ -24,7 +24,7 @@ import (
 //
 // Two scheduling differences from the sequential worklist:
 //
-//   - Workers never explore a callee inline. solvePar registers the
+//   - Workers never explore a callee inline. solveParID registers the
 //     dependency edge, returns the callee's current summary (bottom on
 //     first sight) and lets the queue schedule the callee — inline
 //     depth-first exploration would serialize the frontier.
@@ -199,7 +199,7 @@ func (a *Analyzer) analyzeParallel(entries []*domain.Pattern) (*Result, error) {
 			// interner round-trips under the parallel schedule. The
 			// sequential finalize replay (run on the parent analyzer,
 			// which keeps specPre) still gets the full benefit.
-			spec: a.spec, specOn: a.specOn, specPre: false,
+			spec: a.spec, specPre: false,
 		}
 		workers[i] = w
 		wg.Add(1)
@@ -314,22 +314,12 @@ func (w *Analyzer) runWorker(id int) {
 	}
 }
 
-// solvePar is the reinterpreted call under the parallel strategy: ensure
-// the entry exists (scheduling it on first sight), record the dependency
-// edge, and return the current summary. Recording the edge and reading
-// the summary under the same entry lock closes the missed-update race: a
-// merge that lands after our read sees our edge and re-enqueues us; a
-// merge before it is the value we read.
-func (a *Analyzer) solvePar(cp *domain.Pattern) *domain.Pattern {
-	if a.err != nil {
-		return nil
-	}
-	succ, _ := a.solveParID(cp, a.intern(cp))
-	return succ
-}
-
-// solveParID is solvePar's core over a pre-interned calling pattern;
-// the summary and its ID are snapshotted under the same entry lock.
+// solveParID is the reinterpreted call under the parallel strategy:
+// ensure the entry exists (scheduling it on first sight), record the
+// dependency edge, and return the current summary with its ID.
+// Recording the edge and reading the summary under the same entry lock
+// closes the missed-update race: a merge that lands after our read sees
+// our edge and re-enqueues us; a merge before it is the value we read.
 func (a *Analyzer) solveParID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
 	if a.err != nil {
 		return nil, domain.BottomID

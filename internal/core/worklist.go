@@ -165,10 +165,10 @@ func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
 	a.budget.reset(a.cfg.MaxSteps, 1)
 	a.reserved, a.allow = 0, 0
 	a.wl = newWLState(a.specPre)
-	a.h = rt.NewHeap()
+	a.resetHeap()
 	execStart := time.Now()
 	for _, cp := range entries {
-		a.solveWL(cp.Canonical())
+		a.solve(cp.Canonical())
 		if a.err != nil {
 			return nil, a.err
 		}
@@ -177,16 +177,8 @@ func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
 		e := a.wl.queue[0]
 		a.wl.queue = a.wl.queue[1:]
 		a.wl.setQueued(e.ID, false)
-		// Top level: nothing survives between explorations. The
-		// specialized engine reuses the heap's capacity (Reset) instead of
-		// reallocating; Reset truncates cells and trail, so the two are
-		// observationally identical for a fresh exploration.
 		a.noteHeap()
-		if a.specOn {
-			a.h.Reset()
-		} else {
-			a.h = rt.NewHeap()
-		}
+		a.resetHeap()
 		a.exploreWL(e)
 		if a.err != nil {
 			return nil, a.err
@@ -219,19 +211,9 @@ func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
 	return res, nil
 }
 
-// solveWL is the reinterpreted call under the worklist strategy: ensure
-// the entry exists (exploring it on first sight), record the dependency,
-// and return the current success pattern.
-func (a *Analyzer) solveWL(cp *domain.Pattern) *domain.Pattern {
-	if a.err != nil {
-		return nil
-	}
-	succ, _ := a.solveWLID(cp, a.intern(cp))
-	return succ
-}
-
-// solveWLID is solveWL's core over a pre-interned calling pattern; see
-// solveNaiveID.
+// solveWLID is the reinterpreted call under the worklist strategy:
+// ensure the entry exists (exploring it on first sight), record the
+// dependency, and return the current success pattern.
 func (a *Analyzer) solveWLID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
 	if a.err != nil {
 		return nil, domain.BottomID
@@ -339,8 +321,8 @@ func (a *Analyzer) exploreWL(e *Entry) {
 					// deterministically by the sequential engine, so this
 					// makes the exploration schedule — and with it Steps
 					// and the opcode histogram — a stable quantity,
-					// directly comparable between runs and between the
-					// generic and specialized engines.
+					// directly comparable between runs and between
+					// stream configurations.
 					deps := a.wl.deps(e.ID)
 					ids := make([]domain.PatternID, 0, len(deps))
 					for dep := range deps {

@@ -76,7 +76,7 @@ type BenchReport struct {
 	// (absent before the fabric existed).
 	Fabric []FabricEntry `json:"fabric,omitempty"`
 	// Specialize holds the specialized-transfer-stream ablation
-	// (off / flatten / fuse / full; absent before the specializer
+	// (flatten / fuse / full; absent before the specializer
 	// existed).
 	Specialize []SpecializeEntry `json:"specialize,omitempty"`
 	// Backward holds the demand-driven backward engine measurements:

@@ -18,14 +18,15 @@ import (
 // transfer streams (internal/specialize) isolating what each layer
 // buys. The legs are cumulative by construction:
 //
-//	off      — the generic switch engine (core.Config.Spec == nil)
-//	flatten  — contiguous per-component streams, generic interning
+//	flatten  — contiguous per-component streams, one word per wam
+//	           instruction: the plain stream the engine runs when
+//	           core.Config.Spec is nil, laid out per component
 //	fuse     — flatten + profile-guided superinstruction fusion
 //	full     — fuse + pre-interning (static call sites, materialize
 //	           plans, dense tables and worklist bookkeeping)
 //
-// Every leg is byte-identical to "off" (enforced per cell and by the
-// differential suite); only the wall time moves.
+// Every leg is byte-identical to the plain stream (enforced per cell
+// and by the differential suite); only the wall time moves.
 
 // SpecProfile converts a measured Metrics into the specializer's fusion
 // profile — the "profile-guided" input of Build. The opcode histogram
@@ -60,8 +61,7 @@ func buildSpecProgram(mod *wam.Module, prof *specialize.Profile, opts specialize
 // SpecializeEntry is one measured cell of the specialization ablation.
 type SpecializeEntry struct {
 	// Name is the workload, Config the engine ("worklist"/"parallel-4"),
-	// Leg the specializer configuration ("off", "flatten", "fuse",
-	// "full").
+	// Leg the specializer configuration ("flatten", "fuse", "full").
 	Name        string `json:"name"`
 	Config      string `json:"config"`
 	Leg         string `json:"leg"`
@@ -73,24 +73,24 @@ type SpecializeEntry struct {
 	// the byte-identity contract.
 	Steps int64 `json:"steps"`
 	// FusedOps is the number of fused superinstructions executed in one
-	// run (zero for off/flatten).
+	// run (zero for flatten).
 	FusedOps int64 `json:"fused_ops"`
-	// SpeedupVsOff is off-ns / this-leg-ns for the same (Name, Config).
-	SpeedupVsOff float64 `json:"speedup_vs_off"`
+	// SpeedupVsFlatten is flatten-ns / this-leg-ns for the same (Name,
+	// Config).
+	SpeedupVsFlatten float64 `json:"speedup_vs_flatten"`
 	// Identical records the per-cell byte-identity check against the
-	// off leg's Marshal output.
+	// plain stream's Marshal output.
 	Identical bool `json:"identical"`
 }
 
-// specLegs are the ablation legs; nil opts means "off".
+// specLegs are the ablation legs.
 var specLegs = []struct {
 	name string
-	opts *specialize.Options
+	opts specialize.Options
 }{
-	{"off", nil},
-	{"flatten", &specialize.Options{}},
-	{"fuse", &specialize.Options{Fuse: true}},
-	{"full", &specialize.Options{Fuse: true, PreIntern: true}},
+	{"flatten", specialize.Options{}},
+	{"fuse", specialize.Options{Fuse: true}},
+	{"full", specialize.Options{Fuse: true, PreIntern: true}},
 }
 
 // measureSpecCell measures one (workload, config, leg) cell: an untimed
@@ -121,10 +121,10 @@ func measureSpecCell(name, config, leg string, mod *wam.Module, cfg core.Config,
 }
 
 // MeasureSpecialize produces the specialization ablation: the wide
-// scaling workloads under worklist and parallel-4 across all four legs,
-// plus the Table 1 suite under the worklist at off/full. Fusion is
-// guided by a measured profile of one generic worklist run per
-// workload. progress, when non-nil, receives one line per cell.
+// scaling workloads under worklist and parallel-4 across all three
+// legs, plus the Table 1 suite under the worklist at flatten/full.
+// Fusion is guided by a measured profile of one plain-stream worklist
+// run per workload. progress, when non-nil, receives one line per cell.
 func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error) {
 	say := func(format string, args ...any) {
 		if progress != nil {
@@ -138,13 +138,14 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 		cfg   core.Config
 	}, legs []struct {
 		name string
-		opts *specialize.Options
+		opts specialize.Options
 	}) error {
 		mod, err := compileBench(p)
 		if err != nil {
 			return err
 		}
-		// Profiling run: generic worklist, also the identity reference.
+		// Profiling run: plain-stream worklist, also the identity
+		// reference.
 		wlCfg := core.DefaultConfig()
 		wlCfg.Strategy = core.StrategyWorklist
 		ref, err := core.NewWith(mod, wlCfg).AnalyzeMain()
@@ -154,22 +155,20 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 		prof := SpecProfile(ref.Metrics)
 		want := ref.Marshal()
 		for _, c := range configs {
-			var off int64
+			var flat int64
 			for _, leg := range legs {
 				cfg := c.cfg
-				if leg.opts != nil {
-					cfg.Spec = buildSpecProgram(mod, prof, *leg.opts)
-				}
+				cfg.Spec = buildSpecProgram(mod, prof, leg.opts)
 				say("  specialize %s/%s/%s...\n", p.Name, c.label, leg.name)
 				e, err := measureSpecCell(p.Name, c.label, leg.name, mod, cfg, want, quick)
 				if err != nil {
 					return err
 				}
-				if leg.name == "off" {
-					off = e.NsPerOp
+				if leg.name == "flatten" {
+					flat = e.NsPerOp
 				}
-				if off > 0 && e.NsPerOp > 0 {
-					e.SpeedupVsOff = float64(off) / float64(e.NsPerOp)
+				if flat > 0 && e.NsPerOp > 0 {
+					e.SpeedupVsFlatten = float64(flat) / float64(e.NsPerOp)
 				}
 				out = append(out, e)
 			}
@@ -183,12 +182,12 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 		}
 	}
 	wl := benchConfigs()[:1] // worklist only for the small programs
-	offFull := []struct {
+	flatFull := []struct {
 		name string
-		opts *specialize.Options
-	}{specLegs[0], specLegs[3]}
+		opts specialize.Options
+	}{specLegs[0], specLegs[2]}
 	for _, p := range bench.Programs {
-		if err := measure(p, wl, offFull); err != nil {
+		if err := measure(p, wl, flatFull); err != nil {
 			return nil, err
 		}
 	}
@@ -197,12 +196,12 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 
 // WriteSpecializeTable renders the ablation as text.
 func WriteSpecializeTable(w io.Writer, entries []SpecializeEntry) {
-	fmt.Fprintln(w, "Specialized transfer streams: ablation (speedup vs generic engine)")
+	fmt.Fprintln(w, "Specialized transfer streams: ablation (speedup vs flatten)")
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tconfig\tleg\tns/op\tspeedup\tfused/run\tidentical")
 	for _, e := range entries {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%.2fx\t%d\t%v\n",
-			e.Name, e.Config, e.Leg, e.NsPerOp, e.SpeedupVsOff, e.FusedOps, e.Identical)
+			e.Name, e.Config, e.Leg, e.NsPerOp, e.SpeedupVsFlatten, e.FusedOps, e.Identical)
 	}
 	tw.Flush()
 }

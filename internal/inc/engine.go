@@ -79,10 +79,10 @@ func configContext(cfg core.Config) string {
 	if cfg.Spec != nil {
 		// Specialized runs are salted with the specialization version and
 		// the per-component fusion-set hash: results are byte-identical to
-		// generic runs by construction, but a record produced by one
-		// engine generation must never satisfy a lookup from another — a
-		// specializer bug would otherwise be masked by cached summaries
-		// from before (or after) the bug.
+		// plain-stream runs (Spec nil) by construction, but a record
+		// produced by one engine generation must never satisfy a lookup
+		// from another — a specializer bug would otherwise be masked by
+		// cached summaries from before (or after) the bug.
 		ctx += " " + cfg.Spec.Salt()
 	}
 	return ctx

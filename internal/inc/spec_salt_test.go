@@ -23,9 +23,9 @@ func specFor(mod *wam.Module, opts specialize.Options) *specialize.Program {
 }
 
 // TestEngineSpecIsolation pins the fingerprint salting of specialized
-// runs: summaries recorded by the generic engine must be a cache miss
+// runs: summaries recorded by plain-stream runs (Spec nil) must be a cache miss
 // for a specialized run and vice versa (a specializer bug must never be
-// masked by generic-era records), and two specializer generations with
+// masked by plain-stream records), and two specializer generations with
 // different fusion options must not share records either — while every
 // engine generation still reuses its own records fully, and all of them
 // produce byte-identical results.
@@ -52,18 +52,18 @@ func TestEngineSpecIsolation(t *testing.T) {
 	full := specFor(mustCompileMod(t, prog.Source), specialize.Options{Fuse: true, PreIntern: true})
 	flat := specFor(mustCompileMod(t, prog.Source), specialize.Options{})
 
-	generic := run(nil)
-	if generic.WarmSCCs != 0 {
-		t.Fatalf("cold generic run reports %d warm SCCs", generic.WarmSCCs)
+	plain := run(nil)
+	if plain.WarmSCCs != 0 {
+		t.Fatalf("cold plain run reports %d warm SCCs", plain.WarmSCCs)
 	}
 
-	// Generic records must not satisfy a specialized run.
+	// Plain-stream records must not satisfy a specialized run.
 	spec1 := run(full)
 	if spec1.WarmSCCs != 0 {
-		t.Fatalf("specialized run reused %d generic-engine components", spec1.WarmSCCs)
+		t.Fatalf("specialized run reused %d plain-stream components", spec1.WarmSCCs)
 	}
-	if spec1.Marshal() != generic.Marshal() {
-		t.Fatal("specialized engine result differs from generic")
+	if spec1.Marshal() != plain.Marshal() {
+		t.Fatal("specialized engine result differs from plain")
 	}
 
 	// A same-generation re-run is fully warm.
@@ -77,23 +77,23 @@ func TestEngineSpecIsolation(t *testing.T) {
 	if specFlat.WarmSCCs != 0 {
 		t.Fatalf("flatten-only run reused %d full-specialization components", specFlat.WarmSCCs)
 	}
-	if specFlat.Marshal() != generic.Marshal() {
-		t.Fatal("flatten-only engine result differs from generic")
+	if specFlat.Marshal() != plain.Marshal() {
+		t.Fatal("flatten-only engine result differs from plain")
 	}
 
-	// And specialized records must not satisfy a generic run: the
-	// generic generation's own records are still there, so it is warm —
+	// And specialized records must not satisfy a plain run: the
+	// plain generation's own records are still there, so it is warm —
 	// but only via its own salt.
-	generic2 := run(nil)
-	if generic2.WarmSCCs != len(generic2.Plan.SCCs) {
-		t.Fatalf("generic re-run served %d/%d components", generic2.WarmSCCs, len(generic2.Plan.SCCs))
+	plain2 := run(nil)
+	if plain2.WarmSCCs != len(plain2.Plan.SCCs) {
+		t.Fatalf("plain re-run served %d/%d components", plain2.WarmSCCs, len(plain2.Plan.SCCs))
 	}
-	if generic2.Marshal() != generic.Marshal() {
-		t.Fatal("generic re-run result drifted")
+	if plain2.Marshal() != plain.Marshal() {
+		t.Fatal("plain re-run result drifted")
 	}
 
 	// Reverse direction, on a store that has only specialized records:
-	// a generic run must miss them all.
+	// a plain run must miss them all.
 	e2 := NewEngine(nil)
 	_, mod := mustCompile(t, prog.Source)
 	cfg := core.DefaultConfig()
@@ -102,12 +102,12 @@ func TestEngineSpecIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, mod2 := mustCompile(t, prog.Source)
-	crossGeneric, err := e2.AnalyzeAll(context.Background(), mod2, core.DefaultConfig())
+	crossPlain, err := e2.AnalyzeAll(context.Background(), mod2, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crossGeneric.WarmSCCs != 0 {
-		t.Fatalf("generic run reused %d specialized-engine components", crossGeneric.WarmSCCs)
+	if crossPlain.WarmSCCs != 0 {
+		t.Fatalf("plain run reused %d specialized-engine components", crossPlain.WarmSCCs)
 	}
 }
 

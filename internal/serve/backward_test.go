@@ -107,7 +107,7 @@ func TestBackwardErrors(t *testing.T) {
 	}
 }
 
-// TestBackwardBodyCap: oversized bodies fail with 413, like /analyze.
+// TestBackwardBodyCap: oversized bodies fail with 413, like /v1/analyze.
 func TestBackwardBodyCap(t *testing.T) {
 	ts := newTestServer(t, Config{MaxBodyBytes: 64})
 	resp, data := postBackward(t, ts, reqBody(t, strings.Repeat("p(a). ", 64)))

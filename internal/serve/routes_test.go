@@ -10,12 +10,16 @@ import (
 	"awam/api"
 )
 
-// TestRouteCompatibility: every /v1 route works, and the legacy
-// unversioned routes answer identically to their /v1 counterparts.
+// TestRouteCompatibility: every /v1 route answers, and the retired
+// unversioned paths (/analyze, /healthz, /metrics) are not routed.
 func TestRouteCompatibility(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	get := func(path string) (int, string) {
-		resp, err := http.Get(ts.URL + path)
+	do := func(method, path, body string) (int, string) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,72 +27,31 @@ func TestRouteCompatibility(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(b)
 	}
-	post := func(path, body string) (int, string) {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(b)
-	}
 
-	for _, pair := range [][2]string{{"/healthz", "/v1/healthz"}} {
-		legacyCode, legacyBody := get(pair[0])
-		v1Code, v1Body := get(pair[1])
-		if legacyCode != http.StatusOK || v1Code != http.StatusOK {
-			t.Fatalf("%v: status legacy=%d v1=%d", pair, legacyCode, v1Code)
-		}
-		if legacyBody != v1Body {
-			t.Fatalf("%v: bodies differ:\n%s\nvs\n%s", pair, legacyBody, v1Body)
-		}
+	if code, body := do("GET", "/v1/healthz", ""); code != http.StatusOK || !strings.Contains(body, "ok") {
+		t.Fatalf("/v1/healthz: %d %s", code, body)
 	}
-
-	// /metrics and /v1/metrics expose the same metric families (the
-	// counters move between calls, so compare names only).
-	names := func(body string) string {
-		var out []string
-		for _, line := range strings.Split(body, "\n") {
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			out = append(out, strings.Fields(line)[0])
-		}
-		return strings.Join(out, "\n")
+	code, metrics := do("GET", "/v1/metrics", "")
+	if code != http.StatusOK || !strings.Contains(metrics, "awamd_optimizes_total") {
+		t.Fatalf("/v1/metrics: %d, awamd_optimizes_total missing:\n%s", code, metrics)
 	}
-	code, legacyMetrics := get("/metrics")
-	code2, v1Metrics := get("/v1/metrics")
-	if code != http.StatusOK || code2 != http.StatusOK {
-		t.Fatalf("metrics status legacy=%d v1=%d", code, code2)
+	code, body := do("POST", "/v1/analyze", reqBody(t, testProg))
+	if code != http.StatusOK {
+		t.Fatalf("/v1/analyze: %d %s", code, body)
 	}
-	if names(legacyMetrics) != names(v1Metrics) {
-		t.Fatalf("metric families differ:\n%s\nvs\n%s", names(legacyMetrics), names(v1Metrics))
-	}
-	if !strings.Contains(v1Metrics, "awamd_optimizes_total") {
-		t.Fatal("missing awamd_optimizes_total metric")
-	}
-
-	// /analyze and /v1/analyze accept the same body and agree on the
-	// summaries (cache counters may differ between the two calls).
-	body := reqBody(t, testProg)
-	legacyCode, legacyBody := post("/analyze", body)
-	v1Code, v1Body := post("/v1/analyze", body)
-	if legacyCode != http.StatusOK || v1Code != http.StatusOK {
-		t.Fatalf("analyze status legacy=%d v1=%d", legacyCode, v1Code)
-	}
-	var legacyResp, v1Resp api.AnalyzeResponse
-	if err := json.Unmarshal([]byte(legacyBody), &legacyResp); err != nil {
+	var resp api.AnalyzeResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(v1Body), &v1Resp); err != nil {
-		t.Fatal(err)
+	if len(resp.Predicates) == 0 {
+		t.Fatal("/v1/analyze returned no predicate summaries")
 	}
-	if len(legacyResp.Predicates) == 0 || len(legacyResp.Predicates) != len(v1Resp.Predicates) {
-		t.Fatalf("predicate summaries differ: %d vs %d", len(legacyResp.Predicates), len(v1Resp.Predicates))
-	}
-	for pred, sum := range legacyResp.Predicates {
-		if v1Resp.Predicates[pred].Success != sum.Success {
-			t.Fatalf("summary for %s differs across route versions", pred)
+
+	for _, r := range []struct{ method, path string }{
+		{"POST", "/analyze"}, {"GET", "/healthz"}, {"GET", "/metrics"},
+	} {
+		if code, _ := do(r.method, r.path, reqBody(t, testProg)); code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", r.method, r.path, code)
 		}
 	}
 }

@@ -19,9 +19,6 @@
 //	GET  /v1/healthz    -> {"status":"ok"}
 //	GET  /v1/metrics    -> Prometheus text exposition
 //
-// The original unversioned routes (/analyze, /healthz, /metrics) remain
-// as thin aliases of their /v1 counterparts.
-//
 // Robustness: request bodies are size-capped, each analysis runs under
 // a per-request deadline and optional abstract-step budget, a worker
 // semaphore bounds concurrent analyses, and identical concurrent
@@ -64,7 +61,7 @@ type Config struct {
 	// to make this daemon a fabric member that pulls from and pushes to
 	// a peer.
 	Cache awam.Store
-	// MaxBodyBytes caps the /analyze request body (default 1 MiB).
+	// MaxBodyBytes caps the /v1/analyze request body (default 1 MiB).
 	MaxBodyBytes int64
 	// MaxStoreBodyBytes caps /v1/store request bodies, which carry
 	// record batches and so run larger than analyze bodies (default
@@ -162,8 +159,7 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Handler returns the route mux: the versioned /v1 routes plus the
-// original unversioned aliases.
+// Handler returns the route mux: the versioned /v1 routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -174,10 +170,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/store/put", s.handleStorePut)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	// Legacy aliases, kept for pre-/v1 clients.
-	mux.HandleFunc("POST /analyze", s.handleAnalyze)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -459,7 +451,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		name, help, typ string
 		value           int64
 	}{
-		{"awamd_requests_total{result=\"ok\"}", "Completed /analyze requests.", "counter", s.requestsOK.Load()},
+		{"awamd_requests_total{result=\"ok\"}", "Completed /v1/analyze requests.", "counter", s.requestsOK.Load()},
 		{"awamd_requests_total{result=\"error\"}", "", "", s.requestsErr.Load()},
 		{"awamd_analyses_total", "Analyses actually executed.", "counter", s.analysesRun.Load()},
 		{"awamd_analyses_coalesced_total", "Requests served by joining an identical in-flight analysis.", "counter", s.analysesDup.Load()},

@@ -36,7 +36,7 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 
 func postAnalyze(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/analyze", "application/json",
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
 				strings.NewReader(reqBody(t, testProg)))
 			if err != nil {
 				return
@@ -245,7 +245,7 @@ func TestSingleflight(t *testing.T) {
 // reflect traffic.
 func TestHealthzAndMetrics(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v %v", err, resp)
 	}
@@ -254,7 +254,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	postAnalyze(t, ts, reqBody(t, testProg))
 	postAnalyze(t, ts, "{")
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +278,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 // TestMethodRouting: wrong methods 404/405 rather than analyzing.
 func TestMethodRouting(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/analyze")
+	resp, err := http.Get(ts.URL + "/v1/analyze")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		t.Fatalf("GET /analyze succeeded: %d", resp.StatusCode)
+		t.Fatalf("GET /v1/analyze succeeded: %d", resp.StatusCode)
 	}
 }

@@ -274,7 +274,7 @@ func TestStoreFabricChain(t *testing.T) {
 		"awamd_store_records_served_total",
 	} {
 		if !strings.Contains(buf.String(), want) {
-			t.Errorf("/metrics missing %s", want)
+			t.Errorf("/v1/metrics missing %s", want)
 		}
 	}
 }

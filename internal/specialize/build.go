@@ -16,9 +16,13 @@ const maxTrackRegs = 128
 // component per predicate in definition order. prof drives fusion
 // selection (StaticProfile(mod) when no measured histogram exists).
 //
-// Build is total: clauses the translator cannot prove straight-line
-// (unexpected opcodes, register overflow) are left unspecialized and
-// the engine falls back to the generic switch for them.
+// Build is total: every clause of every listed predicate gets a
+// stream. Code the translator cannot prove straight-line (a choice or
+// indexing opcode in a clause body, a register operand above 16 bits,
+// a clause that runs off the end of the code) becomes a trap word,
+// which fails the analysis only if it is executed. With comps nil,
+// prof nil and zero Options, Build yields the plain stream: one word
+// per wam instruction.
 func Build(mod *wam.Module, comps [][]term.Functor, prof *Profile, opts Options) *Program {
 	if comps == nil {
 		comps = make([][]term.Functor, 0, len(mod.Order))
@@ -63,10 +67,7 @@ func Build(mod *wam.Module, comps [][]term.Functor, prof *Profile, opts Options)
 				if ci2 := prog.locs[addr]; ci2.Comp >= 0 {
 					continue // shared clause address already specialized
 				}
-				info, ok := b.translateClause(fn, addr)
-				if !ok {
-					continue
-				}
+				info := b.translateClause(fn, addr)
 				prog.locs[addr] = Loc{Comp: int32(ci), Clause: int32(len(cs.Clauses))}
 				cs.Clauses = append(cs.Clauses, info)
 			}
@@ -139,9 +140,9 @@ const (
 )
 
 // translateClause compiles one clause into the current component
-// stream. It mirrors runClause's straight-line walk: from the clause
-// address to its proceed/execute/halt, bailing out (ok=false) on
-// anything else — such clauses stay on the generic switch.
+// stream: a straight-line walk from the clause address to its
+// proceed/execute/halt. Anything else ends the clause with a trap word
+// (see Build).
 //
 // Alongside translation it runs the static-call simulation: a register
 // is static when its value was rebuilt in this clause from constants
@@ -151,7 +152,7 @@ const (
 // success application may bind fresh variables reachable from them),
 // and unify runs governed by a get poison the registers they write
 // (they alias incoming subterms).
-func (b *builder) translateClause(fn term.Functor, addr int) (ClauseInfo, bool) {
+func (b *builder) translateClause(fn term.Functor, addr int) ClauseInfo {
 	code := b.mod.Code
 	var out []SInstr
 	maxX := 0
@@ -179,23 +180,22 @@ func (b *builder) translateClause(fn term.Functor, addr int) (ClauseInfo, bool) 
 		}
 		return uint16(n), true
 	}
+	trap := func(w wam.Op, reason uint16, p int) ClauseInfo {
+		out = append(out, SInstr{Op: STrap, W: w, A: reason, K: int32(p)})
+		return b.finishClause(fn, addr, out, maxX)
+	}
 
 	for p := addr; ; p++ {
 		if p >= len(code) {
-			return ClauseInfo{}, false
+			return trap(wam.OpNop, TrapEnd, p)
 		}
 		ins := code[p]
-		if ins.A1 > maxX {
-			maxX = ins.A1
-		}
-		if ins.A2 > maxX {
-			maxX = ins.A2
-		}
 		a1, ok1 := reg16(ins.A1)
 		a2, ok2 := reg16(ins.A2)
 		if !ok1 || !ok2 {
-			return ClauseInfo{}, false
+			return trap(ins.Op, TrapRegister, p)
 		}
+		maxX = max(maxX, ins.A1, ins.A2)
 		w := ins.Op
 		switch ins.Op {
 		case wam.OpNop:
@@ -308,25 +308,25 @@ func (b *builder) translateClause(fn term.Functor, addr int) (ClauseInfo, bool) 
 			out = append(out, SInstr{Op: op, W: w, K: k})
 			poisonAll()
 			if ins.Op == wam.OpExecute {
-				return b.finishClause(fn, addr, out, maxX), true
+				return b.finishClause(fn, addr, out, maxX)
 			}
 		case wam.OpProceed:
 			out = append(out, SInstr{Op: SProceed, W: w})
-			return b.finishClause(fn, addr, out, maxX), true
+			return b.finishClause(fn, addr, out, maxX)
 		case wam.OpBuiltin:
 			out = append(out, SInstr{Op: SBuiltin, W: w, A: a1, B: a2})
 			poisonAll()
 		case wam.OpHalt:
 			out = append(out, SInstr{Op: SHalt, W: w})
-			return b.finishClause(fn, addr, out, maxX), true
+			return b.finishClause(fn, addr, out, maxX)
 
 		case wam.OpNeckCut, wam.OpGetLevel, wam.OpCutTo:
 			out = append(out, SInstr{Op: SCutNop, W: w})
 
 		default:
 			// Choice or indexing instruction inside a clause body: not a
-			// straight-line clause. Leave it to the generic switch.
-			return ClauseInfo{}, false
+			// straight-line clause.
+			return trap(w, TrapOpcode, p)
 		}
 	}
 }

@@ -1,32 +1,42 @@
 package specialize_test
 
-// The specialized transfer streams promise byte-identity: for every
-// program and every strategy, a specialized analysis must produce the
-// same Marshal output, execute the same number of abstract steps and
-// charge the same opcode histogram as the generic switch engine — only
-// wall time may differ. This file enforces that promise differentially
-// over every committed program corpus: the generated fuzz seeds, the
-// raw-source fuzz corpus, the Table 1 + extended benchmark suites, and
-// the historical non-confluence counterexample.
+// The transfer streams promise byte-identity: for every program and
+// every strategy, an analysis must produce the same Marshal output,
+// execute the same number of abstract steps and charge the same opcode
+// histogram whichever stream configuration runs it — only wall time may
+// differ. This file enforces that promise differentially over every
+// committed program corpus: the generated fuzz seeds, the raw-source
+// fuzz corpus, the Table 1 + extended benchmark suites, and the
+// historical non-confluence counterexample.
 //
-// Strategy coverage: the worklist comparison is exact (Marshal + Steps
-// + Opcodes; the sequential engine is fully deterministic). Parallel-2
-// and parallel-4 compare Marshal only — the step totals of a parallel
-// run are schedule-dependent in both engines. Since the widening
-// became an upper closure the generic engine is schedule-confluent on
-// every program, so parallel results are additionally pinned against
-// the generic worklist (a divergence there is a confluence regression,
-// not a reason to skip) and every ablation leg is compared under the
-// parallel strategy too. The interner counters are deliberately NOT
-// compared: the pre-interning specialization exists to eliminate
+// The reference is testdata/reference.json: per program, the Marshal
+// SHA-256, Steps and opcode histogram under the worklist and naive
+// strategies, and the Marshal SHA-256 under parallel-2 and parallel-4.
+// It was recorded from the generic opcode-switch engine the streams
+// replaced, so every leg below — the plain stream (Config.Spec nil),
+// flatten, fuse and full — is compared against that frozen engine's
+// observable output. internal/baseline and internal/refint remain the
+// independent cross-checks of the semantics itself.
+//
+// Strategy coverage: worklist and naive comparisons are exact (Marshal
+// + Steps + Opcodes; the sequential engines are fully deterministic).
+// Parallel-2 and parallel-4 compare Marshal only — the step totals of a
+// parallel run are schedule-dependent. The widening is an upper closure,
+// so parallel results are schedule-confluent and must equal the
+// recorded digests on every run. The interner counters are deliberately
+// NOT compared: the pre-interning specialization exists to eliminate
 // interner traffic, so those counters are legitimately lower.
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"awam/internal/bench"
@@ -50,6 +60,11 @@ qsort([], R, R).
 partition([X|L], Y, L1, [X|L2]).
 partition([], _G0, [], []).
 `
+
+// referencePath is the frozen reference the differential legs compare
+// against; regenerate it with SPEC_WRITE_REFERENCE=1 only after an
+// intentional change of the analysis semantics.
+const referencePath = "testdata/reference.json"
 
 func buildMod(t testing.TB, src string) (*term.Tab, *wam.Module) {
 	t.Helper()
@@ -95,88 +110,172 @@ func analyzeWith(t *testing.T, mod *wam.Module, strat core.Strategy, workers int
 	return res
 }
 
-// checkIdentical is the exact worklist comparison.
-func checkIdentical(t *testing.T, name string, generic, spec *core.Result) {
+// runRef is the observable output of one sequential analysis.
+type runRef struct {
+	Marshal string           `json:"marshal_sha256"`
+	Steps   int64            `json:"steps"`
+	Opcodes map[string]int64 `json:"opcodes"`
+}
+
+// programRef is one program's reference record.
+type programRef struct {
+	Worklist  runRef `json:"worklist"`
+	Naive     runRef `json:"naive"`
+	Parallel2 string `json:"parallel2_marshal_sha256"`
+	Parallel4 string `json:"parallel4_marshal_sha256"`
+}
+
+func digest(res *core.Result) string {
+	sum := sha256.Sum256([]byte(res.Marshal()))
+	return hex.EncodeToString(sum[:])
+}
+
+func record(res *core.Result) runRef {
+	r := runRef{Marshal: digest(res), Steps: res.Steps, Opcodes: map[string]int64{}}
+	for op, n := range res.Metrics.Opcodes {
+		if n != 0 {
+			r.Opcodes[wam.Op(op).String()] = n
+		}
+	}
+	return r
+}
+
+// recordProgram runs the reference legs of one program with the given
+// stream configuration (nil = the plain stream).
+func recordProgram(t *testing.T, mod *wam.Module, spec *specialize.Program) programRef {
+	return programRef{
+		Worklist:  record(analyzeWith(t, mod, core.StrategyWorklist, 0, spec)),
+		Naive:     record(analyzeWith(t, mod, core.StrategyNaive, 0, spec)),
+		Parallel2: digest(analyzeWith(t, mod, core.StrategyParallel, 2, spec)),
+		Parallel4: digest(analyzeWith(t, mod, core.StrategyParallel, 4, spec)),
+	}
+}
+
+var (
+	refOnce sync.Once
+	refs    map[string]programRef
+	refErr  error
+)
+
+func reference(t *testing.T, key string) programRef {
 	t.Helper()
-	if g, s := generic.Marshal(), spec.Marshal(); g != s {
-		t.Errorf("%s: Marshal differs\n--- generic ---\n%s--- specialized ---\n%s", name, g, s)
+	refOnce.Do(func() {
+		data, err := os.ReadFile(referencePath)
+		if err != nil {
+			refErr = err
+			return
+		}
+		refErr = json.Unmarshal(data, &refs)
+	})
+	if refErr != nil {
+		t.Fatalf("reference %s unreadable: %v", referencePath, refErr)
 	}
-	if generic.Steps != spec.Steps {
-		t.Errorf("%s: Steps differ: generic %d, specialized %d", name, generic.Steps, spec.Steps)
+	ref, ok := refs[key]
+	if !ok {
+		t.Fatalf("%s has no record for %s (regenerate with SPEC_WRITE_REFERENCE=1 if the corpus grew)", referencePath, key)
 	}
-	if generic.Metrics != nil && spec.Metrics != nil && generic.Metrics.Opcodes != spec.Metrics.Opcodes {
-		for op := range generic.Metrics.Opcodes {
-			if generic.Metrics.Opcodes[op] != spec.Metrics.Opcodes[op] {
-				t.Errorf("%s: opcode %v count: generic %d, specialized %d",
-					name, wam.Op(op), generic.Metrics.Opcodes[op], spec.Metrics.Opcodes[op])
-			}
+	return ref
+}
+
+// checkRun is the exact comparison of one sequential run.
+func checkRun(t *testing.T, name string, want, got runRef) {
+	t.Helper()
+	if want.Marshal != got.Marshal {
+		t.Errorf("%s: Marshal digest %s, reference %s", name, got.Marshal, want.Marshal)
+	}
+	if want.Steps != got.Steps {
+		t.Errorf("%s: Steps %d, reference %d", name, got.Steps, want.Steps)
+	}
+	for op := range mergeKeys(want.Opcodes, got.Opcodes) {
+		if want.Opcodes[op] != got.Opcodes[op] {
+			t.Errorf("%s: opcode %s count %d, reference %d", name, op, got.Opcodes[op], want.Opcodes[op])
 		}
 	}
 }
 
-// ablationLegs are the specializer configurations under test; every one
-// must be byte-identical to generic.
+func mergeKeys(a, b map[string]int64) map[string]bool {
+	keys := make(map[string]bool, len(a)+len(b))
+	for k := range a {
+		keys[k] = true
+	}
+	for k := range b {
+		keys[k] = true
+	}
+	return keys
+}
+
+// ablationLegs are the stream configurations under test; nil opts is
+// the plain stream the engine builds itself when Config.Spec is nil.
 var ablationLegs = []struct {
 	name string
-	opts specialize.Options
+	opts *specialize.Options
 }{
-	{"flatten", specialize.Options{}},
-	{"fuse", specialize.Options{Fuse: true}},
-	{"full", specialize.Options{Fuse: true, PreIntern: true}},
+	{"plain", nil},
+	{"flatten", &specialize.Options{}},
+	{"fuse", &specialize.Options{Fuse: true}},
+	{"full", &specialize.Options{Fuse: true, PreIntern: true}},
 }
 
-// diffProgram runs the full differential comparison for one source.
-func diffProgram(t *testing.T, src string, parallel bool) {
+// diffProgram compares every leg of one program against its reference.
+func diffProgram(t *testing.T, key, src string) {
 	t.Helper()
+	want := reference(t, key)
 	_, mod := buildMod(t, src)
-	wl := analyzeWith(t, mod, core.StrategyWorklist, 0, nil)
 	for _, leg := range ablationLegs {
-		spec := buildSpec(mod, leg.opts)
-		checkIdentical(t, "worklist/"+leg.name, wl, analyzeWith(t, mod, core.StrategyWorklist, 0, spec))
-	}
-	if !parallel {
-		return
-	}
-	for _, workers := range []int{2, 4} {
-		genPar := analyzeWith(t, mod, core.StrategyParallel, workers, nil)
-		if genPar.Marshal() != wl.Marshal() {
-			t.Errorf("parallel-%d: generic engine diverged from its own worklist (confluence regression)\n--- worklist ---\n%s--- parallel ---\n%s",
-				workers, wl.Marshal(), genPar.Marshal())
-			continue
+		var spec *specialize.Program
+		if leg.opts != nil {
+			spec = buildSpec(mod, *leg.opts)
+			checkNoTraps(t, leg.name, spec)
 		}
-		for _, leg := range ablationLegs {
-			spec := buildSpec(mod, leg.opts)
-			specPar := analyzeWith(t, mod, core.StrategyParallel, workers, spec)
-			if got := specPar.Marshal(); got != wl.Marshal() {
-				t.Errorf("parallel-%d/%s: Marshal differs\n--- generic ---\n%s--- specialized ---\n%s",
-					workers, leg.name, wl.Marshal(), got)
+		got := recordProgram(t, mod, spec)
+		checkRun(t, leg.name+"/worklist", want.Worklist, got.Worklist)
+		checkRun(t, leg.name+"/naive", want.Naive, got.Naive)
+		if got.Parallel2 != want.Parallel2 {
+			t.Errorf("%s/parallel-2: Marshal digest %s, reference %s", leg.name, got.Parallel2, want.Parallel2)
+		}
+		if got.Parallel4 != want.Parallel4 {
+			t.Errorf("%s/parallel-4: Marshal digest %s, reference %s", leg.name, got.Parallel4, want.Parallel4)
+		}
+	}
+}
+
+// checkNoTraps asserts the compiler's output translates completely:
+// trap words exist for hand-assembled code, never for compiled clauses.
+func checkNoTraps(t *testing.T, leg string, spec *specialize.Program) {
+	t.Helper()
+	for _, cs := range spec.Comps {
+		for _, ins := range cs.Code {
+			if ins.Op == specialize.STrap {
+				t.Fatalf("%s: compiled code produced a trap word %+v", leg, ins)
 			}
 		}
 	}
 }
 
-// TestDifferentialBench covers the Table 1 and extended benchmark
-// suites under worklist (all three ablation legs) and parallel-2/4.
-func TestDifferentialBench(t *testing.T) {
-	for _, p := range bench.AllPrograms() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			diffProgram(t, p.Source, true)
-		})
-	}
+// corpusProgram is one program of the differential corpus; key names
+// its reference record.
+type corpusProgram struct {
+	name, key, src string
 }
 
-// TestDifferentialFuzzSeeds covers the committed generated-fuzz seed
-// corpus (testdata/fuzz/FuzzSoundness in internal/fuzz): each seed file
-// holds the generator seed of one program.
-func TestDifferentialFuzzSeeds(t *testing.T) {
+func benchCorpus() []corpusProgram {
+	var out []corpusProgram
+	for _, p := range bench.AllPrograms() {
+		out = append(out, corpusProgram{p.Name, "bench/" + p.Name, p.Source})
+	}
+	return out
+}
+
+// seedCorpus reads the committed generated-fuzz seed corpus
+// (testdata/fuzz/FuzzSoundness in internal/fuzz): each seed file holds
+// the generator seed of one program.
+func seedCorpus(t *testing.T) []corpusProgram {
 	dir := filepath.Join("..", "fuzz", "testdata", "fuzz", "FuzzSoundness")
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("committed fuzz corpus missing: %v", err)
 	}
-	ran := 0
+	var out []corpusProgram
 	for _, f := range files {
 		vals, err := readCorpusFile(filepath.Join(dir, f.Name()))
 		if err != nil {
@@ -190,28 +289,24 @@ func TestDifferentialFuzzSeeds(t *testing.T) {
 			t.Fatalf("%s: bad seed: %v", f.Name(), err)
 		}
 		c := fuzz.Generate(seed, fuzz.DefaultGenConfig())
-		name := f.Name()
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			diffProgram(t, c.Source, true)
-		})
-		ran++
+		out = append(out, corpusProgram{f.Name(), "seed/" + f.Name(), c.Source})
 	}
-	if ran == 0 {
+	if len(out) == 0 {
 		t.Fatal("empty fuzz seed corpus")
 	}
+	return out
 }
 
-// TestDifferentialFuzzSources covers the committed raw-source fuzz
-// corpus (testdata/fuzz/FuzzSoundnessSource): two strings per file,
-// program source and query; only the source matters here.
-func TestDifferentialFuzzSources(t *testing.T) {
+// sourceCorpus reads the committed raw-source fuzz corpus
+// (testdata/fuzz/FuzzSoundnessSource): two strings per file, program
+// source and query; only the source matters here.
+func sourceCorpus(t *testing.T) []corpusProgram {
 	dir := filepath.Join("..", "fuzz", "testdata", "fuzz", "FuzzSoundnessSource")
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("committed fuzz corpus missing: %v", err)
 	}
-	ran := 0
+	var out []corpusProgram
 	for _, f := range files {
 		vals, err := readCorpusFile(filepath.Join(dir, f.Name()))
 		if err != nil {
@@ -220,19 +315,59 @@ func TestDifferentialFuzzSources(t *testing.T) {
 		if len(vals) != 2 {
 			t.Fatalf("%s: want 2 corpus values, got %d", f.Name(), len(vals))
 		}
-		src := vals[0]
-		name := f.Name()
-		t.Run(name, func(t *testing.T) {
+		out = append(out, corpusProgram{f.Name(), "source/" + f.Name(), vals[0]})
+	}
+	if len(out) == 0 {
+		t.Fatal("empty fuzz source corpus")
+	}
+	return out
+}
+
+func confluenceCorpus() []corpusProgram {
+	return []corpusProgram{{"confluence_regression", "confluence_regression", confluenceRegressionSrc}}
+}
+
+func parses(src string) error {
+	_, err := parser.ParseProgram(term.NewTab(), src)
+	return err
+}
+
+// TestDifferentialBench covers the Table 1 and extended benchmark
+// suites.
+func TestDifferentialBench(t *testing.T) {
+	for _, p := range benchCorpus() {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			if _, err := parser.ParseProgram(term.NewTab(), src); err != nil {
+			diffProgram(t, p.key, p.src)
+		})
+	}
+}
+
+// TestDifferentialFuzzSeeds covers the committed generated-fuzz seed
+// corpus.
+func TestDifferentialFuzzSeeds(t *testing.T) {
+	for _, p := range seedCorpus(t) {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			diffProgram(t, p.key, p.src)
+		})
+	}
+}
+
+// TestDifferentialFuzzSources covers the committed raw-source fuzz
+// corpus; entries that do not parse are skipped.
+func TestDifferentialFuzzSources(t *testing.T) {
+	for _, p := range sourceCorpus(t) {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			if err := parses(p.src); err != nil {
 				t.Skipf("corpus entry does not parse: %v", err)
 			}
-			diffProgram(t, src, true)
+			diffProgram(t, p.key, p.src)
 		})
-		ran++
-	}
-	if ran == 0 {
-		t.Fatal("empty fuzz source corpus")
 	}
 }
 
@@ -241,7 +376,36 @@ func TestDifferentialFuzzSources(t *testing.T) {
 // program that once separated schedules must now be byte-identical
 // across every engine and strategy.
 func TestDifferentialConfluenceRegression(t *testing.T) {
-	diffProgram(t, confluenceRegressionSrc, true)
+	p := confluenceCorpus()[0]
+	diffProgram(t, p.key, p.src)
+}
+
+// TestWriteReference regenerates testdata/reference.json from the
+// plain stream when SPEC_WRITE_REFERENCE=1; otherwise it is skipped.
+func TestWriteReference(t *testing.T) {
+	if os.Getenv("SPEC_WRITE_REFERENCE") == "" {
+		t.Skip("set SPEC_WRITE_REFERENCE=1 to regenerate " + referencePath)
+	}
+	out := make(map[string]programRef)
+	var all []corpusProgram
+	all = append(all, benchCorpus()...)
+	all = append(all, seedCorpus(t)...)
+	all = append(all, sourceCorpus(t)...)
+	all = append(all, confluenceCorpus()...)
+	for _, p := range all {
+		if parses(p.src) != nil {
+			continue
+		}
+		_, mod := buildMod(t, p.src)
+		out[p.key] = recordProgram(t, mod, nil)
+	}
+	data, err := json.MarshalIndent(out, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(referencePath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // readCorpusFile parses the "go test fuzz v1" encoding: a header line

@@ -38,6 +38,8 @@ func Disasm(tab *term.Tab, p *Program) string {
 	return b.String()
 }
 
+var trapNames = [...]string{TrapOpcode: "opcode", TrapRegister: "register", TrapEnd: "end"}
+
 func maskString(mask uint32) string {
 	if mask == 0 {
 		return "-"
@@ -150,6 +152,8 @@ func disasmWord(tab *term.Tab, cs *CompStream, ins SInstr) string {
 		return "s_halt"
 	case SCutNop:
 		return fmt.Sprintf("s_cut_nop  (%s)", ins.W)
+	case STrap:
+		return fmt.Sprintf("s_trap %s @%d  (%s)", trapNames[ins.A], ins.K, ins.W)
 	case SFGetList2:
 		return fmt.Sprintf("FGET_LIST2 A%d {%s; %s}", ins.A,
 			slotString(tab, cs, ins.M&3, ins.W1, ins.B),

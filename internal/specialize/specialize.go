@@ -2,11 +2,12 @@
 // per-SCC specialized transfer streams — the "compile the interpreter
 // away" stage between compilation and fixpoint execution.
 //
-// The generic abstract engine (internal/core/exec.go) re-dispatches a
-// 30-way switch over 120-byte wam.Instr values for every abstract step.
-// This package flattens each condensation component's clauses into one
-// contiguous stream of compact 16-byte SInstr words with all operands
-// pre-resolved at specialize time:
+// The streams are the only executable form of clause code: the
+// abstract WAM (internal/core/exec.go) runs every clause through one
+// dense dispatch loop over them, never over the 120-byte wam.Instr
+// array. This package flattens each condensation component's clauses
+// into one contiguous stream of compact 16-byte SInstr words with all
+// operands pre-resolved at specialize time:
 //
 //   - constant operands (get/put/unify constants, integers, nil) become
 //     indices into a per-component rt.Cell pool, so the hot loop never
@@ -15,7 +16,7 @@
 //   - call sites become CallRef records that carry the callee's
 //     component and clause-stream offsets (intra-SCC calls are fully
 //     pre-resolved; the extension-table consult remains the call's
-//     semantics, exactly as in the generic engine);
+//     semantics);
 //   - call sites whose argument registers are provably rebuilt from
 //     constants and fresh variables on every execution are marked
 //     static: the engine computes their calling pattern once per
@@ -25,13 +26,15 @@
 //     words with hand-written combined transfer functions (fusion.go),
 //     selected per component from the Metrics opcode histogram.
 //
-// The streams are an execution plan, not new semantics: internal/core
-// interprets them with the same transfer helpers (getList, absUnify,
-// absCall, ...) and charges the step budget and opcode histogram per
-// original base opcode, so results, Steps and Metrics stay byte-for-byte
-// identical to the generic engine. Clauses the translator cannot prove
-// it understands are simply left out of the program; the engine falls
-// back to the generic switch for them.
+// The zero Options give the plain stream: one word per wam
+// instruction, no fusion, no pre-interning — what internal/core builds
+// for itself when no specialized program is supplied. Every other
+// configuration is an execution plan over the same semantics: the
+// engine charges the step budget, the opcode histogram and the Tracer
+// per original base opcode, so results, Steps and Metrics are
+// byte-for-byte identical across configurations. Build is total: code
+// the translator cannot turn into a straight-line transfer becomes a
+// trap word that fails the analysis only if it is executed.
 package specialize
 
 import (
@@ -91,6 +94,7 @@ const (
 	SBuiltin    // A = builtin id, B = arity
 	SHalt       //
 	SCutNop     // neck_cut / get_level / cut: charged no-ops
+	STrap       // untranslatable code at wam address K, reason A (Trap*)
 
 	// Fused superinstructions (fusion.go). Each charges its base
 	// opcodes individually (W, W1, W2), so step totals and the opcode
@@ -111,8 +115,20 @@ const (
 	SlotCell = 2 // operand is a Cells pool index: unify_constant/int/nil
 )
 
+// Trap reasons, carried in a trap word's A operand. A trap charges W
+// (the untranslatable wam opcode; wam.OpNop past the end of the code)
+// and then fails the analysis.
+const (
+	// TrapOpcode: a choice or indexing instruction inside a clause body.
+	TrapOpcode = iota
+	// TrapRegister: a register operand that does not fit in 16 bits.
+	TrapRegister
+	// TrapEnd: the clause runs off the end of the code.
+	TrapEnd
+)
+
 // SInstr is one specialized stream word: 16 bytes versus the ~120-byte
-// wam.Instr the generic switch copies per step.
+// wam.Instr it is translated from.
 type SInstr struct {
 	Op SOp
 	// W is the original wam opcode this word charges to the step budget
@@ -175,7 +191,8 @@ type CompStream struct {
 }
 
 // Loc addresses one specialized clause: the component and its
-// ClauseInfo index. Comp < 0 means the clause is not specialized.
+// ClauseInfo index. Comp < 0 means the clause lies outside the
+// program's components.
 type Loc struct {
 	Comp   int32
 	Clause int32
@@ -213,8 +230,8 @@ type Program struct {
 }
 
 // Loc returns the specialized location of the clause at the given wam
-// code address, or a Loc with Comp < 0 when the clause was not
-// specialized (the engine falls back to the generic switch).
+// code address, or a Loc with Comp < 0 when the clause belongs to no
+// component the program was built over.
 func (p *Program) Loc(addr int) Loc {
 	if addr < 0 || addr >= len(p.locs) {
 		return Loc{Comp: -1, Clause: -1}
@@ -223,8 +240,9 @@ func (p *Program) Loc(addr int) Loc {
 }
 
 // Salt is the fingerprint-salt component recorded by the incremental
-// engine: cached summaries from a generic run and from specialized runs
-// with different fusion sets must live at different store addresses.
+// engine: cached summaries from a plain-stream run (no Config.Spec) and
+// from specialized runs with different fusion sets live at different
+// store addresses.
 func (p *Program) Salt() string {
 	return fmt.Sprintf("spec=v%d:%016x:fuse=%t:pre=%t", Version, p.Hash, p.Opts.Fuse, p.Opts.PreIntern)
 }

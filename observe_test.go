@@ -193,6 +193,7 @@ func TestSharedStepBudget(t *testing.T) {
 type countingTracer struct {
 	mu          sync.Mutex
 	instrs      int64
+	ops         map[string]int64
 	table       map[TableEvent]int64
 	enqueues    int64
 	iterations  int
@@ -201,12 +202,13 @@ type countingTracer struct {
 }
 
 func newCountingTracer() *countingTracer {
-	return &countingTracer{table: make(map[TableEvent]int64)}
+	return &countingTracer{table: make(map[TableEvent]int64), ops: make(map[string]int64)}
 }
 
 func (c *countingTracer) Instr(pred, opcode string) {
 	c.mu.Lock()
 	c.instrs++
+	c.ops[opcode]++
 	c.mu.Unlock()
 }
 func (c *countingTracer) Table(pred string, ev TableEvent) {
@@ -236,11 +238,78 @@ func (c *countingTracer) Worker(id int, start bool) {
 
 // TestTracerEvents: the tracer sees exactly the events the metrics
 // count — one Instr per abstract instruction, table events matching the
-// counters — plus the strategy-specific lifecycle callbacks.
+// counters — plus the strategy-specific lifecycle callbacks. Observing a
+// run does not change it: under every strategy, with the specialized
+// streams on (the default) and off (the plain stream), a traced run
+// gives the untraced run's Marshal and the per-opcode Instr counts
+// equal its Metrics opcode histogram; the sequential strategies also
+// reproduce Steps and the histogram exactly (a parallel run's step
+// total is schedule-dependent).
 func TestTracerEvents(t *testing.T) {
 	sys, err := Load(observeProg)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	histogram := func(m Metrics) map[string]int64 {
+		h := make(map[string]int64, len(m.Opcodes))
+		for _, op := range m.Opcodes {
+			h[op.Opcode] = op.Count
+		}
+		return h
+	}
+	sameHistogram := func(a, b map[string]int64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for op, n := range a {
+			if b[op] != n {
+				return false
+			}
+		}
+		return true
+	}
+	for _, st := range []struct {
+		name       string
+		opt        AnalyzeOption
+		sequential bool
+	}{
+		{"naive", WithStrategy(Naive), true},
+		{"worklist", WithStrategy(Worklist), true},
+		{"parallel-2", WithParallelism(2), false},
+	} {
+		for _, leg := range []struct {
+			name string
+			on   bool
+		}{{"specialized", true}, {"plain", false}} {
+			t.Run("identical/"+st.name+"/"+leg.name, func(t *testing.T) {
+				plain, err := sys.Analyze(st.opt, WithSpecializedTransfer(leg.on))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := newCountingTracer()
+				traced, err := sys.Analyze(st.opt, WithSpecializedTransfer(leg.on), WithTracer(tr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if traced.Marshal() != plain.Marshal() {
+					t.Errorf("traced Marshal differs from untraced")
+				}
+				hist := histogram(traced.Metrics())
+				if !sameHistogram(tr.ops, hist) {
+					t.Errorf("Instr counts %v, Metrics opcodes %v", tr.ops, hist)
+				}
+				if !st.sequential {
+					return
+				}
+				if traced.Stats().Exec != plain.Stats().Exec {
+					t.Errorf("traced Steps = %d, untraced %d", traced.Stats().Exec, plain.Stats().Exec)
+				}
+				if want := histogram(plain.Metrics()); !sameHistogram(hist, want) {
+					t.Errorf("traced opcode histogram %v, untraced %v", hist, want)
+				}
+			})
+		}
 	}
 
 	t.Run("naive", func(t *testing.T) {
@@ -301,43 +370,6 @@ func TestTracerEvents(t *testing.T) {
 				tr.workerStart, tr.workerStop, workers)
 		}
 	})
-}
-
-// TestDeprecatedOptionWrappers: the deprecated option forms are exact
-// aliases of their WithTable/WithStrategy replacements.
-func TestDeprecatedOptionWrappers(t *testing.T) {
-	sys, err := Load(observeProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := []struct {
-		name                string
-		deprecated, current AnalyzeOption
-	}{
-		{"WithHashTable", WithHashTable(), WithTable(TableHash)},
-		{"WithWorklist", WithWorklist(), WithStrategy(Worklist)},
-	}
-	for _, p := range pairs {
-		t.Run(p.name, func(t *testing.T) {
-			old, err := sys.Analyze(p.deprecated)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur, err := sys.Analyze(p.current)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if old.Report() != cur.Report() {
-				t.Errorf("reports differ:\n%s\nvs\n%s", old.Report(), cur.Report())
-			}
-			if old.Marshal() != cur.Marshal() {
-				t.Errorf("marshaled results differ")
-			}
-			if old.Stats() != cur.Stats() {
-				t.Errorf("stats differ: %+v vs %+v", old.Stats(), cur.Stats())
-			}
-		})
-	}
 }
 
 // TestSummaryTyped: the typed Summary agrees with the string accessors

@@ -91,10 +91,8 @@ func TestOptionBoundaryValues(t *testing.T) {
 	}
 }
 
-// TestOptionCombos: strategy/table combinations and the deprecated
-// aliases all converge on the same summaries — WithHashTable is
-// WithTable(TableHash), WithWorklist is WithStrategy(Worklist), and
-// mixing strategy selectors follows last-one-wins.
+// TestOptionCombos: strategy/table combinations all converge on the
+// same summaries, and mixing strategy selectors follows last-one-wins.
 func TestOptionCombos(t *testing.T) {
 	sys, err := Load(apiProg)
 	if err != nil {
@@ -110,13 +108,11 @@ func TestOptionCombos(t *testing.T) {
 		opts []AnalyzeOption
 	}{
 		{"hash table", []AnalyzeOption{WithTable(TableHash)}},
-		{"deprecated hash alias", []AnalyzeOption{WithHashTable()}},
 		{"worklist", []AnalyzeOption{WithStrategy(Worklist)}},
-		{"deprecated worklist alias", []AnalyzeOption{WithWorklist()}},
-		{"worklist + hash", []AnalyzeOption{WithWorklist(), WithHashTable()}},
+		{"worklist + hash", []AnalyzeOption{WithStrategy(Worklist), WithTable(TableHash)}},
 		{"parallel + hash table", []AnalyzeOption{WithParallelism(2), WithTable(TableHash)}},
 		{"parallel then worklist (last strategy wins)", []AnalyzeOption{WithParallelism(2), WithStrategy(Worklist)}},
-		{"worklist then parallel (last strategy wins)", []AnalyzeOption{WithWorklist(), WithParallelism(2)}},
+		{"worklist then parallel (last strategy wins)", []AnalyzeOption{WithStrategy(Worklist), WithParallelism(2)}},
 		{"explicit naive", []AnalyzeOption{WithStrategy(Naive), WithTable(TableLinear)}},
 	}
 	for _, c := range combos {
