@@ -254,17 +254,6 @@ func WithDepth(k int) AnalyzeOption {
 	}
 }
 
-// TableKind selects the extension-table representation for WithTable.
-type TableKind int
-
-const (
-	// TableLinear is the paper's linear list of (calling-pattern,
-	// success-pattern) pairs, searched sequentially (the default).
-	TableLinear TableKind = iota
-	// TableHash indexes the table by calling-pattern key.
-	TableHash
-)
-
 // Strategy selects the fixpoint algorithm for WithStrategy.
 type Strategy int
 
@@ -279,21 +268,6 @@ const (
 	// Worklist for every worker count and schedule.
 	Parallel
 )
-
-// WithTable selects the extension-table representation. Values outside
-// TableLinear and TableHash are rejected by Analyze with ErrBadOption.
-func WithTable(k TableKind) AnalyzeOption {
-	return func(c *analyzeCfg) {
-		switch k {
-		case TableLinear:
-			c.cfg.Table = core.TableLinear
-		case TableHash:
-			c.cfg.Table = core.TableHash
-		default:
-			c.fail(fmt.Errorf("%w: unknown table kind %d", ErrBadOption, k))
-		}
-	}
-}
 
 // WithStrategy selects the fixpoint algorithm. Values outside Naive,
 // Worklist and Parallel are rejected by Analyze with ErrBadOption.

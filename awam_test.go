@@ -92,7 +92,7 @@ func TestAnalyzeOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Analyze(WithDepth(2), WithTable(TableHash), WithoutIndexing())
+	a, err := sys.Analyze(WithDepth(2), WithoutIndexing())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func TestBackwardSharedStore(t *testing.T) {
 // TestBackwardOptionsAreValueOptions is a lint over backward_api.go:
 // every BackwardOption constructor must take at least one parameter and
 // none may be a bare boolean flag — the facade convention is typed
-// value options (WithTable(TableHash), not WithHashTable()), and the
+// value options (WithStrategy(Worklist), not WithWorklist()), and the
 // backward surface was born after that convention, so it gets no
 // grandfathered flag options at all.
 func TestBackwardOptionsAreValueOptions(t *testing.T) {

@@ -178,31 +178,7 @@ func BenchmarkDepth(b *testing.B) {
 			name, k := name, k
 			b.Run(benchLabel(name, "k", k), func(b *testing.B) {
 				env := buildBench(b, name)
-				cfg := core.Config{Depth: k, Table: core.TableLinear, Indexing: true}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.NewWith(env.mod, cfg).AnalyzeMain(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTableRepr compares the paper's linear extension table with
-// the hashed ablation (experiment E8).
-func BenchmarkTableRepr(b *testing.B) {
-	for _, name := range []string{"qsort", "queens_8", "zebra"} {
-		for _, kind := range []core.TableKind{core.TableLinear, core.TableHash} {
-			name, kind := name, kind
-			label := name + "/linear"
-			if kind == core.TableHash {
-				label = name + "/hash"
-			}
-			b.Run(label, func(b *testing.B) {
-				env := buildBench(b, name)
-				cfg := core.Config{Depth: 4, Table: kind, Indexing: true}
+				cfg := core.Config{Depth: k, Indexing: true}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := core.NewWith(env.mod, cfg).AnalyzeMain(); err != nil {
@@ -226,7 +202,7 @@ func BenchmarkIndexing(b *testing.B) {
 			}
 			b.Run(label, func(b *testing.B) {
 				env := buildBench(b, name)
-				cfg := core.Config{Depth: 4, Table: core.TableLinear, Indexing: idx}
+				cfg := core.Config{Depth: 4, Indexing: idx}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := core.NewWith(env.mod, cfg).AnalyzeMain(); err != nil {
@@ -286,9 +262,7 @@ func buildProgram(b *testing.B, p bench.Program) built {
 // parallel engine (sharded extension table) across worker counts, on a
 // real multi-predicate benchmark (zebra) and on generated wide programs
 // whose extension tables hold thousands of calling patterns. The
-// worklist-hash row isolates the table-representation effect from the
-// engine effect: it runs the sequential worklist over the hashed table
-// ablation. The measured numbers are recorded in EXPERIMENTS.md.
+// measured numbers are recorded in EXPERIMENTS.md.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	programs := []bench.Program{}
 	if p, ok := bench.ByName("zebra"); ok {
@@ -310,12 +284,6 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 		b.Run(p.Name+"/worklist", func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Strategy = core.StrategyWorklist
-			runCfg(b, env, cfg)
-		})
-		b.Run(p.Name+"/worklist-hash", func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Strategy = core.StrategyWorklist
-			cfg.Table = core.TableHash
 			runCfg(b, env, cfg)
 		})
 		for _, workers := range []int{1, 2, 4, 8} {

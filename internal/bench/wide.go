@@ -17,8 +17,8 @@ import (
 // distinct functors stay distinct under abstraction, so the fan gives
 // the table one calling pattern per functor: the extension table grows
 // linearly with the family count while each entry's clause work stays
-// constant. That is the regime where the table representation (linear
-// scan, hash, sharded hash) dominates the analysis cost. Wide programs
+// constant. That is the regime where extension-table and worklist
+// bookkeeping dominate the analysis cost. Wide programs
 // are deliberately not part of Programs or Extended: they measure
 // engine scaling, not the paper's Table 1.
 func WideProgram(families int) Program {

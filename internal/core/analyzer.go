@@ -15,22 +15,10 @@ import (
 	"awam/internal/wam"
 )
 
-// TableKind selects the extension-table representation.
-type TableKind int
-
-const (
-	// TableLinear is the paper's linear list of pairs.
-	TableLinear TableKind = iota
-	// TableHash is the hashed ablation.
-	TableHash
-)
-
 // Config holds analyzer options.
 type Config struct {
 	// Depth is the term-depth restriction k (the paper uses 4).
 	Depth int
-	// Table selects the extension-table representation.
-	Table TableKind
 	// Indexing lets the abstract machine consult switch instructions
 	// when the dispatch argument is concrete enough (structure functor,
 	// nil, constant class), exploring only the matching clauses.
@@ -52,7 +40,8 @@ type Config struct {
 	// Spec, when non-nil, is the specialized transfer program
 	// (internal/specialize) the analysis executes: fused
 	// superinstructions, pre-resolved call sites and, under PreIntern,
-	// the pattern caches. Nil runs the plain stream, built once per
+	// static call sites whose calling pattern is abstracted and interned
+	// once per analysis. Nil runs the plain stream, built once per
 	// Analyzer when the first analysis starts. Results are
 	// byte-identical either way (exec.go documents the contract), and
 	// a Tracer observes the same events.
@@ -89,10 +78,11 @@ type WarmStart interface {
 	Trace(fn term.Functor, key string) []*domain.Pattern
 }
 
-// DefaultConfig matches the paper's prototype: k = 4, linear extension
-// table, indexing-aware clause selection.
+// DefaultConfig matches the paper's prototype: k = 4, indexing-aware
+// clause selection. The extension table is always the ID-indexed one
+// (table.go), not the paper's linear list.
 func DefaultConfig() Config {
-	return Config{Depth: 4, Table: TableLinear, Indexing: true, MaxSteps: 500_000_000}
+	return Config{Depth: 4, Indexing: true, MaxSteps: 500_000_000}
 }
 
 // Validate rejects configurations that cannot be meant: negative values
@@ -107,11 +97,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxSteps < 0 {
 		return fmt.Errorf("core: invalid config: negative step budget %d", c.MaxSteps)
-	}
-	switch c.Table {
-	case TableLinear, TableHash:
-	default:
-		return fmt.Errorf("core: invalid config: unknown table kind %d", c.Table)
 	}
 	switch c.Strategy {
 	case StrategyNaive, StrategyWorklist, StrategyParallel:
@@ -140,7 +125,7 @@ type Analyzer struct {
 
 	h     *rt.Heap
 	x     []rt.Cell
-	table Table
+	table *DenseTable
 	// in is the analysis-wide hash-conser: every canonical pattern the
 	// engine handles is interned to a dense domain.PatternID, and all
 	// tables, worklists and dependency maps key on those IDs. Parallel
@@ -169,23 +154,18 @@ type Analyzer struct {
 	parReadEnts []*Entry
 	parReadVals []domain.PatternID
 
-	// Stream-engine state (exec.go, execspec.go). spec is cfg.Spec or,
-	// when that is nil, the plain stream; specPre mirrors
-	// Options.PreIntern (dense tables, static call-site cache,
-	// materialization plans). The pools and caches are goroutine-private,
+	// Stream-engine state (exec.go). spec is cfg.Spec or, when that is
+	// nil, the plain stream; staticCalls caches the calling patterns of
+	// its static call sites. The pools and caches are goroutine-private,
 	// like the metrics shard.
 	spec        *specialize.Program
-	specPre     bool
 	staticCalls []staticPat
-	matPlans    []*matPlan
 	envPool     [][]rt.Cell
 	argPool     [][]int
 	absScratch  *abstractor
 	absBusy     map[int]bool
 	matGroups   map[int]genInt
 	matGen      uint64
-	selCache    [][]int
-	selDone     []bool
 
 	// Observability state (observe.go). met is this goroutine's private
 	// counter shard (never nil); tr mirrors cfg.Tracer. attrFn/attrStart
@@ -291,19 +271,6 @@ func (a *Analyzer) mergeSumm(succID, spID domain.PatternID) (domain.PatternID, *
 		a.memo.SetWiden(lubID, nextID)
 	}
 	return nextID, a.in.Pattern(nextID)
-}
-
-func (a *Analyzer) newTable() Table {
-	if a.specPre {
-		// Pre-interning guarantees dense IDs drive every lookup, so the
-		// table can be an ID-indexed slice (dense.go); same contract and
-		// entry order as the linear table.
-		return NewDenseTable()
-	}
-	if a.cfg.Table == TableHash {
-		return NewHashTable()
-	}
-	return NewLinearTable()
 }
 
 func (a *Analyzer) fail(err error) {
@@ -421,7 +388,6 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 			a.spec = specialize.Build(a.mod, nil, nil, specialize.Options{})
 		}
 	}
-	a.specPre = a.spec.Opts.PreIntern
 	// The extension table only ever stores widened canonical patterns —
 	// the invariant behind schedule confluence (every stored element is a
 	// fixed point of the Widen closure, on which lub∘widen is
@@ -439,7 +405,7 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 	case StrategyParallel:
 		return a.analyzeParallel(entries)
 	}
-	a.table = a.newTable()
+	a.table = NewDenseTable()
 	a.Steps = 0
 	a.err = nil
 	a.budget.reset(a.cfg.MaxSteps, 1)
@@ -532,8 +498,7 @@ func (a *Analyzer) tick() bool {
 // solve explores a top-level calling pattern (the entry loops):
 // solveID over its interned ID.
 func (a *Analyzer) solve(cp *domain.Pattern) *domain.Pattern {
-	succ, _ := a.solveID(cp, a.intern(cp))
-	return succ
+	return a.solveID(cp, a.intern(cp))
 }
 
 // resetHeap empties the heap between top-level explorations, keeping its
@@ -547,11 +512,10 @@ func (a *Analyzer) resetHeap() {
 }
 
 // solveNaiveID is the reinterpreted call under the naive strategy: the
-// table entry's success pattern with its interned ID, exploring the
-// entry once per iteration.
-func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
+// table entry's success pattern, exploring the entry once per iteration.
+func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.err != nil {
-		return nil, domain.BottomID
+		return nil
 	}
 	t0, timed := a.met.sampleTable()
 	e := a.table.Get(id)
@@ -565,7 +529,7 @@ func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) (*domai
 			// Memoized for this iteration (possibly in-flight: a
 			// recursive call sees the last known success pattern).
 			e.Lookups++
-			return e.Succ, e.succID
+			return e.Succ
 		}
 	} else {
 		e = &Entry{ID: id, CP: a.in.Pattern(id)}
@@ -583,22 +547,22 @@ func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) (*domai
 	if proc == nil {
 		// Undefined predicates fail (and were warned about at compile
 		// time); their success pattern stays bottom.
-		return e.Succ, e.succID
+		return e.Succ
 	}
 
 	a.met.predRuns[cp.Fn]++
 	prevFn := a.attrSwitch(cp.Fn)
 	defer a.attrRestore(prevFn)
-	for _, clauseAddr := range a.selectClausesEntry(proc, cp, id) {
+	for _, clauseAddr := range a.selectClauses(proc, cp) {
 		mark := a.h.Mark()
-		argAddrs := a.materializeEntry(e.CP, id)
+		argAddrs := a.materialize(e.CP)
 		a.ensureX(cp.Fn.Arity)
 		for i, addr := range argAddrs {
 			a.x[i+1] = rt.MkRef(addr)
 		}
 		ok := a.run(clauseAddr)
 		if a.err != nil {
-			return nil, domain.BottomID
+			return nil
 		}
 		if ok {
 			sp := a.abstractArgs(cp.Fn, argAddrs)
@@ -624,7 +588,7 @@ func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) (*domai
 		// clause regardless of success.
 		a.h.Undo(mark)
 	}
-	return e.Succ, e.succID
+	return e.Succ
 }
 
 // selectClauses returns the clause addresses to explore for cp,

@@ -453,35 +453,6 @@ func TestAnalyzeAllBenchmarks(t *testing.T) {
 	}
 }
 
-// TestHashTableMatchesLinear: both table representations produce the
-// same analysis results.
-func TestHashTableMatchesLinear(t *testing.T) {
-	for _, name := range []string{"qsort", "serialise", "queens_8"} {
-		p, _ := bench.ByName(name)
-		tab1, mod1 := buildMod(t, p.Source)
-		r1, err := New(mod1).AnalyzeMain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab2, mod2 := buildMod(t, p.Source)
-		r2, err := NewWith(mod2, Config{Depth: 4, Table: TableHash, Indexing: true}).AnalyzeMain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.TableSize != r2.TableSize {
-			t.Fatalf("%s: table sizes differ: %d vs %d", name, r1.TableSize, r2.TableSize)
-		}
-		for _, e1 := range r1.Entries {
-			fn := e1.CP.Fn
-			s1 := successString(t, r1, tab1, fn)
-			s2 := successString(t, r2, tab2, fn)
-			if s1 != s2 {
-				t.Fatalf("%s: %s success differs: %s vs %s", name, tab1.FuncString(fn), s1, s2)
-			}
-		}
-	}
-}
-
 // TestReportRenders smoke-tests the report output.
 func TestReportRenders(t *testing.T) {
 	p, _ := bench.ByName("qsort")

@@ -25,9 +25,10 @@ import (
 // charge — error check, budget draw, step increment, periodic tick,
 // opcode-histogram charge, Tracer event, in that order — and fused
 // words charge each base opcode at the point its sub-operation runs.
-// Results, Steps, the opcode histogram and the Tracer's event sequence
-// are therefore identical under every stream configuration; only wall
-// time (and, under PreIntern, interner traffic) changes.
+// Results, Steps, the opcode histogram, the table counters and the
+// Tracer's event sequence are therefore identical under every stream
+// configuration; only wall time (and, under PreIntern, interner traffic)
+// changes.
 
 type absMode uint8
 
@@ -353,9 +354,8 @@ type staticPat struct {
 // pre-resolved CallRef: abstract the argument registers into a calling
 // pattern, consult the extension table (solving recursively when
 // unexplored), and apply the success pattern deterministically.
-// Argument slices come from a pool; under pre-interning, static sites
-// read their cached calling pattern and the success pattern is applied
-// through the materialization-plan cache.
+// Argument slices come from a pool; static sites (PreIntern) read their
+// cached calling pattern.
 func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
 	cr := &cs.Calls[k]
 	fn := cr.Fn
@@ -372,7 +372,7 @@ func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
 	}
 	var cp *domain.Pattern
 	var id domain.PatternID
-	if a.specPre && cr.Static >= 0 {
+	if cr.Static >= 0 {
 		if a.staticCalls == nil {
 			a.staticCalls = make([]staticPat, a.spec.StaticSites)
 		}
@@ -388,7 +388,7 @@ func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
 		cp = a.abstractArgs(fn, argAddrs)
 		id = a.intern(cp)
 	}
-	succ, succID := a.solveID(cp, id)
+	succ := a.solveID(cp, id)
 	if a.err != nil {
 		return false
 	}
@@ -408,14 +408,25 @@ func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
 	// succ ⊑ cp argument-wise, but the caller's actual cells can be
 	// strictly below cp (e.g. a specific constant vs atom); a clash
 	// means this particular call has no successes.
-	return a.applyPatternID(succ, succID, argAddrs)
+	return a.applyPattern(succ, argAddrs)
+}
+
+// applyPattern unifies a success pattern onto the caller's argument
+// cells — the deterministic return of the extension-table scheme.
+func (a *Analyzer) applyPattern(p *domain.Pattern, argAddrs []int) bool {
+	matAddrs := a.materialize(p)
+	for i := range argAddrs {
+		if !a.absUnify(rt.MkRef(argAddrs[i]), rt.MkRef(matAddrs[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // solveID explores a pre-interned calling pattern under the running
 // strategy's table discipline, returning the success pattern (nil =
-// bottom) with its interned ID so callers can reuse it
-// (materialization plans, growth checks).
-func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
+// bottom).
+func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.fin != nil {
 		return a.solveFinID(cp, id)
 	}
@@ -426,6 +437,47 @@ func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) (*domain.Pat
 		return a.solveWLID(cp, id)
 	}
 	return a.solveNaiveID(cp, id)
+}
+
+// allocEnv draws a zeroed environment frame from the pool (LIFO: clause
+// execution nests strictly, so frames free in reverse order).
+func (a *Analyzer) allocEnv(n int) []rt.Cell {
+	if k := len(a.envPool); k > 0 {
+		e := a.envPool[k-1]
+		a.envPool = a.envPool[:k-1]
+		if cap(e) >= n {
+			e = e[:n]
+			for i := range e {
+				e[i] = rt.Cell{}
+			}
+			return e
+		}
+	}
+	return make([]rt.Cell, n)
+}
+
+func (a *Analyzer) releaseEnv(e []rt.Cell) {
+	if cap(e) > 0 && len(a.envPool) < 64 {
+		a.envPool = append(a.envPool, e)
+	}
+}
+
+// allocArgs draws an argument-address slice from the pool.
+func (a *Analyzer) allocArgs(n int) []int {
+	if k := len(a.argPool); k > 0 {
+		s := a.argPool[k-1]
+		a.argPool = a.argPool[:k-1]
+		if cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]int, n)
+}
+
+func (a *Analyzer) releaseArgs(s []int) {
+	if cap(s) > 0 && len(a.argPool) < 64 {
+		a.argPool = append(a.argPool, s)
+	}
 }
 
 // getList reinterprets get_list over the abstract domain — the paper's

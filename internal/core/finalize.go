@@ -55,7 +55,7 @@ import (
 // patterns.
 
 // summaryOracle answers converged-summary lookups by interned ID; both
-// the sequential Table implementations and the ShardedTable satisfy it.
+// DenseTable and DenseShardedTable satisfy it.
 // The replay shares the fixpoint phase's interner, so its IDs are
 // directly comparable with the oracle's.
 type summaryOracle interface {
@@ -63,14 +63,11 @@ type summaryOracle interface {
 }
 
 // finState is the finalize-pass bookkeeping; solve dispatches on it.
-// The presentation index is a map by default; pre-interning
-// specialization uses the dense ID-indexed slice instead (useDense).
+// The presentation index is an ID-indexed slice, like the tables.
 type finState struct {
-	oracle   summaryOracle
-	index    map[domain.PatternID]*Entry
-	dense    []*Entry
-	useDense bool
-	order    []*Entry
+	oracle summaryOracle
+	index  []*Entry
+	order  []*Entry
 	// cur is the entry whose clauses (or cached trace) are being
 	// replayed; consultations are recorded on it, deduplicated through
 	// the entry's finSeen scratch (first occurrences only — repeats are
@@ -81,23 +78,16 @@ type finState struct {
 
 // get returns the presented entry for id, or nil.
 func (f *finState) get(id domain.PatternID) *Entry {
-	if f.useDense {
-		if int(id) < len(f.dense) {
-			return f.dense[id]
-		}
-		return nil
+	if int(id) < len(f.index) {
+		return f.index[id]
 	}
-	return f.index[id]
+	return nil
 }
 
 // put records a presented entry under its ID.
 func (f *finState) put(id domain.PatternID, e *Entry) {
-	if f.useDense {
-		for int(id) >= len(f.dense) {
-			f.dense = append(f.dense, nil)
-		}
-		f.dense[id] = e
-		return
+	for int(id) >= len(f.index) {
+		f.index = append(f.index, nil)
 	}
 	f.index[id] = e
 }
@@ -136,11 +126,7 @@ func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]
 	a.reserved, a.allow = 0, 0
 	a.attrFn = term.Functor{}
 	a.attrStart = 0
-	a.fin = &finState{
-		oracle:   oracle,
-		index:    make(map[domain.PatternID]*Entry),
-		useDense: a.specPre,
-	}
+	a.fin = &finState{oracle: oracle}
 	defer func() {
 		a.fin = nil
 		a.Steps = savedSteps
@@ -170,14 +156,14 @@ func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]
 // clause successes. While the entry's own clauses run, Succ holds the
 // converged oracle summary so that cyclic consultations read the
 // fixpoint value; exploreFin replaces it with the recomputed lub.
-func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
+func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.err != nil {
-		return nil, domain.BottomID
+		return nil
 	}
 	if e := a.fin.get(id); e != nil {
 		e.Lookups++
 		a.fin.consult(id, e.CP)
-		return e.Succ, e.succID
+		return e.Succ
 	}
 	e := &Entry{ID: id, CP: a.in.Pattern(id)}
 	a.fin.consult(id, e.CP)
@@ -203,7 +189,7 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) (*domain.
 				}
 			}
 			a.fin.cur = prev
-			return e.Succ, e.succID
+			return e.Succ
 		}
 	}
 	if oe := a.fin.oracle.Get(id); oe != nil {
@@ -220,7 +206,7 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) (*domain.
 	a.fin.cur = e
 	a.exploreFin(e)
 	a.fin.cur = prev
-	return e.Succ, e.succID
+	return e.Succ
 }
 
 // exploreFin runs the entry's clauses once against the converged
@@ -235,9 +221,9 @@ func (a *Analyzer) exploreFin(e *Entry) {
 		return
 	}
 	accID := domain.BottomID
-	for _, clauseAddr := range a.selectClausesEntry(proc, e.CP, e.ID) {
+	for _, clauseAddr := range a.selectClauses(proc, e.CP) {
 		mark := a.h.Mark()
-		argAddrs := a.materializeEntry(e.CP, e.ID)
+		argAddrs := a.materialize(e.CP)
 		a.ensureX(e.CP.Fn.Arity)
 		for i, addr := range argAddrs {
 			a.x[i+1] = rt.MkRef(addr)

@@ -12,7 +12,7 @@ import (
 
 // This file implements StrategyParallel: the worklist fixpoint of
 // worklist.go run by N worker goroutines over a lock-striped extension
-// table (ShardedTable). Each worker owns a private Analyzer — its own
+// table (DenseShardedTable). Each worker owns a private Analyzer — its own
 // heap, X registers, step counter and warnings — and pulls table entries
 // from a shared queue. Soundness of any interleaving rests on the same
 // property the sequential strategies use: success-pattern updates are
@@ -35,11 +35,9 @@ import (
 //     under-instantiated arguments are explored like any other and
 //     simply go unused by finalize.
 
-// parState is the shared state of one parallel analysis. The table is
-// map-sharded by default; pre-interning specialization swaps in the
-// dense ID-indexed variant (dense.go), same contract.
+// parState is the shared state of one parallel analysis.
 type parState struct {
-	table parTable
+	table *DenseShardedTable
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -51,7 +49,7 @@ type parState struct {
 }
 
 func newParState(n int) *parState {
-	ps := &parState{table: NewShardedTable(), n: n}
+	ps := &parState{table: NewDenseShardedTable(), n: n}
 	ps.cond = sync.NewCond(&ps.mu)
 	return ps
 }
@@ -165,9 +163,6 @@ func (a *Analyzer) analyzeParallel(entries []*domain.Pattern) (*Result, error) {
 	a.budget.reset(a.cfg.MaxSteps, n)
 	a.reserved, a.allow = 0, 0
 	ps := newParState(n)
-	if a.specPre {
-		ps.table = NewDenseShardedTable()
-	}
 	execStart := time.Now()
 
 	seeds := make([]*domain.Pattern, len(entries))
@@ -188,18 +183,10 @@ func (a *Analyzer) analyzeParallel(entries []*domain.Pattern) (*Result, error) {
 			par: ps, h: rt.NewHeap(), x: make([]rt.Cell, 16),
 			met: newMetricsShard(), tr: a.tr, budget: a.budget,
 			// The interner is shared (concurrent, leaf-level lock); the
-			// memo is per-worker and folded in after the barrier, and so
-			// are the specialized engine's caches and pools (execspec.go).
+			// memo is per-worker and folded in after the barrier. The
+			// static call-site cache and the pools are per-worker too.
 			in: a.in, memo: domain.NewMemo(),
-			// Workers run the fused flattened streams but NOT the
-			// pre-interning machinery: its caches (materialize plans,
-			// clause-selection memos, static call sites) are per-engine
-			// state that every worker would rebuild privately, and the
-			// duplicated memory traffic measurably outweighs the saved
-			// interner round-trips under the parallel schedule. The
-			// sequential finalize replay (run on the parent analyzer,
-			// which keeps specPre) still gets the full benefit.
-			spec: a.spec, specPre: false,
+			spec: a.spec,
 		}
 		workers[i] = w
 		wg.Add(1)
@@ -316,13 +303,13 @@ func (w *Analyzer) runWorker(id int) {
 
 // solveParID is the reinterpreted call under the parallel strategy:
 // ensure the entry exists (scheduling it on first sight), record the
-// dependency edge, and return the current summary with its ID.
+// dependency edge, and return the current summary.
 // Recording the edge and reading the summary under the same entry lock
 // closes the missed-update race: a merge that lands after our read sees
 // our edge and re-enqueues us; a merge before it is the value we read.
-func (a *Analyzer) solveParID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
+func (a *Analyzer) solveParID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.err != nil {
-		return nil, domain.BottomID
+		return nil
 	}
 	t0, timed := a.met.sampleTable()
 	e, created := a.par.table.GetOrAdd(id, a.in.Pattern(id))
@@ -356,7 +343,7 @@ func (a *Analyzer) solveParID(cp *domain.Pattern, id domain.PatternID) (*domain.
 	if a.parCur != nil {
 		a.recordRead(e, succID)
 	}
-	return succ, succID
+	return succ
 }
 
 // recordRead notes the first summary ID read from callee e during the
@@ -400,9 +387,9 @@ func (w *Analyzer) explorePar(e *Entry) {
 	if proc == nil {
 		return
 	}
-	for _, clauseAddr := range w.selectClausesEntry(proc, e.CP, e.ID) {
+	for _, clauseAddr := range w.selectClauses(proc, e.CP) {
 		mark := w.h.Mark()
-		argAddrs := w.materializeEntry(e.CP, e.ID)
+		argAddrs := w.materialize(e.CP)
 		w.ensureX(e.CP.Fn.Arity)
 		for i, addr := range argAddrs {
 			w.x[i+1] = rt.MkRef(addr)

@@ -210,7 +210,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative depth", Config{Depth: -1}},
 		{"negative parallelism", Config{Parallelism: -2, Strategy: StrategyParallel}},
 		{"negative budget", Config{MaxSteps: -5}},
-		{"bad table", Config{Table: TableKind(99)}},
 		{"bad strategy", Config{Strategy: Strategy(99)}},
 	}
 	for _, c := range cases {

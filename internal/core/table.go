@@ -110,152 +110,119 @@ func (e *Entry) Key() string { return e.CP.Key() }
 // instead of being explored (incremental warm starts).
 func (e *Entry) Warm() bool { return e.warm }
 
-// Table is the extension table: a memo from interned calling-pattern
-// IDs to entries.
-type Table interface {
-	// Get returns the entry for id, or nil.
-	Get(id domain.PatternID) *Entry
-	// Add inserts a fresh entry (its ID must not be present).
-	Add(e *Entry)
-	// Entries returns all entries in insertion order.
-	Entries() []*Entry
-	// Len returns the number of entries.
-	Len() int
+// The extension table is indexed by interned calling-pattern ID.
+// PatternIDs are dense small integers (domain.Interner), so the table is
+// an ID-indexed slice: a Get is one bounds check and one load. The paper
+// searches "a linear list of (calling-pattern, success-pattern) pairs";
+// DESIGN §3.3 records why this departure changes no reported figure.
+
+// DenseTable is the extension table of the sequential strategies (naive
+// and worklist) and of the finalize pass's oracle lookups.
+type DenseTable struct {
+	byID  []*Entry
+	order []*Entry
 }
 
-// LinearTable is the paper's implementation: "a linear list of
-// (calling-pattern, success-pattern) pairs" searched sequentially. It is
-// the faithful default; HashTable is the ablation. The scan compares
-// interned IDs kept in a dense side slice — each probe is a word compare
-// over contiguous int32s instead of a pointer chase per entry — but the
-// cost stays linear in the table size as the paper measured.
-type LinearTable struct {
-	ids     []domain.PatternID
-	entries []*Entry
-}
+// NewDenseTable returns an empty dense table.
+func NewDenseTable() *DenseTable { return &DenseTable{} }
 
-// NewLinearTable returns an empty linear table.
-func NewLinearTable() *LinearTable { return &LinearTable{} }
-
-// Get scans the list for id.
-func (t *LinearTable) Get(id domain.PatternID) *Entry {
-	for i, tid := range t.ids {
-		if tid == id {
-			return t.entries[i]
-		}
+// Get returns the entry for id, or nil.
+func (t *DenseTable) Get(id domain.PatternID) *Entry {
+	if int(id) < len(t.byID) {
+		return t.byID[id]
 	}
 	return nil
 }
 
-// Add appends an entry.
-func (t *LinearTable) Add(e *Entry) {
-	t.ids = append(t.ids, e.ID)
-	t.entries = append(t.entries, e)
-}
-
-// Entries returns the list.
-func (t *LinearTable) Entries() []*Entry { return t.entries }
-
-// Len returns the entry count.
-func (t *LinearTable) Len() int { return len(t.entries) }
-
-// HashTable indexes entries by interned ID; an ablation over the
-// paper's linear list (experiment E8).
-type HashTable struct {
-	index map[domain.PatternID]*Entry
-	order []*Entry
-}
-
-// NewHashTable returns an empty hash table.
-func NewHashTable() *HashTable {
-	return &HashTable{index: make(map[domain.PatternID]*Entry)}
-}
-
-// Get looks the id up in the index.
-func (t *HashTable) Get(id domain.PatternID) *Entry { return t.index[id] }
-
-// Add inserts an entry.
-func (t *HashTable) Add(e *Entry) {
-	t.index[e.ID] = e
+// Add inserts a fresh entry (its ID must not be present).
+func (t *DenseTable) Add(e *Entry) {
+	for int(e.ID) >= len(t.byID) {
+		t.byID = append(t.byID, nil)
+	}
+	t.byID[e.ID] = e
 	t.order = append(t.order, e)
 }
 
 // Entries returns entries in insertion order.
-func (t *HashTable) Entries() []*Entry { return t.order }
+func (t *DenseTable) Entries() []*Entry { return t.order }
 
 // Len returns the entry count.
-func (t *HashTable) Len() int { return len(t.order) }
+func (t *DenseTable) Len() int { return len(t.order) }
 
-// numShards is the stripe count of ShardedTable; a power of two so the
-// shard pick is a mask. 64 stripes keep contention negligible for any
-// plausible worker count while staying cheap to allocate per analysis.
-const numShards = 64
+// numShards is the stripe count of DenseShardedTable; a power of two so
+// the shard pick is a mask. 64 stripes keep contention negligible for
+// any plausible worker count while staying cheap to allocate per
+// analysis.
+const (
+	shardBits = 6
+	numShards = 1 << shardBits
+)
 
-type tableShard struct {
+type denseShard struct {
 	mu    sync.Mutex
-	index map[domain.PatternID]*Entry
+	slots []*Entry
 }
 
-// ShardedTable is the lock-striped extension table behind
-// StrategyParallel. IDs stripe over numShards shards, each with its own
-// mutex, so concurrent workers rarely collide on table access. It
-// deliberately does not implement the sequential Table interface: a
-// global insertion order is meaningless under concurrency, and the
-// deterministic finalize pass rebuilds an ordered presentation table
-// from this one after the fixpoint converges.
-type ShardedTable struct {
-	shards [numShards]tableShard
+// DenseShardedTable is the lock-striped extension table behind
+// StrategyParallel: an ID stripes by its low bits (shard = id & 63) and
+// indexes the shard's slot slice by the high bits (slot = id >> 6), so
+// dense IDs spread round-robin, each shard's slice stays compact and
+// concurrent workers rarely collide. It has no insertion order: a global
+// order is meaningless under concurrency, and the deterministic finalize
+// pass rebuilds an ordered presentation table from this one after the
+// fixpoint converges.
+type DenseShardedTable struct {
+	shards [numShards]denseShard
 }
 
-// NewShardedTable returns an empty sharded table.
-func NewShardedTable() *ShardedTable {
-	t := &ShardedTable{}
-	for i := range t.shards {
-		t.shards[i].index = make(map[domain.PatternID]*Entry)
-	}
-	return t
-}
-
-// shardOf picks the stripe for an interned ID. IDs are dense, so the
-// mask spreads them round-robin — an even stripe load by construction.
-func shardOf(id domain.PatternID) int {
-	return int(id) & (numShards - 1)
-}
+// NewDenseShardedTable returns an empty dense sharded table.
+func NewDenseShardedTable() *DenseShardedTable { return &DenseShardedTable{} }
 
 // Get returns the entry for id, or nil.
-func (t *ShardedTable) Get(id domain.PatternID) *Entry {
-	s := &t.shards[shardOf(id)]
+func (t *DenseShardedTable) Get(id domain.PatternID) *Entry {
+	s := &t.shards[int(id)&(numShards-1)]
+	slot := int(id) >> shardBits
 	s.mu.Lock()
-	e := s.index[id]
+	var e *Entry
+	if slot < len(s.slots) {
+		e = s.slots[slot]
+	}
 	s.mu.Unlock()
 	return e
 }
 
 // GetOrAdd returns the entry for the interned calling pattern, creating
 // it when absent, and reports whether it was created. cp must be the
-// interner's canonical representative for id (its Key is precomputed,
-// safe to publish across workers).
-func (t *ShardedTable) GetOrAdd(id domain.PatternID, cp *domain.Pattern) (*Entry, bool) {
-	s := &t.shards[shardOf(id)]
+// interner's canonical representative for id.
+func (t *DenseShardedTable) GetOrAdd(id domain.PatternID, cp *domain.Pattern) (*Entry, bool) {
+	s := &t.shards[int(id)&(numShards-1)]
+	slot := int(id) >> shardBits
 	s.mu.Lock()
-	if e := s.index[id]; e != nil {
+	for slot >= len(s.slots) {
+		s.slots = append(s.slots, nil)
+	}
+	if e := s.slots[slot]; e != nil {
 		s.mu.Unlock()
 		return e, false
 	}
 	e := &Entry{ID: id, CP: cp}
-	s.index[id] = e
+	s.slots[slot] = e
 	s.mu.Unlock()
 	return e, true
 }
 
-// Len returns the total entry count across shards. It is only exact
-// when no workers are running (used after the fixpoint converges).
-func (t *ShardedTable) Len() int {
+// Len returns the total entry count across shards; exact only when no
+// workers are running.
+func (t *DenseShardedTable) Len() int {
 	n := 0
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += len(s.index)
+		for _, e := range s.slots {
+			if e != nil {
+				n++
+			}
+		}
 		s.mu.Unlock()
 	}
 	return n

@@ -41,35 +41,19 @@ const (
 // interned calling-pattern IDs.
 type wlState struct {
 	// dependents[id] = set of entry IDs whose exploration consulted id
-	// and must be revisited when its success pattern grows. Under
-	// pre-interning specialization (dense) the outer map becomes an
-	// ID-indexed slice, and so do the exploring and queued marks — the
-	// set contents and iteration behaviour are unchanged.
-	dependents map[domain.PatternID]map[domain.PatternID]bool
-	depSlots   []map[domain.PatternID]bool
+	// and must be revisited when its success pattern grows; like the
+	// marks below it is indexed by the dense ID.
+	dependents []map[domain.PatternID]bool
 	// exploring marks in-flight entries (recursive calls read their
 	// current success pattern instead of re-entering).
-	exploring     map[domain.PatternID]bool
-	exploringBits []bool
+	exploring []bool
 	// queued marks entries already on the worklist.
-	queued     map[domain.PatternID]bool
-	queuedBits []bool
-	dense      bool
-	queue      []*Entry
+	queued []bool
+	queue  []*Entry
 	// current is the entry being explored (dependency recording).
 	current *Entry
 	// explorations counts exploreWL runs (reported as Iterations).
 	explorations int
-}
-
-func newWLState(dense bool) *wlState {
-	w := &wlState{dense: dense}
-	if !dense {
-		w.dependents = make(map[domain.PatternID]map[domain.PatternID]bool)
-		w.exploring = make(map[domain.PatternID]bool)
-		w.queued = make(map[domain.PatternID]bool)
-	}
-	return w
 }
 
 func growBits(s []bool, id domain.PatternID) []bool {
@@ -80,44 +64,25 @@ func growBits(s []bool, id domain.PatternID) []bool {
 }
 
 func (w *wlState) isExploring(id domain.PatternID) bool {
-	if w.dense {
-		return int(id) < len(w.exploringBits) && w.exploringBits[id]
-	}
-	return w.exploring[id]
+	return int(id) < len(w.exploring) && w.exploring[id]
 }
 
 func (w *wlState) setExploring(id domain.PatternID, v bool) {
-	if w.dense {
-		w.exploringBits = growBits(w.exploringBits, id)
-		w.exploringBits[id] = v
-		return
-	}
+	w.exploring = growBits(w.exploring, id)
 	w.exploring[id] = v
 }
 
 // deps returns id's dependent set (nil when none recorded).
 func (w *wlState) deps(id domain.PatternID) map[domain.PatternID]bool {
-	if w.dense {
-		if int(id) < len(w.depSlots) {
-			return w.depSlots[id]
-		}
-		return nil
+	if int(id) < len(w.dependents) {
+		return w.dependents[id]
 	}
-	return w.dependents[id]
+	return nil
 }
 
 func (w *wlState) addDep(on, dependent domain.PatternID) {
-	if w.dense {
-		for int(on) >= len(w.depSlots) {
-			w.depSlots = append(w.depSlots, make([]map[domain.PatternID]bool, 64)...)
-		}
-		m := w.depSlots[on]
-		if m == nil {
-			m = make(map[domain.PatternID]bool)
-			w.depSlots[on] = m
-		}
-		m[dependent] = true
-		return
+	for int(on) >= len(w.dependents) {
+		w.dependents = append(w.dependents, make([]map[domain.PatternID]bool, 64)...)
 	}
 	m := w.dependents[on]
 	if m == nil {
@@ -130,15 +95,7 @@ func (w *wlState) addDep(on, dependent domain.PatternID) {
 // enqueue schedules e, reporting whether it was newly added (false when
 // already queued — the observability layer counts real insertions only).
 func (w *wlState) enqueue(e *Entry) bool {
-	if w.dense {
-		w.queuedBits = growBits(w.queuedBits, e.ID)
-		if w.queuedBits[e.ID] {
-			return false
-		}
-		w.queuedBits[e.ID] = true
-		w.queue = append(w.queue, e)
-		return true
-	}
+	w.queued = growBits(w.queued, e.ID)
 	if w.queued[e.ID] {
 		return false
 	}
@@ -147,24 +104,14 @@ func (w *wlState) enqueue(e *Entry) bool {
 	return true
 }
 
-// setQueued clears (or sets) the queued mark at pop time.
-func (w *wlState) setQueued(id domain.PatternID, v bool) {
-	if w.dense {
-		w.queuedBits = growBits(w.queuedBits, id)
-		w.queuedBits[id] = v
-		return
-	}
-	w.queued[id] = v
-}
-
 // analyzeWorklist is the worklist driver, the counterpart of analyze().
 func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
-	a.table = a.newTable()
+	a.table = NewDenseTable()
 	a.Steps = 0
 	a.err = nil
 	a.budget.reset(a.cfg.MaxSteps, 1)
 	a.reserved, a.allow = 0, 0
-	a.wl = newWLState(a.specPre)
+	a.wl = &wlState{}
 	a.resetHeap()
 	execStart := time.Now()
 	for _, cp := range entries {
@@ -176,7 +123,7 @@ func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
 	for len(a.wl.queue) > 0 {
 		e := a.wl.queue[0]
 		a.wl.queue = a.wl.queue[1:]
-		a.wl.setQueued(e.ID, false)
+		a.wl.queued[e.ID] = false
 		a.noteHeap()
 		a.resetHeap()
 		a.exploreWL(e)
@@ -214,9 +161,9 @@ func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
 // solveWLID is the reinterpreted call under the worklist strategy:
 // ensure the entry exists (exploring it on first sight), record the
 // dependency, and return the current success pattern.
-func (a *Analyzer) solveWLID(cp *domain.Pattern, id domain.PatternID) (*domain.Pattern, domain.PatternID) {
+func (a *Analyzer) solveWLID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.err != nil {
-		return nil, domain.BottomID
+		return nil
 	}
 	t0, timed := a.met.sampleTable()
 	e := a.table.Get(id)
@@ -260,7 +207,7 @@ func (a *Analyzer) solveWLID(cp *domain.Pattern, id domain.PatternID) (*domain.P
 		// own in-flight summary must rerun when the summary grows.
 		a.wl.addDep(id, a.wl.current.ID)
 	}
-	return e.Succ, e.succID
+	return e.Succ
 }
 
 // exploreWL runs the entry's clauses once, lubbing success patterns and
@@ -292,9 +239,9 @@ func (a *Analyzer) exploreWL(e *Entry) {
 	if proc == nil {
 		return
 	}
-	for _, clauseAddr := range a.selectClausesEntry(proc, e.CP, e.ID) {
+	for _, clauseAddr := range a.selectClauses(proc, e.CP) {
 		mark := a.h.Mark()
-		argAddrs := a.materializeEntry(e.CP, e.ID)
+		argAddrs := a.materialize(e.CP)
 		a.ensureX(e.CP.Fn.Arity)
 		for i, addr := range argAddrs {
 			a.x[i+1] = rt.MkRef(addr)

@@ -179,10 +179,10 @@ func compileBench(p bench.Program) (*wam.Module, error) {
 
 // MeasureBenchJSON produces the benchmark report: the wide_256/wide_512
 // scaling programs under the worklist and parallel-4 engines, plus the
-// paper's Table 1 suite under the default (naive, linear-table)
-// configuration. progress, when non-nil, receives one line per cell.
-// seed perturbs the wide workloads via bench.WideProgramSeeded; 0 keeps
-// the fixed legacy programs (the committed BENCH_PR3.json baseline).
+// paper's Table 1 suite under the default (naive) configuration.
+// progress, when non-nil, receives one line per cell. seed perturbs
+// the wide workloads via bench.WideProgramSeeded; 0 keeps the fixed
+// legacy programs (the committed BENCH_PR3.json baseline).
 // The seed is echoed in both the progress lines and the report so any
 // failure or anomaly on a randomized workload can be reproduced.
 func MeasureBenchJSON(label string, quick bool, seed int64, progress io.Writer) (*BenchReport, error) {

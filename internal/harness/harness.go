@@ -309,12 +309,10 @@ func MeasureConfigs(opts MeasureOptions, rows []*Metrics) ([]ConfigRatios, error
 	}
 	defs := []cfgDef{
 		{"k=4", core.DefaultConfig()},
-		{"k=2", core.Config{Depth: 2, Table: core.TableLinear, Indexing: true}},
-		{"k=8", core.Config{Depth: 8, Table: core.TableLinear, Indexing: true}},
-		{"hash-ET", core.Config{Depth: 4, Table: core.TableHash, Indexing: true}},
-		{"no-index", core.Config{Depth: 4, Table: core.TableLinear, Indexing: false}},
-		{"worklist", core.Config{Depth: 4, Table: core.TableLinear, Indexing: true,
-			Strategy: core.StrategyWorklist}},
+		{"k=2", core.Config{Depth: 2, Indexing: true}},
+		{"k=8", core.Config{Depth: 8, Indexing: true}},
+		{"no-index", core.Config{Depth: 4, Indexing: false}},
+		{"worklist", core.Config{Depth: 4, Indexing: true, Strategy: core.StrategyWorklist}},
 	}
 	out := make([]ConfigRatios, 0, len(defs)+1)
 	for _, d := range defs {
@@ -383,7 +381,7 @@ func MeasureAblation(opts MeasureOptions, depths []int) ([]AblationRow, error) {
 			return nil, err
 		}
 		for _, k := range depths {
-			cfg := core.Config{Depth: k, Table: core.TableLinear, Indexing: true}
+			cfg := core.Config{Depth: k, Indexing: true}
 			res, err := core.NewWith(mod, cfg).AnalyzeMain()
 			if err != nil {
 				return nil, err

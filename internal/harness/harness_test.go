@@ -78,7 +78,7 @@ func TestTable2Renders(t *testing.T) {
 	var b strings.Builder
 	WriteTable2(&b, rows, configs)
 	out := b.String()
-	for _, want := range []string{"k=4", "k=2", "k=8", "hash-ET", "no-index", "meta-Go", "average"} {
+	for _, want := range []string{"k=4", "k=2", "k=8", "no-index", "meta-Go", "average"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table 2 missing %q:\n%s", want, out)
 		}

@@ -22,8 +22,8 @@ import (
 //	           instruction: the plain stream the engine runs when
 //	           core.Config.Spec is nil, laid out per component
 //	fuse     — flatten + profile-guided superinstruction fusion
-//	full     — fuse + pre-interning (static call sites, materialize
-//	           plans, dense tables and worklist bookkeeping)
+//	full     — fuse + pre-interning: static call sites, whose calling
+//	           pattern is abstracted and interned once per analysis
 //
 // Every leg is byte-identical to the plain stream (enforced per cell
 // and by the differential suite); only the wall time moves.

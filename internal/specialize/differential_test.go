@@ -25,7 +25,11 @@ package specialize_test
 // so parallel results are schedule-confluent and must equal the
 // recorded digests on every run. The interner counters are deliberately
 // NOT compared: the pre-interning specialization exists to eliminate
-// interner traffic, so those counters are legitimately lower.
+// interner traffic, so those counters are legitimately lower. Table
+// traffic is compared leg against leg instead: under worklist and naive,
+// every leg's table hits, misses, inserts, updates, table size and
+// enqueues must equal the plain leg's (the reference file predates
+// those counters).
 
 import (
 	"bufio"
@@ -115,6 +119,14 @@ type runRef struct {
 	Marshal string           `json:"marshal_sha256"`
 	Steps   int64            `json:"steps"`
 	Opcodes map[string]int64 `json:"opcodes"`
+	// Traffic is compared against the plain leg, not stored.
+	Traffic tableTraffic `json:"-"`
+}
+
+// tableTraffic is one run's extension-table and worklist traffic.
+type tableTraffic struct {
+	Hits, Misses, Inserts, Updates, Enqueues int64
+	Size                                     int
 }
 
 // programRef is one program's reference record.
@@ -131,8 +143,12 @@ func digest(res *core.Result) string {
 }
 
 func record(res *core.Result) runRef {
-	r := runRef{Marshal: digest(res), Steps: res.Steps, Opcodes: map[string]int64{}}
-	for op, n := range res.Metrics.Opcodes {
+	m := res.Metrics
+	r := runRef{
+		Marshal: digest(res), Steps: res.Steps, Opcodes: map[string]int64{},
+		Traffic: tableTraffic{m.TableHits, m.TableMisses, m.TableInserts, m.TableUpdates, m.Enqueues, res.TableSize},
+	}
+	for op, n := range m.Opcodes {
 		if n != 0 {
 			r.Opcodes[wam.Op(op).String()] = n
 		}
@@ -193,6 +209,14 @@ func checkRun(t *testing.T, name string, want, got runRef) {
 	}
 }
 
+// checkTraffic compares one leg's table traffic with the plain leg's.
+func checkTraffic(t *testing.T, name string, plain, got tableTraffic) {
+	t.Helper()
+	if got != plain {
+		t.Errorf("%s: table traffic %+v, plain leg %+v", name, got, plain)
+	}
+}
+
 func mergeKeys(a, b map[string]int64) map[string]bool {
 	keys := make(map[string]bool, len(a)+len(b))
 	for k := range a {
@@ -221,6 +245,7 @@ func diffProgram(t *testing.T, key, src string) {
 	t.Helper()
 	want := reference(t, key)
 	_, mod := buildMod(t, src)
+	var plain programRef
 	for _, leg := range ablationLegs {
 		var spec *specialize.Program
 		if leg.opts != nil {
@@ -230,6 +255,12 @@ func diffProgram(t *testing.T, key, src string) {
 		got := recordProgram(t, mod, spec)
 		checkRun(t, leg.name+"/worklist", want.Worklist, got.Worklist)
 		checkRun(t, leg.name+"/naive", want.Naive, got.Naive)
+		if leg.opts == nil {
+			plain = got
+		} else {
+			checkTraffic(t, leg.name+"/worklist", plain.Worklist.Traffic, got.Worklist.Traffic)
+			checkTraffic(t, leg.name+"/naive", plain.Naive.Traffic, got.Naive.Traffic)
+		}
 		if got.Parallel2 != want.Parallel2 {
 			t.Errorf("%s/parallel-2: Marshal digest %s, reference %s", leg.name, got.Parallel2, want.Parallel2)
 		}

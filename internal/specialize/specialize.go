@@ -205,11 +205,10 @@ type Loc struct {
 type Options struct {
 	// Fuse enables profile-guided superinstruction fusion.
 	Fuse bool
-	// PreIntern enables the calling-pattern fast paths: static call
-	// sites bypass the abstractor/interner, pattern materialization
-	// replays cached cell templates, and the extension table (and the
-	// finalize index) become dense PatternID-indexed arrays instead of
-	// scan/hash structures.
+	// PreIntern marks static call sites: calls whose arguments the
+	// builder proves are rebuilt identically on every execution. The
+	// engine abstracts and interns such a site's calling pattern once
+	// per analysis instead of on every call (CallRef.Static).
 	PreIntern bool
 }
 

@@ -139,7 +139,6 @@ func TestOptionValidation(t *testing.T) {
 		{"negative budget", WithMaxSteps(-1)},
 		{"zero budget", WithMaxSteps(0)},
 		{"unknown strategy", WithStrategy(Strategy(99))},
-		{"unknown table kind", WithTable(TableKind(99))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,8 +20,6 @@ func TestOptionValidationExactErrors(t *testing.T) {
 		want string
 	}{
 		{"negative depth", WithDepth(-1), "awam: invalid analysis option: negative depth -1"},
-		{"unknown table kind", WithTable(TableKind(99)), "awam: invalid analysis option: unknown table kind 99"},
-		{"unknown table kind (negative)", WithTable(TableKind(-1)), "awam: invalid analysis option: unknown table kind -1"},
 		{"unknown strategy", WithStrategy(Strategy(7)), "awam: invalid analysis option: unknown strategy 7"},
 		{"negative workers", WithParallelism(-2), "awam: invalid analysis option: negative worker count -2"},
 		{"zero budget", WithMaxSteps(0), "awam: invalid analysis option: nonpositive step budget 0"},
@@ -91,7 +89,7 @@ func TestOptionBoundaryValues(t *testing.T) {
 	}
 }
 
-// TestOptionCombos: strategy/table combinations all converge on the
+// TestOptionCombos: strategy combinations all converge on the
 // same summaries, and mixing strategy selectors follows last-one-wins.
 func TestOptionCombos(t *testing.T) {
 	sys, err := Load(apiProg)
@@ -107,13 +105,11 @@ func TestOptionCombos(t *testing.T) {
 		name string
 		opts []AnalyzeOption
 	}{
-		{"hash table", []AnalyzeOption{WithTable(TableHash)}},
 		{"worklist", []AnalyzeOption{WithStrategy(Worklist)}},
-		{"worklist + hash", []AnalyzeOption{WithStrategy(Worklist), WithTable(TableHash)}},
-		{"parallel + hash table", []AnalyzeOption{WithParallelism(2), WithTable(TableHash)}},
+		{"parallel", []AnalyzeOption{WithParallelism(2)}},
 		{"parallel then worklist (last strategy wins)", []AnalyzeOption{WithParallelism(2), WithStrategy(Worklist)}},
 		{"worklist then parallel (last strategy wins)", []AnalyzeOption{WithStrategy(Worklist), WithParallelism(2)}},
-		{"explicit naive", []AnalyzeOption{WithStrategy(Naive), WithTable(TableLinear)}},
+		{"explicit naive", []AnalyzeOption{WithStrategy(Naive)}},
 	}
 	for _, c := range combos {
 		a, err := sys.Analyze(c.opts...)
