@@ -55,6 +55,10 @@ var (
 	// ErrCompile reports source that parsed but could not be compiled to
 	// WAM code.
 	ErrCompile = errors.New("awam: compile error")
+	// ErrRegisterLimit reports a clause that needs a register operand
+	// above 65,535, such as a body argument nested 70,000 levels deep.
+	// Errors wrapping it also wrap ErrCompile.
+	ErrRegisterLimit = compiler.ErrRegisterLimit
 	// ErrAnalysisBudget reports an analysis stopped by its abstract step
 	// budget (WithMaxSteps).
 	ErrAnalysisBudget = errors.New("awam: analysis budget exhausted")

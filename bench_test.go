@@ -110,20 +110,26 @@ func BenchmarkMetaInterpreter(b *testing.B) {
 }
 
 // BenchmarkCompile is Table 1's "PLM" column stand-in: Prolog -> WAM
-// compilation time.
+// compilation time, parse excluded. The wide_512 case is the program the
+// daemon re-compiles on every backward request; its allocation figures
+// track the code array's size.
 func BenchmarkCompile(b *testing.B) {
+	run := func(b *testing.B, env built) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := compiler.Compile(env.tab, env.prog); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, name := range bench.Names() {
 		name := name
-		b.Run(name, func(b *testing.B) {
-			env := buildBench(b, name)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := compiler.Compile(env.tab, env.prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(name, func(b *testing.B) { run(b, buildBench(b, name)) })
 	}
+	b.Run("wide_512", func(b *testing.B) {
+		run(b, buildProgram(b, bench.WideProgramSeeded(512, 1)))
+	})
 }
 
 // BenchmarkConcreteRun executes each benchmark's main/0 on the concrete

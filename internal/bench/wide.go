@@ -106,3 +106,15 @@ p%[1]d_q(_).
 		Seed:   seed,
 	}
 }
+
+// DeepProgram generates `main :- p(f(f(...f(a)...))).` with levels nested
+// f/1 and `p(_).`. Each level of a body argument takes one temporary
+// register, so beyond wam.MaxRegister levels (about 65,535) the compiler
+// rejects the clause with compiler.ErrRegisterLimit; below it the
+// analysis reports p(+g).
+func DeepProgram(levels int) Program {
+	return Program{
+		Name:   fmt.Sprintf("deep_%d", levels),
+		Source: "main :- p(" + strings.Repeat("f(", levels) + "a" + strings.Repeat(")", levels) + ").\np(_).\n",
+	}
+}

@@ -167,7 +167,7 @@ func (c *Compiler) compileClause(cl term.Clause) (int, error) {
 				}
 				addr := c.emit(wam.Instr{Op: wam.OpExecute, Fn: fn})
 				c.fixups = append(c.fixups, fixup{addr: addr, fn: fn})
-				return envSize, nil
+				return ctx.finish(envSize)
 			}
 			addr := c.emit(wam.Instr{Op: wam.OpCall, Fn: fn})
 			c.fixups = append(c.fixups, fixup{addr: addr, fn: fn})
@@ -181,6 +181,18 @@ func (c *Compiler) compileClause(cl term.Clause) (int, error) {
 		c.emit(wam.Instr{Op: wam.OpDeallocate})
 	}
 	c.emit(wam.Instr{Op: wam.OpProceed})
+	return ctx.finish(envSize)
+}
+
+// finish checks the clause's register operands against wam.MaxRegister
+// and returns its environment size. Argument registers sit below the
+// temporaries, so the highest X operand is nextX-1; Y operands and the
+// cut slot sit below envSize.
+func (ctx *clauseCtx) finish(envSize int) (int, error) {
+	if top := max(ctx.nextX-1, envSize); top > wam.MaxRegister {
+		return 0, fmt.Errorf("%w: it needs register %d, the limit is %d",
+			ErrRegisterLimit, top, wam.MaxRegister)
+	}
 	return envSize, nil
 }
 

@@ -21,11 +21,18 @@
 package compiler
 
 import (
+	"errors"
 	"fmt"
 
 	"awam/internal/term"
 	"awam/internal/wam"
 )
+
+// ErrRegisterLimit reports a clause that needs a register operand above
+// wam.MaxRegister, such as a deeply nested term in a body goal. Both
+// machines reject such a program at compile time, so they agree on
+// which programs they accept.
+var ErrRegisterLimit = errors.New("compiler: clause exceeds the register limit")
 
 // Options control optional compilation features.
 type Options struct {
@@ -61,14 +68,9 @@ func Compile(tab *term.Tab, prog *term.Program) (*wam.Module, error) {
 
 // CompileWith is Compile with explicit options.
 func CompileWith(tab *term.Tab, prog *term.Program, opts Options) (*wam.Module, error) {
-	// Expand ';'/'->'/'\+' into auxiliary predicates first.
-	expanded := expandControl(tab, prog.Clauses)
-	if len(expanded) != len(prog.Clauses) {
-		var err error
-		prog, err = term.NewProgram(expanded)
-		if err != nil {
-			return nil, err
-		}
+	prog, err := expandProgram(tab, prog)
+	if err != nil {
+		return nil, err
 	}
 	c := &Compiler{
 		tab:      tab,
@@ -76,7 +78,8 @@ func CompileWith(tab *term.Tab, prog *term.Program, opts Options) (*wam.Module, 
 		builtins: wam.Builtins(tab),
 		mod: &wam.Module{
 			Tab:   tab,
-			Procs: make(map[term.Functor]*wam.Proc),
+			Code:  make([]wam.Instr, 0, codeBound(prog)),
+			Procs: make(map[term.Functor]*wam.Proc, len(prog.Order)),
 		},
 	}
 	for _, f := range prog.Order {
@@ -89,6 +92,74 @@ func CompileWith(tab *term.Tab, prog *term.Program, opts Options) (*wam.Module, 
 	}
 	c.resolveFixups()
 	return c.mod, nil
+}
+
+// expandProgram expands ';'/'->'/'\+' into auxiliary predicates; prog
+// is returned unchanged when it has none.
+func expandProgram(tab *term.Tab, prog *term.Program) (*term.Program, error) {
+	expanded := expandControl(tab, prog.Clauses)
+	if len(expanded) == len(prog.Clauses) {
+		return prog, nil
+	}
+	return term.NewProgram(expanded)
+}
+
+// codeBound returns an upper bound on the number of instructions
+// CompileWith emits for prog, so that the code array is allocated once.
+// Per clause it counts one choice instruction, the head and body
+// argument sequences (argWords), one call, builtin or cut per goal,
+// allocate, get_level and deallocate when the body has two or more
+// goals, and the closing proceed. An indexed predicate adds its
+// switch_on_term, one constant and one structure table, and
+// try/retry/trust blocks that name each clause at most once.
+func codeBound(prog *term.Program) int {
+	n := 0
+	for _, f := range prog.Order {
+		idx := prog.Preds[f]
+		if len(idx) >= 2 {
+			n += len(idx)
+			if f.Arity >= 1 {
+				n += 3 + len(idx)
+			}
+		}
+		for _, j := range idx {
+			cl := &prog.Clauses[j]
+			n++
+			if cl.Head.Kind == term.KStruct {
+				for _, a := range cl.Head.Args {
+					n += argWords(a)
+				}
+			}
+			if len(cl.Body) >= 2 {
+				n += 3
+			}
+			for _, g := range cl.Body {
+				n++
+				if g.Kind == term.KStruct {
+					for _, a := range g.Args {
+						n += argWords(a)
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// argWords bounds the get or put sequence of one argument: one
+// instruction for a variable or constant; for a structure, a get or put
+// plus one unify per argument at every structure node.
+func argWords(t *term.Term) int {
+	if t.Kind != term.KStruct {
+		return 1
+	}
+	n := 1 + len(t.Args)
+	for _, a := range t.Args {
+		if a.Kind == term.KStruct {
+			n += argWords(a)
+		}
+	}
+	return n
 }
 
 // AddQuery compiles goals as the body of a fresh predicate
@@ -213,7 +284,7 @@ func (c *Compiler) compileProc(f term.Functor, clauses []term.Clause) error {
 
 	var switchAddr int
 	if indexable {
-		switchAddr = c.emit(wam.Instr{Op: wam.OpSwitchOnTerm})
+		switchAddr = c.mod.EmitSwitch(wam.OpSwitchOnTerm, wam.Switch{})
 	}
 
 	// Emit the try_me_else chain with clause bodies.
@@ -309,13 +380,13 @@ func (c *Compiler) buildSwitch(switchAddr, chainStart int, clauses []term.Clause
 		// Still need the key check: a different constant must fail. A
 		// one-entry dispatch table keeps that exact.
 		tbl := map[wam.ConstKey]int{constKeys[0]: lc}
-		lc = c.emit(wam.Instr{Op: wam.OpSwitchOnConst, TblC: tbl})
+		lc = c.mod.EmitSwitch(wam.OpSwitchOnConst, wam.Switch{TblC: tbl})
 	} else if len(constKeys) > 1 {
 		tbl := make(map[wam.ConstKey]int, len(constKeys))
 		for _, k := range constKeys {
 			tbl[k] = target(constBuckets[k])
 		}
-		lc = c.emit(wam.Instr{Op: wam.OpSwitchOnConst, TblC: tbl})
+		lc = c.mod.EmitSwitch(wam.OpSwitchOnConst, wam.Switch{TblC: tbl})
 	}
 
 	ll := target(listBucket)
@@ -324,17 +395,15 @@ func (c *Compiler) buildSwitch(switchAddr, chainStart int, clauses []term.Clause
 	if len(structKeys) == 1 {
 		t := target(structBuckets[structKeys[0]])
 		tbl := map[term.Functor]int{structKeys[0]: t}
-		ls = c.emit(wam.Instr{Op: wam.OpSwitchOnStruct, TblS: tbl})
+		ls = c.mod.EmitSwitch(wam.OpSwitchOnStruct, wam.Switch{TblS: tbl})
 	} else if len(structKeys) > 1 {
 		tbl := make(map[term.Functor]int, len(structKeys))
 		for _, k := range structKeys {
 			tbl[k] = target(structBuckets[k])
 		}
-		ls = c.emit(wam.Instr{Op: wam.OpSwitchOnStruct, TblS: tbl})
+		ls = c.mod.EmitSwitch(wam.OpSwitchOnStruct, wam.Switch{TblS: tbl})
 	}
 
-	c.mod.Code[switchAddr].LV = chainStart
-	c.mod.Code[switchAddr].LC = lc
-	c.mod.Code[switchAddr].LL = ll
-	c.mod.Code[switchAddr].LS = ls
+	sw := c.mod.Switch(c.mod.Code[switchAddr])
+	sw.LV, sw.LC, sw.LL, sw.LS = chainStart, lc, ll, ls
 }

@@ -166,15 +166,15 @@ func TestChoiceChain(t *testing.T) {
 func TestSwitchOnConstTable(t *testing.T) {
 	tab, mod := compileSrc(t, "p(1).\np(2).\np(3).")
 	p := mod.Proc(tab.Func("p", 1))
-	sw := mod.Code[p.Entry]
+	sw := mod.Switch(mod.Code[p.Entry])
 	if sw.LC == wam.FailAddr {
 		t.Fatal("constant switch missing")
 	}
 	tbl := mod.Code[sw.LC]
-	if tbl.Op != wam.OpSwitchOnConst || len(tbl.TblC) != 3 {
+	if tbl.Op != wam.OpSwitchOnConst || len(mod.Switch(tbl).TblC) != 3 {
 		t.Fatalf("expected 3-entry constant table, got %s", mod.DisasmInstr(tbl))
 	}
-	if tbl.TblC[wam.ConstKey{IsInt: true, I: 2}] != p.Clauses[1] {
+	if mod.Switch(tbl).TblC[wam.ConstKey{IsInt: true, I: 2}] != p.Clauses[1] {
 		t.Fatal("constant 2 should dispatch directly to clause 2")
 	}
 	if sw.LL != wam.FailAddr || sw.LS != wam.FailAddr {
@@ -194,15 +194,16 @@ func TestMixedIndexBuckets(t *testing.T) {
 	tab, mod := compileSrc(t,
 		"p([]).\np([_|_]).\np(f(_)).\np(g(_)).\n")
 	p := mod.Proc(tab.Func("p", 1))
-	sw := mod.Code[p.Entry]
-	if sw.Op != wam.OpSwitchOnTerm {
+	entry := mod.Code[p.Entry]
+	if entry.Op != wam.OpSwitchOnTerm {
 		t.Fatal("expected switch_on_term")
 	}
+	sw := mod.Switch(entry)
 	if sw.LL != p.Clauses[1] {
 		t.Fatal("single list clause should dispatch directly")
 	}
 	stbl := mod.Code[sw.LS]
-	if stbl.Op != wam.OpSwitchOnStruct || len(stbl.TblS) != 2 {
+	if stbl.Op != wam.OpSwitchOnStruct || len(mod.Switch(stbl).TblS) != 2 {
 		t.Fatalf("expected 2-entry structure table, got %s", mod.DisasmInstr(stbl))
 	}
 	_ = tab

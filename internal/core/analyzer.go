@@ -600,10 +600,11 @@ func (a *Analyzer) selectClauses(proc *wam.Proc, cp *domain.Pattern) []int {
 	if !a.cfg.Indexing || len(proc.Clauses) < 2 || len(cp.Args) == 0 {
 		return proc.Clauses
 	}
-	sw := a.mod.Code[proc.Entry]
-	if sw.Op != wam.OpSwitchOnTerm {
+	entry := a.mod.Code[proc.Entry]
+	if entry.Op != wam.OpSwitchOnTerm {
 		return proc.Clauses
 	}
+	sw := a.mod.Switch(entry)
 	allowed := make(map[int]bool)
 	addAll := func(addrs []int) {
 		for _, ad := range addrs {
@@ -631,16 +632,16 @@ func (a *Analyzer) selectClauses(proc *wam.Proc, cp *domain.Pattern) []int {
 		if arg.Fn.Name == a.tab.Dot && arg.Fn.Arity == 2 {
 			addAll(a.chainTargets(sw.LL))
 		} else if sw.LS != wam.FailAddr {
-			tblIns := a.mod.Code[sw.LS]
-			if tblIns.Op == wam.OpSwitchOnStruct {
-				if tgt, ok := tblIns.TblS[arg.Fn]; ok {
+			if tblIns := a.mod.Code[sw.LS]; tblIns.Op == wam.OpSwitchOnStruct {
+				tbl := a.mod.Switch(tblIns)
+				if tgt, ok := tbl.TblS[arg.Fn]; ok {
 					addAll(a.chainTargets(tgt))
 				}
-				if tblIns.LD != 0 {
+				if tbl.LD != 0 {
 					// Optimizer tables default missing keys to the
 					// var-headed clause block; those clauses stay
 					// reachable for this functor.
-					addAll(a.chainTargets(tblIns.LD))
+					addAll(a.chainTargets(tbl.LD))
 				}
 			} else {
 				addAll(a.chainTargets(sw.LS))
@@ -668,16 +669,17 @@ func (a *Analyzer) constTargets(addr int, pred func(wam.ConstKey) bool) []int {
 	if ins.Op != wam.OpSwitchOnConst {
 		return a.chainTargets(addr)
 	}
+	tbl := a.mod.Switch(ins)
 	var out []int
-	for k, tgt := range ins.TblC {
+	for k, tgt := range tbl.TblC {
 		if pred(k) {
 			out = append(out, a.chainTargets(tgt)...)
 		}
 	}
-	if ins.LD != 0 {
+	if tbl.LD != 0 {
 		// A defaulted table (optimizer output) can dispatch any key to
 		// the var-headed clause block as well.
-		out = append(out, a.chainTargets(ins.LD)...)
+		out = append(out, a.chainTargets(tbl.LD)...)
 	}
 	return out
 }

@@ -132,16 +132,16 @@ func writeProcBin(bw *binWriter, mod *wam.Module, fn term.Functor, start, end in
 	}
 	bw.uint(uint64(end - start))
 	for addr := start; addr < end; addr++ {
-		ins := relInstr(mod.Code[addr], start)
+		ins, sw := relInstr(mod, mod.Code[addr], start)
 		bw.uint(uint64(ins.Op))
 		bw.int(int64(ins.A1))
 		bw.int(int64(ins.A2))
 		bw.int(ins.I)
 		bw.int(int64(ins.L))
-		bw.int(int64(ins.LV))
-		bw.int(int64(ins.LC))
-		bw.int(int64(ins.LL))
-		bw.int(int64(ins.LS))
+		bw.int(int64(sw.LV))
+		bw.int(int64(sw.LC))
+		bw.int(int64(sw.LL))
+		bw.int(int64(sw.LS))
 		if ins.Fn == (term.Functor{}) {
 			bw.uint(0)
 		} else {
@@ -149,13 +149,13 @@ func writeProcBin(bw *binWriter, mod *wam.Module, fn term.Functor, start, end in
 			bw.str(tab.Name(ins.Fn.Name))
 			bw.uint(uint64(ins.Fn.Arity))
 		}
-		if len(ins.TblC) > 0 {
+		if len(sw.TblC) > 0 {
 			type centry struct {
 				k wam.ConstKey
 				v int
 			}
-			ents := make([]centry, 0, len(ins.TblC))
-			for k, v := range ins.TblC {
+			ents := make([]centry, 0, len(sw.TblC))
+			for k, v := range sw.TblC {
 				ents = append(ents, centry{k, v})
 			}
 			sort.Slice(ents, func(i, j int) bool {
@@ -182,13 +182,13 @@ func writeProcBin(bw *binWriter, mod *wam.Module, fn term.Functor, start, end in
 		} else {
 			bw.uint(0)
 		}
-		if len(ins.TblS) > 0 {
+		if len(sw.TblS) > 0 {
 			type sentry struct {
 				k term.Functor
 				v int
 			}
-			ents := make([]sentry, 0, len(ins.TblS))
-			for k, v := range ins.TblS {
+			ents := make([]sentry, 0, len(sw.TblS))
+			for k, v := range sw.TblS {
 				ents = append(ents, sentry{k, v})
 			}
 			sort.Slice(ents, func(i, j int) bool {
@@ -220,7 +220,8 @@ func writeProcText(w io.Writer, mod *wam.Module, fn term.Functor, start, end int
 		fmt.Fprintf(w, " clause %d\n", c-start)
 	}
 	for addr := start; addr < end; addr++ {
-		fmt.Fprintf(w, " %d %s\n", addr-start, mod.DisasmInstr(relInstr(mod.Code[addr], start)))
+		ins, sw := relInstr(mod, mod.Code[addr], start)
+		fmt.Fprintf(w, " %d %s\n", addr-start, mod.DisasmWith(ins, &sw))
 	}
 }
 
@@ -230,35 +231,44 @@ func writeProcText(w io.Writer, mod *wam.Module, fn term.Functor, start, end int
 // unchanged code. Call/execute targets are dropped entirely — callee
 // identity is the functor name, and callee *content* is covered by the
 // callee component's fingerprint, not the caller's. FailAddr is kept
-// verbatim (it is a sentinel, not a position).
-func relInstr(ins wam.Instr, base int) wam.Instr {
+// verbatim (it is a sentinel, not a position). A switch's operands are
+// returned as a relative copy of its side-table entry, and its own L
+// (the entry's index) becomes 0; other instructions get a zero Switch.
+func relInstr(mod *wam.Module, ins wam.Instr, base int) (wam.Instr, wam.Switch) {
 	rel := func(a int) int {
 		if a == wam.FailAddr {
 			return a
 		}
 		return a - base
 	}
+	var sw wam.Switch
 	switch ins.Op {
 	case wam.OpCall, wam.OpExecute:
 		ins.L = 0
 	case wam.OpTryMeElse, wam.OpRetryMeElse, wam.OpTry, wam.OpRetry, wam.OpTrust:
 		ins.L = rel(ins.L)
-	case wam.OpSwitchOnTerm:
-		ins.LV, ins.LC, ins.LL, ins.LS = rel(ins.LV), rel(ins.LC), rel(ins.LL), rel(ins.LS)
-	case wam.OpSwitchOnConst:
-		t := make(map[wam.ConstKey]int, len(ins.TblC))
-		for k, v := range ins.TblC {
-			t[k] = rel(v)
+	case wam.OpSwitchOnTerm, wam.OpSwitchOnConst, wam.OpSwitchOnStruct:
+		src := mod.Switch(ins)
+		sw = wam.Switch{TblC: relTable(src.TblC, rel), TblS: relTable(src.TblS, rel), LD: src.LD}
+		if ins.Op == wam.OpSwitchOnTerm {
+			sw.LV, sw.LC, sw.LL, sw.LS = rel(src.LV), rel(src.LC), rel(src.LL), rel(src.LS)
 		}
-		ins.TblC = t
-	case wam.OpSwitchOnStruct:
-		t := make(map[term.Functor]int, len(ins.TblS))
-		for k, v := range ins.TblS {
-			t[k] = rel(v)
-		}
-		ins.TblS = t
+		ins.L = 0
 	}
-	return ins
+	return ins, sw
+}
+
+// relTable returns a copy of a dispatch table with its targets mapped by
+// rel; nil stays nil.
+func relTable[K comparable](t map[K]int, rel func(int) int) map[K]int {
+	if t == nil {
+		return nil
+	}
+	out := make(map[K]int, len(t))
+	for k, v := range t {
+		out[k] = rel(v)
+	}
+	return out
 }
 
 // ProcText returns a position-independent rendering of one defined

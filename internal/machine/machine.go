@@ -430,19 +430,20 @@ func (m *Machine) step(ins wam.Instr) bool {
 
 	// --- indexing ---
 	case wam.OpSwitchOnTerm:
+		sw := m.Mod.Switch(ins)
 		c, _ := m.H.ResolveCell(m.getX(1))
 		var tgt int
 		switch c.Tag {
 		case rt.Ref:
-			tgt = ins.LV
+			tgt = sw.LV
 		case rt.Con, rt.Int:
-			tgt = ins.LC
+			tgt = sw.LC
 		case rt.Lis:
-			tgt = ins.LL
+			tgt = sw.LL
 		case rt.Str:
-			tgt = ins.LS
+			tgt = sw.LS
 		default:
-			tgt = ins.LV
+			tgt = sw.LV
 		}
 		if tgt == wam.FailAddr {
 			return false
@@ -459,14 +460,15 @@ func (m *Machine) step(ins wam.Instr) bool {
 		default:
 			return false
 		}
-		tgt, ok := ins.TblC[key]
+		sw := m.Mod.Switch(ins)
+		tgt, ok := sw.TblC[key]
 		if !ok {
 			// Key absent: take the table's default (the optimizer's
 			// var-headed-clause block) when present, else fail.
-			if ins.LD == 0 {
+			if sw.LD == 0 {
 				return false
 			}
-			tgt = ins.LD
+			tgt = sw.LD
 		}
 		if tgt == wam.FailAddr {
 			return false
@@ -477,12 +479,13 @@ func (m *Machine) step(ins wam.Instr) bool {
 		if c.Tag != rt.Str {
 			return false
 		}
-		tgt, ok := ins.TblS[m.H.At(c.A).F]
+		sw := m.Mod.Switch(ins)
+		tgt, ok := sw.TblS[m.H.At(c.A).F]
 		if !ok {
-			if ins.LD == 0 {
+			if sw.LD == 0 {
 				return false
 			}
-			tgt = ins.LD
+			tgt = sw.LD
 		}
 		if tgt == wam.FailAddr {
 			return false

@@ -13,6 +13,8 @@
 package optimize
 
 import (
+	"slices"
+
 	"awam/internal/core"
 	"awam/internal/domain"
 	"awam/internal/term"
@@ -31,13 +33,15 @@ type Stats struct {
 
 // Specialize returns a copy of mod with head unification instructions
 // specialized according to the analysis result. The input module is not
-// modified.
+// modified: the copy shares mod's switch side table, clipped so that an
+// append to the copy's table reallocates it.
 func Specialize(mod *wam.Module, res *core.Result) (*wam.Module, *Stats) {
 	out := &wam.Module{
-		Tab:   mod.Tab,
-		Code:  append([]wam.Instr(nil), mod.Code...),
-		Procs: mod.Procs,
-		Order: mod.Order,
+		Tab:      mod.Tab,
+		Code:     append([]wam.Instr(nil), mod.Code...),
+		Switches: slices.Clip(mod.Switches),
+		Procs:    mod.Procs,
+		Order:    mod.Order,
 	}
 	stats := &Stats{Specialized: make(map[string]int)}
 	nv := domain.MkLeaf(domain.NV)
@@ -102,9 +106,10 @@ func Reach(res *core.Result) Reachability {
 func StripUnreachable(mod *wam.Module, res *core.Result) (*wam.Module, []term.Functor) {
 	reach := Reach(res)
 	out := &wam.Module{
-		Tab:   mod.Tab,
-		Code:  append([]wam.Instr(nil), mod.Code...),
-		Procs: make(map[term.Functor]*wam.Proc),
+		Tab:      mod.Tab,
+		Code:     append([]wam.Instr(nil), mod.Code...),
+		Switches: slices.Clip(mod.Switches),
+		Procs:    make(map[term.Functor]*wam.Proc),
 	}
 	var removed []term.Functor
 	for _, fn := range mod.Order {

@@ -188,15 +188,16 @@ func (pl *Pipeline) Run(mod *wam.Module, res *core.Result) (*wam.Module, []PassO
 }
 
 // cloneModule deep-copies the structure passes mutate: the code array,
-// the procedure map and each Proc's slices. Instruction dispatch tables
-// (TblC/TblS) are shared — passes emit fresh instructions rather than
-// editing tables in place.
+// the switch side table, the procedure map and each Proc's slices. The
+// dispatch maps inside switch entries (TblC/TblS) are shared — passes
+// emit fresh switches rather than editing tables in place.
 func cloneModule(mod *wam.Module) *wam.Module {
 	out := &wam.Module{
-		Tab:   mod.Tab,
-		Code:  append([]wam.Instr(nil), mod.Code...),
-		Procs: make(map[term.Functor]*wam.Proc, len(mod.Procs)),
-		Order: append([]term.Functor(nil), mod.Order...),
+		Tab:      mod.Tab,
+		Code:     append([]wam.Instr(nil), mod.Code...),
+		Switches: append([]wam.Switch(nil), mod.Switches...),
+		Procs:    make(map[term.Functor]*wam.Proc, len(mod.Procs)),
+		Order:    append([]term.Functor(nil), mod.Order...),
 	}
 	for fn, p := range mod.Procs {
 		np := *p

@@ -273,12 +273,11 @@ func (indexPass) Apply(mod *wam.Module, res *core.Result) (*wam.Module, PassStat
 				ckv := ck
 				tbl[ck] = blockFor(collect(func(i int) bool { return kinds[i] == headConst && cks[i] == ckv }))
 			}
-			lc = len(out.Code)
 			ld := 0
 			if varBlock != wam.FailAddr {
 				ld = varBlock
 			}
-			out.Code = append(out.Code, wam.Instr{Op: wam.OpSwitchOnConst, TblC: tbl, LD: ld})
+			lc = out.EmitSwitch(wam.OpSwitchOnConst, wam.Switch{TblC: tbl, LD: ld})
 		}
 		ll := blockFor(collect(func(i int) bool { return kinds[i] == headList }))
 		ls := varBlock
@@ -288,15 +287,13 @@ func (indexPass) Apply(mod *wam.Module, res *core.Result) (*wam.Module, PassStat
 				sfv := sf
 				tbl[sf] = blockFor(collect(func(i int) bool { return kinds[i] == headStruct && sfs[i] == sfv }))
 			}
-			ls = len(out.Code)
 			ld := 0
 			if varBlock != wam.FailAddr {
 				ld = varBlock
 			}
-			out.Code = append(out.Code, wam.Instr{Op: wam.OpSwitchOnStruct, TblS: tbl, LD: ld})
+			ls = out.EmitSwitch(wam.OpSwitchOnStruct, wam.Switch{TblS: tbl, LD: ld})
 		}
-		sw := len(out.Code)
-		out.Code = append(out.Code, wam.Instr{Op: wam.OpSwitchOnTerm, LV: oldEntry, LC: lc, LL: ll, LS: ls})
+		sw := out.EmitSwitch(wam.OpSwitchOnTerm, wam.Switch{LV: oldEntry, LC: lc, LL: ll, LS: ls})
 		proc.Entry = sw
 		retargetCalls(out, fn, sw)
 		ps.note("indexed predicate", 1)

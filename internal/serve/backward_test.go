@@ -16,6 +16,7 @@ import (
 
 	"awam"
 	"awam/api"
+	"awam/internal/bench"
 )
 
 func postBackward(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
@@ -224,6 +225,22 @@ func TestBackwardMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestRegisterLimitRoutes checks that /v1/analyze and /v1/backward
+// reject a 70,000-level term with one error code.
+func TestRegisterLimitRoutes(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	body := reqBody(t, bench.DeepProgram(70_000).Source)
+	for route, post := range map[string]func(*testing.T, *httptest.Server, string) (*http.Response, []byte){
+		"/v1/analyze":  postAnalyze,
+		"/v1/backward": postBackward,
+	} {
+		resp, data := post(t, ts, body)
+		if resp.StatusCode != http.StatusUnprocessableEntity || errCode(t, data) != "register_limit" {
+			t.Errorf("%s: status %d, code %q, want 422 register_limit", route, resp.StatusCode, errCode(t, data))
 		}
 	}
 }

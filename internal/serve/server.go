@@ -402,6 +402,8 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, awam.ErrParse):
 		s.fail(w, http.StatusUnprocessableEntity, "parse_error", err.Error())
+	case errors.Is(err, awam.ErrRegisterLimit):
+		s.fail(w, http.StatusUnprocessableEntity, "register_limit", err.Error())
 	case errors.Is(err, awam.ErrCompile):
 		s.fail(w, http.StatusUnprocessableEntity, "compile_error", err.Error())
 	case errors.Is(err, awam.ErrAnalysisBudget):

@@ -175,7 +175,7 @@ func (b *builder) translateClause(fn term.Functor, addr int) ClauseInfo {
 	}
 
 	reg16 := func(n int) (uint16, bool) {
-		if n < 0 || n > 0xFFFF {
+		if n < 0 || n > wam.MaxRegister {
 			return 0, false
 		}
 		return uint16(n), true

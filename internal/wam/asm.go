@@ -74,7 +74,7 @@ func Assemble(tab *term.Tab, src string) (*Module, error) {
 				line = strings.TrimSpace(line[strings.Index(line, fields[0])+len(fields[0]):])
 			}
 		}
-		ins, callFn, err := parseInstr(tab, line)
+		ins, callFn, err := parseInstr(m, line)
 		if err != nil {
 			return nil, fmt.Errorf("wam asm line %d: %w", lineNo+1, err)
 		}
@@ -150,8 +150,13 @@ func unquoteAtom(s string) string {
 
 // parseInstr decodes one instruction line. It returns a functor to link
 // when the instruction is a call/execute (resolved after all procedures
-// are known).
-func parseInstr(tab *term.Tab, line string) (Instr, *term.Functor, error) {
+// are known). A switch's operands are appended to m.Switches.
+func parseInstr(m *Module, line string) (Instr, *term.Functor, error) {
+	tab := m.Tab
+	addSwitch := func(op Op, sw Switch) Instr {
+		m.Switches = append(m.Switches, sw)
+		return Instr{Op: op, L: len(m.Switches) - 1}
+	}
 	name := line
 	rest := ""
 	if i := strings.IndexByte(line, ' '); i >= 0 {
@@ -350,7 +355,7 @@ func parseInstr(tab *term.Tab, line string) (Instr, *term.Functor, error) {
 	case "switch_on_term":
 		// Disasm separates the arms with spaces; accept commas too.
 		arms := strings.Fields(strings.ReplaceAll(rest, ",", " "))
-		ins := Instr{Op: OpSwitchOnTerm}
+		var sw Switch
 		for _, a := range arms {
 			kv := strings.SplitN(a, ":", 2)
 			if len(kv) != 2 {
@@ -362,16 +367,16 @@ func parseInstr(tab *term.Tab, line string) (Instr, *term.Functor, error) {
 			}
 			switch kv[0] {
 			case "var":
-				ins.LV = n
+				sw.LV = n
 			case "const":
-				ins.LC = n
+				sw.LC = n
 			case "list":
-				ins.LL = n
+				sw.LL = n
 			case "struct":
-				ins.LS = n
+				sw.LS = n
 			}
 		}
-		return ins, nil, nil
+		return addSwitch(OpSwitchOnTerm, sw), nil, nil
 	case "switch_on_constant":
 		body, def, err := splitSwitchDefault(rest)
 		if err != nil {
@@ -381,7 +386,7 @@ func parseInstr(tab *term.Tab, line string) (Instr, *term.Functor, error) {
 		if err != nil {
 			return Instr{}, nil, err
 		}
-		return Instr{Op: OpSwitchOnConst, TblC: tbl, LD: def}, nil, nil
+		return addSwitch(OpSwitchOnConst, Switch{TblC: tbl, LD: def}), nil, nil
 	case "switch_on_structure":
 		body, def, err := splitSwitchDefault(rest)
 		if err != nil {
@@ -391,7 +396,7 @@ func parseInstr(tab *term.Tab, line string) (Instr, *term.Functor, error) {
 		if err != nil {
 			return Instr{}, nil, err
 		}
-		return Instr{Op: OpSwitchOnStruct, TblS: tbl, LD: def}, nil, nil
+		return addSwitch(OpSwitchOnStruct, Switch{TblS: tbl, LD: def}), nil, nil
 	default:
 		return Instr{}, nil, fmt.Errorf("unknown instruction %q", name)
 	}

@@ -113,15 +113,15 @@ func TestAssembleSwitchTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := mod.Code[0]
+	sw := mod.Switch(mod.Code[0])
 	if sw.LV != 1 || sw.LC != 5 || sw.LL != FailAddr || sw.LS != 6 {
 		t.Fatalf("switch arms = %+v", sw)
 	}
-	tblC := mod.Code[5].TblC
+	tblC := mod.Switch(mod.Code[5]).TblC
 	if tblC[ConstKey{A: tab.Intern("a")}] != 2 || tblC[ConstKey{IsInt: true, I: 7}] != 4 {
 		t.Fatalf("const table = %v", tblC)
 	}
-	tblS := mod.Code[6].TblS
+	tblS := mod.Switch(mod.Code[6]).TblS
 	if tblS[tab.Func("f", 2)] != 2 {
 		t.Fatalf("struct table = %v", tblS)
 	}

@@ -5,8 +5,9 @@
 //
 // The instruction classes follow Warren's report (and Section 2.1 of the
 // paper): get, put, unify, procedural and indexing instructions. Operands
-// are held unencoded in an Instr struct; a code address is an index into
-// the module's flat Code slice.
+// are held unencoded in a pointer-free Instr word; a code address is an
+// index into the module's flat Code slice, and an indexing instruction's
+// tables live in the module's Switches side table.
 package wam
 
 import (
@@ -172,15 +173,27 @@ type ConstKey struct {
 	A     term.Atom
 }
 
-// Instr is one decoded WAM instruction.
+// Instr is one decoded WAM instruction: 56 bytes and pointer-free, so a
+// module's code array is one flat allocation the garbage collector never
+// scans. A switch instruction keeps its indexing operands in the
+// module's side table; its L is the index of that entry.
 type Instr struct {
 	Op Op
 	A1 int          // argument register Ai, or builtin id
 	A2 int          // Xn/Yn register, arity, env size, void count
 	Fn term.Functor // functor/constant operand
 	I  int64        // integer operand
-	L  int          // code-address operand
+	L  int          // code-address operand; for a switch, its Module.Switches index
+}
 
+// MaxRegister is the largest register operand (A1 or A2) a compiled
+// clause may use. The compiler rejects clauses that need more, and the
+// abstract machine's transfer stream encodes register operands in 16
+// bits.
+const MaxRegister = 0xFFFF
+
+// Switch holds the operands of one indexing instruction.
+type Switch struct {
 	// Switch targets (OpSwitchOnTerm).
 	LV, LC, LL, LS int
 	// Constant/functor dispatch tables.
@@ -223,10 +236,24 @@ type ProcProfile struct {
 
 // Module is a compiled program: a flat code array plus the procedure map.
 type Module struct {
-	Tab   *term.Tab
-	Code  []Instr
-	Procs map[term.Functor]*Proc
-	Order []term.Functor // definition order
+	Tab  *term.Tab
+	Code []Instr
+	// Switches is the side table of indexing operands, one entry per
+	// switch instruction, indexed by that instruction's L.
+	Switches []Switch
+	Procs    map[term.Functor]*Proc
+	Order    []term.Functor // definition order
+}
+
+// Switch returns the operands of switch instruction ins.
+func (m *Module) Switch(ins Instr) *Switch { return &m.Switches[ins.L] }
+
+// EmitSwitch appends a switch instruction of kind op with operands sw
+// and returns its address.
+func (m *Module) EmitSwitch(op Op, sw Switch) int {
+	m.Switches = append(m.Switches, sw)
+	m.Code = append(m.Code, Instr{Op: op, L: len(m.Switches) - 1})
+	return len(m.Code) - 1
 }
 
 // Proc returns the procedure for f, or nil when undefined.
@@ -395,15 +422,28 @@ func joinSwitchEntries(ents []switchEntry) string {
 // switchDefault renders a dispatch table's default target; empty for
 // the compiler's complete tables (LD zero), so pre-optimizer listings
 // are byte-identical to earlier revisions.
-func switchDefault(ins Instr) string {
-	if ins.LD == 0 {
+func switchDefault(sw *Switch) string {
+	if sw.LD == 0 {
 		return ""
 	}
-	return fmt.Sprintf(" default %d", ins.LD)
+	return fmt.Sprintf(" default %d", sw.LD)
 }
 
-// DisasmInstr renders one instruction.
+// DisasmInstr renders one instruction of m; a switch's operands are read
+// from m.Switches.
 func (m *Module) DisasmInstr(ins Instr) string {
+	switch ins.Op {
+	case OpSwitchOnTerm, OpSwitchOnConst, OpSwitchOnStruct:
+		return m.DisasmWith(ins, m.Switch(ins))
+	}
+	return m.DisasmWith(ins, nil)
+}
+
+// DisasmWith renders ins with sw as its switch operands (nil for other
+// instructions). It lets a caller render a switch whose operands were
+// rewritten outside the side table, such as a position-independent
+// listing.
+func (m *Module) DisasmWith(ins Instr, sw *Switch) string {
 	t := m.Tab
 	switch ins.Op {
 	case OpNop:
@@ -493,25 +533,25 @@ func (m *Module) DisasmInstr(ins Instr) string {
 	case OpTrust:
 		return fmt.Sprintf("trust %d", ins.L)
 	case OpSwitchOnTerm:
-		return fmt.Sprintf("switch_on_term var:%d const:%d list:%d struct:%d", ins.LV, ins.LC, ins.LL, ins.LS)
+		return fmt.Sprintf("switch_on_term var:%d const:%d list:%d struct:%d", sw.LV, sw.LC, sw.LL, sw.LS)
 	case OpSwitchOnConst:
 		// Render in clause (target-address) order, not map order: the
 		// disassembly is compared byte for byte by the golden tests.
-		ents := make([]switchEntry, 0, len(ins.TblC))
-		for k, v := range ins.TblC {
+		ents := make([]switchEntry, 0, len(sw.TblC))
+		for k, v := range sw.TblC {
 			if k.IsInt {
 				ents = append(ents, switchEntry{fmt.Sprintf("%d", k.I), v})
 			} else {
 				ents = append(ents, switchEntry{t.Name(k.A), v})
 			}
 		}
-		return "switch_on_constant {" + joinSwitchEntries(ents) + "}" + switchDefault(ins)
+		return "switch_on_constant {" + joinSwitchEntries(ents) + "}" + switchDefault(sw)
 	case OpSwitchOnStruct:
-		ents := make([]switchEntry, 0, len(ins.TblS))
-		for k, v := range ins.TblS {
+		ents := make([]switchEntry, 0, len(sw.TblS))
+		for k, v := range sw.TblS {
 			ents = append(ents, switchEntry{t.FuncString(k), v})
 		}
-		return "switch_on_structure {" + joinSwitchEntries(ents) + "}" + switchDefault(ins)
+		return "switch_on_structure {" + joinSwitchEntries(ents) + "}" + switchDefault(sw)
 	case OpGetConstCmp:
 		return fmt.Sprintf("get_constant* %s, A%d", t.Name(ins.Fn.Name), ins.A1)
 	case OpGetIntCmp:
