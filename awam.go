@@ -71,7 +71,11 @@ var (
 	ErrBadOption = errors.New("awam: invalid analysis option")
 )
 
-// System is a loaded, compiled logic program.
+// System is a loaded, compiled logic program. It is safe for concurrent
+// use: its code is never modified after Load, its lazily built
+// condensation, specialized program and private backward engine are
+// each built once, and its symbol table is synchronized. The analysis
+// daemon shares one System across all requests for the same source.
 type System struct {
 	tab  *term.Tab
 	prog *term.Program
@@ -179,9 +183,10 @@ type Solution struct {
 }
 
 // Run executes a goal on the concrete WAM and returns its first
-// solution.
+// solution. The goal is compiled into a private copy of the code, so the
+// System itself is not changed.
 func (s *System) Run(goal string) (*Solution, error) {
-	m := machine.New(s.mod)
+	m := machine.New(s.mod.Clone())
 	m.Out = os.Stdout
 	sol, err := m.Solve(goal)
 	if err != nil {

@@ -111,8 +111,8 @@ func BenchmarkMetaInterpreter(b *testing.B) {
 
 // BenchmarkCompile is Table 1's "PLM" column stand-in: Prolog -> WAM
 // compilation time, parse excluded. The wide_512 case is the program the
-// daemon re-compiles on every backward request; its allocation figures
-// track the code array's size.
+// daemon compiles on every program-cache miss of a backward request; its
+// allocation figures track the code array's size.
 func BenchmarkCompile(b *testing.B) {
 	run := func(b *testing.B, env built) {
 		b.ReportAllocs()
@@ -130,6 +130,25 @@ func BenchmarkCompile(b *testing.B) {
 	b.Run("wide_512", func(b *testing.B) {
 		run(b, buildProgram(b, bench.WideProgramSeeded(512, 1)))
 	})
+}
+
+// BenchmarkParse measures reading Prolog source into a fresh symbol
+// table, for the Table 1 suite and wide_512. Every atom the reader meets
+// goes through Tab.Intern, so this guards the cost of the table's lock.
+func BenchmarkParse(b *testing.B) {
+	run := func(b *testing.B, src string) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := parser.ParseProgram(term.NewTab(), src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, name := range bench.Names() {
+		p, _ := bench.ByName(name)
+		b.Run(name, func(b *testing.B) { run(b, p.Source) })
+	}
+	b.Run("wide_512", func(b *testing.B) { run(b, bench.WideProgramSeeded(512, 1).Source) })
 }
 
 // BenchmarkConcreteRun executes each benchmark's main/0 on the concrete

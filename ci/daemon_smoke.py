@@ -4,7 +4,9 @@ daemon and assert its per-predicate summaries equal a batch
 `awam analyze -worklist` run on the same source, then POST the same
 source to /v1/backward and assert the demands equal a batch
 `awam backward` run — and that an immediately repeated demand query is
-served warm from the daemon's store (zero components re-executed).
+served warm from the daemon's store (zero components re-executed). A
+third demand query must find the program resident: /v1/metrics reports
+a program-cache hit.
 
 Usage: daemon_smoke.py http://127.0.0.1:8347
 Run from the repository root (invokes `go run ./cmd/awam`).
@@ -128,6 +130,24 @@ def check_backward(base):
         sys.exit(f"warm demand query re-executed components: {warm}")
     print(f"daemon demands match batch backward for {len(want)} predicates, "
           f"warm repeat re-executed 0/{cold['executed_sccs']} components: OK")
+    # By the third request for the same source the daemon keeps the
+    # loaded program, so this query skips parse and compile.
+    again, _ = daemon_demands(base)
+    if again != got:
+        sys.exit(f"third demands {again} != cold demands {got}")
+    hits = program_hits(base)
+    if hits <= 0:
+        sys.exit(f"no program-cache hit after three requests for one source (hits={hits})")
+    print(f"repeat queries served from the resident program ({hits} hits): OK")
+
+
+def program_hits(base):
+    with urllib.request.urlopen(base + "/v1/metrics", timeout=10) as resp:
+        text = resp.read().decode()
+    m = re.search(r'^awamd_program_loads_total\{result="hit"\} (\d+)$', text, re.M)
+    if not m:
+        sys.exit(f"/v1/metrics has no program-load hit counter:\n{text}")
+    return int(m.group(1))
 
 
 def main():

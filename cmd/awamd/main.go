@@ -44,7 +44,7 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "persist summary records to this directory (empty: memory only)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "in-memory cache budget in bytes (0: default 64 MiB)")
 		remote     = flag.String("remote", "", "base URL of a peer daemon's summary store (joins its fabric)")
-		workers    = flag.Int("workers", 4, "max concurrent analyses")
+		workers    = flag.Int("workers", 4, "max concurrent analyses, and max programs kept resident")
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request analysis deadline")
 		maxTimeout = flag.Duration("max-timeout", 60*time.Second, "clamp on request-supplied deadlines")
 		maxBody    = flag.Int64("max-body", 1<<20, "max request body bytes")

@@ -61,7 +61,7 @@ func (g *Gate) runGoal(mod *wam.Module, goal string) goalRun {
 		maxSteps = defaultGateSteps
 	}
 	r := goalRun{goal: goal, status: "ok"}
-	m := machine.New(cloneModule(mod))
+	m := machine.New(mod.Clone())
 	m.MaxSteps = maxSteps
 	sol, err := m.Solve(goal)
 	for n := 0; ; n++ {

@@ -15,7 +15,7 @@ func Measure(mod *wam.Module, goal string, runs int) (time.Duration, int64, erro
 	best := time.Duration(-1)
 	var steps int64
 	for i := 0; i < runs; i++ {
-		m := machine.New(cloneModule(mod))
+		m := machine.New(mod.Clone())
 		start := time.Now()
 		sol, err := m.Solve(goal)
 		d := time.Since(start)

@@ -187,27 +187,6 @@ func (pl *Pipeline) Run(mod *wam.Module, res *core.Result) (*wam.Module, []PassO
 	return cur, outcomes, firstGateErr
 }
 
-// cloneModule deep-copies the structure passes mutate: the code array,
-// the switch side table, the procedure map and each Proc's slices. The
-// dispatch maps inside switch entries (TblC/TblS) are shared — passes
-// emit fresh switches rather than editing tables in place.
-func cloneModule(mod *wam.Module) *wam.Module {
-	out := &wam.Module{
-		Tab:      mod.Tab,
-		Code:     append([]wam.Instr(nil), mod.Code...),
-		Switches: append([]wam.Switch(nil), mod.Switches...),
-		Procs:    make(map[term.Functor]*wam.Proc, len(mod.Procs)),
-		Order:    append([]term.Functor(nil), mod.Order...),
-	}
-	for fn, p := range mod.Procs {
-		np := *p
-		np.Clauses = append([]int(nil), p.Clauses...)
-		np.EnvSizes = append([]int(nil), p.EnvSizes...)
-		out.Procs[fn] = &np
-	}
-	return out
-}
-
 // retargetCalls rewrites every linked call/execute of fn to a new entry
 // address. Unlinked calls (FailAddr: the dynamic-predicate path) are
 // left alone.

@@ -161,7 +161,7 @@ type breakerPass struct{}
 func (breakerPass) Name() string { return "breaker" }
 
 func (breakerPass) Apply(mod *wam.Module, _ *core.Result) (*wam.Module, PassStats, error) {
-	out := cloneModule(mod)
+	out := mod.Clone()
 	var ps PassStats
 	for _, fn := range mod.Order {
 		proc := out.Procs[fn]

@@ -65,7 +65,7 @@ func (deadClausePass) Name() string { return "dead-clause" }
 
 func (deadClausePass) Apply(mod *wam.Module, res *core.Result) (*wam.Module, PassStats, error) {
 	matches := core.New(mod).ClauseMatches(res)
-	out := cloneModule(mod)
+	out := mod.Clone()
 	var ps PassStats
 	for _, fn := range mod.Order {
 		marks := matches[fn]
@@ -190,7 +190,7 @@ func clauseFirstArg(mod *wam.Module, addr int) (headArgKind, wam.ConstKey, term.
 
 func (indexPass) Apply(mod *wam.Module, res *core.Result) (*wam.Module, PassStats, error) {
 	nv := domain.MkLeaf(domain.NV)
-	out := cloneModule(mod)
+	out := mod.Clone()
 	var ps PassStats
 	for _, fn := range mod.Order {
 		proc := out.Procs[fn]

@@ -156,7 +156,7 @@ func refintAnswers(t *testing.T, tab *term.Tab, src string, goals []*term.Term, 
 // answers in refint's format.
 func machineAnswers(t *testing.T, mod *wam.Module, query string, vars []*term.Term, max int) []string {
 	t.Helper()
-	m := machine.New(cloneModule(mod))
+	m := machine.New(mod.Clone())
 	m.MaxSteps = 50_000_000
 	sol, err := m.Solve(query)
 	if err != nil {

@@ -170,7 +170,7 @@ func (s *Server) doBackward(ctx context.Context, source string, opts ...awam.Bac
 	if s.cfg.Backward != nil {
 		return s.cfg.Backward(ctx, source, opts...)
 	}
-	sys, err := awam.Load(source)
+	sys, err := s.programs.load(ctx, source)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,164 @@
+package serve
+
+import (
+	"container/list"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"awam"
+)
+
+// recentDigests bounds how many sources seen once the program cache
+// remembers while waiting for a second sight.
+const recentDigests = 64
+
+// programCache keeps loaded programs in the daemon, keyed by the SHA-256
+// of their source, so a repeat query on an unchanged program skips
+// parse, compile, condensation and specialization: a System memoizes
+// the last two, and is safe for concurrent use.
+//
+// A program is admitted on second sight. Its first load only records
+// the digest among the recent ones; the System is kept when the same
+// source is loaded again, or when another request asked for it while
+// its first load ran. A stream of one-off sources therefore never
+// enters the cache and never evicts a program in repeated use. At most
+// limit programs stay resident, evicted least recently used. Concurrent
+// loads of one source share a single parse, and failed loads are never
+// kept: every repeat of a bad source fails the same way.
+type programCache struct {
+	// parse is awam.Load; tests replace it to hold a load open.
+	parse func(source string) (*awam.System, error)
+
+	mu       sync.Mutex
+	resident *lru[*awam.System]
+	recent   *lru[struct{}]
+	loading  map[[sha256.Size]byte]*programLoad
+
+	hits, misses atomic.Int64
+}
+
+// programLoad is one in-progress Load shared by concurrent requests.
+type programLoad struct {
+	done chan struct{}
+	sys  *awam.System
+	err  error
+	// admit is set when the source was seen before this load, or when
+	// another request joined it: either way it is in repeated use.
+	admit bool
+}
+
+func newProgramCache(limit int) *programCache {
+	return &programCache{
+		parse:    awam.Load,
+		resident: newLRU[*awam.System](limit),
+		recent:   newLRU[struct{}](recentDigests),
+		loading:  make(map[[sha256.Size]byte]*programLoad),
+	}
+}
+
+// load returns the System for source: the resident one on a hit, else
+// the result of (a shared) awam.Load. A hit is any request served
+// without parsing, a miss one that parsed.
+func (c *programCache) load(ctx context.Context, source string) (*awam.System, error) {
+	key := sha256.Sum256([]byte(source))
+	c.mu.Lock()
+	if sys, ok := c.resident.get(key); ok {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return sys, nil
+	}
+	if l, ok := c.loading[key]; ok {
+		l.admit = true
+		c.mu.Unlock()
+		c.hits.Add(1)
+		select {
+		case <-l.done:
+			return l.sys, l.err
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%w: %w", awam.ErrCanceled, context.Cause(ctx))
+		}
+	}
+	_, seen := c.recent.get(key)
+	l := &programLoad{done: make(chan struct{}), admit: seen}
+	c.loading[key] = l
+	c.mu.Unlock()
+
+	c.misses.Add(1)
+	l.sys, l.err = c.parse(source)
+
+	c.mu.Lock()
+	delete(c.loading, key)
+	switch {
+	case l.err != nil:
+		// Not kept and not remembered: a repeat fails the same way.
+	case l.admit:
+		c.recent.remove(key)
+		c.resident.put(key, l.sys)
+	default:
+		c.recent.put(key, struct{}{})
+	}
+	c.mu.Unlock()
+	close(l.done)
+	return l.sys, l.err
+}
+
+// residentCount returns the number of programs held.
+func (c *programCache) residentCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resident.len()
+}
+
+// lru is a bounded map that evicts its least recently used entry. It is
+// not synchronized.
+type lru[V any] struct {
+	limit int
+	order *list.List // front is most recent
+	items map[[sha256.Size]byte]*list.Element
+}
+
+type lruEntry[V any] struct {
+	key [sha256.Size]byte
+	val V
+}
+
+func newLRU[V any](limit int) *lru[V] {
+	return &lru[V]{limit: limit, order: list.New(), items: make(map[[sha256.Size]byte]*list.Element)}
+}
+
+func (m *lru[V]) len() int { return len(m.items) }
+
+// get returns the value for key and marks it most recently used.
+func (m *lru[V]) get(key [sha256.Size]byte) (V, bool) {
+	e, ok := m.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	m.order.MoveToFront(e)
+	return e.Value.(*lruEntry[V]).val, true
+}
+
+// put stores key as the most recently used entry, evicting the least
+// recently used one beyond the limit.
+func (m *lru[V]) put(key [sha256.Size]byte, val V) {
+	if e, ok := m.items[key]; ok {
+		e.Value.(*lruEntry[V]).val = val
+		m.order.MoveToFront(e)
+		return
+	}
+	m.items[key] = m.order.PushFront(&lruEntry[V]{key: key, val: val})
+	if m.order.Len() > m.limit {
+		m.remove(m.order.Back().Value.(*lruEntry[V]).key)
+	}
+}
+
+func (m *lru[V]) remove(key [sha256.Size]byte) {
+	if e, ok := m.items[key]; ok {
+		m.order.Remove(e)
+		delete(m.items, key)
+	}
+}

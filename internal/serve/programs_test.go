@@ -1,0 +1,317 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"awam"
+	"awam/api"
+	"awam/internal/bench"
+)
+
+// newCachedServer returns a daemon and its test server, so a test can
+// inspect the program cache behind the routes.
+func newCachedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// uniqueProg is testProg plus one fact naming i: a distinct source for
+// every i.
+func uniqueProg(i int) string { return testProg + fmt.Sprintf("tag(t%d).\n", i) }
+
+// mustOK returns a check that a route answered 200, shaped to take a
+// post helper's results directly.
+func mustOK(t *testing.T) func(*http.Response, []byte) {
+	return func(resp *http.Response, data []byte) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+	}
+}
+
+// TestProgramCacheAdmitsOnSecondSight: a source loaded once is not
+// kept, one loaded twice is, and a stream of distinct one-off sources
+// never evicts it.
+func TestProgramCacheAdmitsOnSecondSight(t *testing.T) {
+	s, ts := newCachedServer(t, Config{MaxConcurrent: 2})
+	body := reqBody(t, testProg)
+	mustOK(t)(postAnalyze(t, ts, body))
+	if n := s.programs.residentCount(); n != 0 {
+		t.Fatalf("first sight admitted the program: %d resident", n)
+	}
+	mustOK(t)(postBackward(t, ts, body))
+	if n := s.programs.residentCount(); n != 1 {
+		t.Fatalf("second sight: %d resident, want 1", n)
+	}
+	for i := 0; i < 3*recentDigests; i++ {
+		mustOK(t)(postAnalyze(t, ts, reqBody(t, uniqueProg(i))))
+	}
+	if n := s.programs.residentCount(); n != 1 {
+		t.Fatalf("one-off sources were admitted: %d resident", n)
+	}
+	misses := s.programs.misses.Load()
+	mustOK(t)(postAnalyze(t, ts, body))
+	if got := s.programs.misses.Load(); got != misses {
+		t.Fatalf("repeat of the admitted program parsed again (%d misses, was %d)", got, misses)
+	}
+}
+
+// TestProgramCacheBound: no more than MaxConcurrent programs are ever
+// resident, and the least recently used one goes first.
+func TestProgramCacheBound(t *testing.T) {
+	const limit = 3
+	s, ts := newCachedServer(t, Config{MaxConcurrent: limit})
+	for i := 0; i < 3*limit; i++ {
+		for k := 0; k < 2; k++ {
+			mustOK(t)(postAnalyze(t, ts, reqBody(t, uniqueProg(i))))
+			if n := s.programs.residentCount(); n > limit {
+				t.Fatalf("%d programs resident, limit %d", n, limit)
+			}
+		}
+	}
+	if n := s.programs.residentCount(); n != limit {
+		t.Fatalf("%d programs resident after %d repeated sources, want %d", n, 3*limit, limit)
+	}
+	hits := s.programs.hits.Load()
+	mustOK(t)(postAnalyze(t, ts, reqBody(t, uniqueProg(3*limit-1))))
+	if s.programs.hits.Load() != hits+1 {
+		t.Fatal("most recent program was evicted")
+	}
+	misses := s.programs.misses.Load()
+	mustOK(t)(postAnalyze(t, ts, reqBody(t, uniqueProg(0))))
+	if s.programs.misses.Load() != misses+1 {
+		t.Fatal("least recently used program was not evicted")
+	}
+}
+
+// TestProgramCacheCoalescesLoads: N concurrent first loads of one
+// source parse it once, share one System, and admit it.
+func TestProgramCacheCoalescesLoads(t *testing.T) {
+	const n = 8
+	c := newProgramCache(4)
+	var parses atomic.Int64
+	c.parse = func(src string) (*awam.System, error) {
+		parses.Add(1)
+		// Hold the load open until every other request has joined it.
+		for c.hits.Load() < n-1 {
+			runtime.Gosched()
+		}
+		return awam.Load(src)
+	}
+	systems := make([]*awam.System, n)
+	var wg sync.WaitGroup
+	for i := range systems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sys, err := c.load(context.Background(), testProg)
+			if err != nil {
+				t.Error(err)
+			}
+			systems[i] = sys
+		}()
+	}
+	wg.Wait()
+	if parses.Load() != 1 || c.misses.Load() != 1 {
+		t.Fatalf("%d concurrent loads parsed %d times (%d misses), want 1", n, parses.Load(), c.misses.Load())
+	}
+	for _, sys := range systems[1:] {
+		if sys != systems[0] {
+			t.Fatal("coalesced loads returned different Systems")
+		}
+	}
+	if c.residentCount() != 1 {
+		t.Fatal("a source requested concurrently was not admitted")
+	}
+}
+
+// TestProgramCacheErrors: a source that fails to load gets the same
+// typed 422 on every repeat, on both routes, and is never kept.
+func TestProgramCacheErrors(t *testing.T) {
+	s, ts := newCachedServer(t, Config{})
+	for _, tc := range []struct {
+		name, source, code string
+	}{
+		{"parse", "main :- .", "parse_error"},
+		{"deep", bench.DeepProgram(70_000).Source, "register_limit"},
+	} {
+		body := reqBody(t, tc.source)
+		for i := 0; i < 3; i++ {
+			for route, post := range map[string]func(*testing.T, *httptest.Server, string) (*http.Response, []byte){
+				"/v1/analyze":  postAnalyze,
+				"/v1/backward": postBackward,
+			} {
+				resp, data := post(t, ts, body)
+				if resp.StatusCode != http.StatusUnprocessableEntity || errCode(t, data) != tc.code {
+					t.Errorf("%s %s repeat %d: status %d, code %q, want 422 %s",
+						tc.name, route, i, resp.StatusCode, errCode(t, data), tc.code)
+				}
+			}
+		}
+	}
+	if n := s.programs.residentCount(); n != 0 {
+		t.Fatalf("%d failed programs resident", n)
+	}
+	if h := s.programs.hits.Load(); h != 0 {
+		t.Fatalf("%d failed loads served from the cache", h)
+	}
+}
+
+// TestProgramCacheByteIdentity: summaries and demands served from a
+// resident program are JSON-identical to a fresh daemon's, for the
+// Table 1 suite and a seeded wide program, after other requests have
+// interned atoms into the resident program's symbol table.
+func TestProgramCacheByteIdentity(t *testing.T) {
+	type prog struct{ name, source, goal string }
+	var progs []prog
+	for _, name := range bench.Names() {
+		p, _ := bench.ByName(name)
+		progs = append(progs, prog{name, p.Source, "main/0"})
+	}
+	progs = append(progs, prog{"wide_64", bench.WideProgramSeeded(64, 1).Source, "p3_main/0"})
+
+	predicates := func(t *testing.T, ts *httptest.Server, src string) string {
+		resp, data := postAnalyze(t, ts, reqBody(t, src))
+		mustOK(t)(resp, data)
+		var out api.AnalyzeResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(out.Predicates)
+		return string(b)
+	}
+	demands := func(t *testing.T, ts *httptest.Server, src, goal string) string {
+		body, _ := json.Marshal(api.BackwardRequest{Source: src, Goals: []string{goal}})
+		resp, data := postBackward(t, ts, string(body))
+		mustOK(t)(resp, data)
+		var out api.BackwardResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(out.Demands)
+		return string(b)
+	}
+
+	cached, cts := newCachedServer(t, Config{MaxConcurrent: len(progs)})
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			fresh := newTestServer(t, Config{})
+			wantPreds := predicates(t, fresh, p.source)
+			wantDemands := demands(t, newTestServer(t, Config{}), p.source, p.goal)
+
+			predicates(t, cts, p.source)
+			predicates(t, cts, p.source) // second sight: admitted
+			hits := cached.programs.hits.Load()
+			// Dirty the resident symbol table before the compared queries.
+			unknown, _ := json.Marshal(api.BackwardRequest{Source: p.source, Goals: []string{"no_such_goal/7"}})
+			if resp, _ := postBackward(t, cts, string(unknown)); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("unknown goal: status %d", resp.StatusCode)
+			}
+			if got := predicates(t, cts, p.source); got != wantPreds {
+				t.Errorf("cached predicates differ:\n got %s\nwant %s", got, wantPreds)
+			}
+			if got := demands(t, cts, p.source, p.goal); got != wantDemands {
+				t.Errorf("cached demands differ:\n got %s\nwant %s", got, wantDemands)
+			}
+			if got := cached.programs.hits.Load() - hits; got != 3 {
+				t.Errorf("%d program hits on the compared requests, want 3", got)
+			}
+		})
+	}
+}
+
+// TestProgramCacheMetrics: /v1/metrics reports resident programs and
+// program loads by outcome.
+func TestProgramCacheMetrics(t *testing.T) {
+	_, ts := newCachedServer(t, Config{})
+	for i := 0; i < 3; i++ {
+		mustOK(t)(postBackward(t, ts, reqBody(t, testProg)))
+	}
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, want := range []string{
+		"# TYPE awamd_programs_resident gauge",
+		"awamd_programs_resident 1",
+		"# TYPE awamd_program_loads_total counter",
+		`awamd_program_loads_total{result="hit"} 1`,
+		`awamd_program_loads_total{result="miss"} 2`,
+		"# HELP awamd_requests_total Completed /v1/analyze, /v1/backward",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// BenchmarkServeBackward times one warm /v1/backward query on wide_512
+// through the daemon's handler, against a summary store primed with
+// every family goal. hit serves the query from the resident program;
+// miss empties the program cache first, so the query parses, compiles
+// and condenses wide_512 again, as every query did before programs
+// stayed resident.
+func BenchmarkServeBackward(b *testing.B) {
+	src := bench.WideProgramSeeded(512, 1).Source
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/backward", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	goals := make([]string, 512)
+	for i := range goals {
+		goals[i] = fmt.Sprintf("p%d_main/0", i)
+	}
+	prime, _ := json.Marshal(api.BackwardRequest{Source: src, Goals: goals, TimeoutMS: 60_000})
+	post(prime)
+	query, _ := json.Marshal(api.BackwardRequest{Source: src, Goals: []string{"p7_main/0"}})
+
+	b.Run("hit", func(b *testing.B) {
+		post(query) // second sight: the program becomes resident
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(query)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s.programs = newProgramCache(s.cfg.MaxConcurrent)
+			b.StartTimer()
+			post(query)
+		}
+	})
+}

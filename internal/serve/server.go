@@ -19,6 +19,10 @@
 //	GET  /v1/healthz    -> {"status":"ok"}
 //	GET  /v1/metrics    -> Prometheus text exposition
 //
+// Loaded programs stay in the daemon (programs.go): a repeat request on
+// an unchanged source reuses its compiled System, condensation and
+// specialized program instead of parsing and compiling it again.
+//
 // Robustness: request bodies are size-capped, each analysis runs under
 // a per-request deadline and optional abstract-step budget, a worker
 // semaphore bounds concurrent analyses, and identical concurrent
@@ -61,7 +65,8 @@ type Config struct {
 	// to make this daemon a fabric member that pulls from and pushes to
 	// a peer.
 	Cache awam.Store
-	// MaxBodyBytes caps the /v1/analyze request body (default 1 MiB).
+	// MaxBodyBytes caps the /v1/analyze, /v1/backward and /v1/optimize
+	// request bodies (default 1 MiB).
 	MaxBodyBytes int64
 	// MaxStoreBodyBytes caps /v1/store request bodies, which carry
 	// record batches and so run larger than analyze bodies (default
@@ -69,7 +74,9 @@ type Config struct {
 	// 4 MiB); oversized records are skipped, not failed.
 	MaxStoreBodyBytes, MaxRecordBytes int64
 	// MaxConcurrent bounds simultaneously running analyses (default 4);
-	// excess requests wait for a slot until their deadline.
+	// excess requests wait for a slot until their deadline. It also
+	// bounds the loaded programs the daemon keeps resident: as many as
+	// that many concurrent requests hold at peak anyway.
 	MaxConcurrent int
 	// DefaultTimeout applies when a request names none (default 10s);
 	// MaxTimeout clamps request-supplied deadlines (default 60s).
@@ -77,20 +84,24 @@ type Config struct {
 	// MaxSteps clamps the per-request abstract-step budget; 0 leaves
 	// request budgets uncapped.
 	MaxSteps int64
-	// Analyze overrides the analysis pipeline (tests inject failures and
-	// slowness here); nil selects the real Load + AnalyzeContext path.
+	// Analyze overrides the analysis pipeline of /v1/analyze and
+	// /v1/optimize (tests inject failures and slowness here); nil selects
+	// the real path: the System from the daemon's program cache, then
+	// AnalyzeContext. A hook loads its own programs; the program cache is
+	// bypassed.
 	Analyze func(ctx context.Context, source string, opts ...awam.AnalyzeOption) (*awam.Analysis, error)
 	// Backward overrides the demand-query pipeline the same way; nil
-	// selects the real Load + AnalyzeBackwardContext path.
+	// selects the cached System and AnalyzeBackwardContext.
 	Backward func(ctx context.Context, source string, opts ...awam.BackwardOption) (*awam.BackwardAnalysis, error)
 }
 
 // Server handles the analysis endpoints. Create with New, mount with
 // Handler.
 type Server struct {
-	cfg   Config
-	cache awam.Store
-	sem   chan struct{}
+	cfg      Config
+	cache    awam.Store
+	programs *programCache
+	sem      chan struct{}
 
 	mu         sync.Mutex
 	flights    map[string]*flight
@@ -153,6 +164,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:        cfg,
 		cache:      cfg.Cache,
+		programs:   newProgramCache(cfg.MaxConcurrent),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
 		flights:    make(map[string]*flight),
 		bwdFlights: make(map[string]*bwdFlight),
@@ -390,7 +402,7 @@ func (s *Server) doAnalyze(ctx context.Context, source string, opts ...awam.Anal
 	if s.cfg.Analyze != nil {
 		return s.cfg.Analyze(ctx, source, opts...)
 	}
-	sys, err := awam.Load(source)
+	sys, err := s.programs.load(ctx, source)
 	if err != nil {
 		return nil, err
 	}
@@ -453,7 +465,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		name, help, typ string
 		value           int64
 	}{
-		{"awamd_requests_total{result=\"ok\"}", "Completed /v1/analyze requests.", "counter", s.requestsOK.Load()},
+		{"awamd_requests_total{result=\"ok\"}", "Completed /v1/analyze, /v1/backward, /v1/optimize and /v1/store/* requests, by outcome.", "counter", s.requestsOK.Load()},
 		{"awamd_requests_total{result=\"error\"}", "", "", s.requestsErr.Load()},
 		{"awamd_analyses_total", "Analyses actually executed.", "counter", s.analysesRun.Load()},
 		{"awamd_analyses_coalesced_total", "Requests served by joining an identical in-flight analysis.", "counter", s.analysesDup.Load()},
@@ -464,6 +476,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"awamd_backward_reused_sccs_total", "Backward components served from the summary store.", "counter", s.backwardReused.Load()},
 		{"awamd_optimizes_total", "Optimizer pipeline runs executed.", "counter", s.optimizesRun.Load()},
 		{"awamd_inflight_analyses", "Analyses currently running.", "gauge", s.inflight.Load()},
+		{"awamd_programs_resident", "Loaded programs kept for repeat requests.", "gauge", int64(s.programs.residentCount())},
+		{"awamd_program_loads_total{result=\"hit\"}", "Program loads by outcome: a hit reused a resident or in-flight program, a miss parsed the source.", "counter", s.programs.hits.Load()},
+		{"awamd_program_loads_total{result=\"miss\"}", "", "", s.programs.misses.Load()},
 		{"awamd_cache_hits_total", "Summary-store record hits (any tier).", "counter", cs.Hits},
 		{"awamd_cache_misses_total", "Summary-store record misses.", "counter", cs.Misses},
 		{"awamd_cache_evictions_total", "Summary-store evictions.", "counter", cs.Evictions},

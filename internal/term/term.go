@@ -4,14 +4,16 @@
 // source-level term trees.
 //
 // Atoms are interned through a Tab so that the rest of the system can
-// compare names and functors with ==. A Tab is not safe for concurrent
-// mutation; each pipeline owns one.
+// compare names and functors with ==. A Tab is safe for concurrent use:
+// a loaded program's Tab is shared by every analysis of it, and
+// analyses intern atoms (goal names, builtin operators) at run time.
 package term
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Atom is an interned constant name. The zero Atom is the empty name.
@@ -26,7 +28,9 @@ type Functor struct {
 
 // Tab interns atom names and caches the handful of atoms the system
 // needs to recognize structurally (lists, conjunction, clause neck).
+// Lookups of atoms already interned take only the read lock.
 type Tab struct {
+	mu    sync.RWMutex
 	names []string
 	index map[string]Atom
 
@@ -56,10 +60,18 @@ func NewTab() *Tab {
 
 // Intern returns the unique Atom for name, creating it if necessary.
 func (t *Tab) Intern(name string) Atom {
+	t.mu.RLock()
+	a, ok := t.index[name]
+	t.mu.RUnlock()
+	if ok {
+		return a
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if a, ok := t.index[name]; ok {
 		return a
 	}
-	a := Atom(len(t.names))
+	a = Atom(len(t.names))
 	t.names = append(t.names, name)
 	t.index[name] = a
 	return a
@@ -67,6 +79,8 @@ func (t *Tab) Intern(name string) Atom {
 
 // Name returns the spelling of an interned atom.
 func (t *Tab) Name(a Atom) string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if int(a) < 0 || int(a) >= len(t.names) {
 		return fmt.Sprintf("<atom#%d>", int(a))
 	}

@@ -1,6 +1,8 @@
 package term
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +178,39 @@ func TestIndicator(t *testing.T) {
 	}
 	if _, ok := Indicator(NewVar("X")); ok {
 		t.Fatal("Indicator of var should fail")
+	}
+}
+
+// TestTabConcurrentIntern interns overlapping names from several
+// goroutines while others read them back: every name gets one atom, and
+// the run is clean under -race.
+func TestTabConcurrentIntern(t *testing.T) {
+	tab := NewTab()
+	const workers, names = 8, 200
+	got := make([][]Atom, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				name := fmt.Sprintf("n%d", (i*7+w)%names)
+				a := tab.Intern(name)
+				if tab.Name(a) != name || tab.FuncString(tab.Func(name, 1)) != name+"/1" {
+					t.Errorf("atom %d reads back as %q, want %q", a, tab.Name(a), name)
+				}
+			}
+			for i := 0; i < names; i++ {
+				got[w] = append(got[w], tab.Intern(fmt.Sprintf("n%d", i)))
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for i := range got[w] {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("n%d interned as %d and %d", i, got[0][i], got[w][i])
+			}
+		}
 	}
 }

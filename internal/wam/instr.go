@@ -245,6 +245,28 @@ type Module struct {
 	Order    []term.Functor // definition order
 }
 
+// Clone deep-copies the structure that optimizer passes and query
+// compilation mutate: the code array, the switch side table, the
+// procedure map and each Proc's slices. The symbol table and the
+// dispatch maps inside switch entries (TblC/TblS) are shared — passes
+// emit fresh switches rather than editing tables in place.
+func (m *Module) Clone() *Module {
+	out := &Module{
+		Tab:      m.Tab,
+		Code:     append([]Instr(nil), m.Code...),
+		Switches: append([]Switch(nil), m.Switches...),
+		Procs:    make(map[term.Functor]*Proc, len(m.Procs)),
+		Order:    append([]term.Functor(nil), m.Order...),
+	}
+	for fn, p := range m.Procs {
+		np := *p
+		np.Clauses = append([]int(nil), p.Clauses...)
+		np.EnvSizes = append([]int(nil), p.EnvSizes...)
+		out.Procs[fn] = &np
+	}
+	return out
+}
+
 // Switch returns the operands of switch instruction ins.
 func (m *Module) Switch(ins Instr) *Switch { return &m.Switches[ins.L] }
 
