@@ -3,6 +3,7 @@ package awam
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"awam/internal/baseline"
 	"awam/internal/bench"
@@ -245,25 +246,46 @@ func benchLabel(name, param string, v int) string {
 
 // BenchmarkStrategy compares the paper's naive fixpoint iteration with
 // the dependency-tracking worklist (Section 6's future work, implemented
-// in internal/core/worklist.go).
+// in internal/core/worklist.go), on three Table 1 programs and on the
+// wide_512 reference program. Besides time and allocations per
+// analysis it reports the fixpoint (exec_ms) and finalize (fin_ms)
+// shares from Result.Metrics.
 func BenchmarkStrategy(b *testing.B) {
+	var programs []bench.Program
 	for _, name := range []string{"qsort", "zebra", "serialise"} {
+		p, ok := bench.ByName(name)
+		if !ok {
+			b.Fatalf("unknown benchmark %s", name)
+		}
+		programs = append(programs, p)
+	}
+	wide := bench.WideProgramSeeded(512, 1)
+	wide.Name = "wide_512"
+	programs = append(programs, wide)
+	for _, p := range programs {
 		for _, strat := range []core.Strategy{core.StrategyNaive, core.StrategyWorklist} {
-			name, strat := name, strat
-			label := name + "/naive"
+			p, strat := p, strat
+			label := p.Name + "/naive"
 			if strat == core.StrategyWorklist {
-				label = name + "/worklist"
+				label = p.Name + "/worklist"
 			}
 			b.Run(label, func(b *testing.B) {
-				env := buildBench(b, name)
+				env := buildProgram(b, p)
 				cfg := core.DefaultConfig()
 				cfg.Strategy = strat
+				b.ReportAllocs()
 				b.ResetTimer()
+				var exec, fin time.Duration
 				for i := 0; i < b.N; i++ {
-					if _, err := core.NewWith(env.mod, cfg).AnalyzeMain(); err != nil {
+					res, err := core.NewWith(env.mod, cfg).AnalyzeMain()
+					if err != nil {
 						b.Fatal(err)
 					}
+					exec += res.Metrics.ExecuteTime
+					fin += res.Metrics.FinalizeTime
 				}
+				b.ReportMetric(float64(exec)/float64(time.Millisecond)/float64(b.N), "exec_ms")
+				b.ReportMetric(float64(fin)/float64(time.Millisecond)/float64(b.N), "fin_ms")
 			})
 		}
 	}

@@ -153,6 +153,10 @@ type Analyzer struct {
 	// entry's read snapshot when the exploration completes (table.go).
 	parReadEnts []*Entry
 	parReadVals []domain.PatternID
+	// rec records each entry's last completed exploration under the
+	// naive or worklist fixpoint; finalize presents entries from it
+	// (finalize.go) and drops it when it returns.
+	rec recorder
 
 	// Stream-engine state (exec.go). spec is cfg.Spec or, when that is
 	// nil, the plain stream; staticCalls caches the calling patterns of
@@ -330,20 +334,25 @@ func (a *Analyzer) AnalyzeAll() (*Result, error) {
 // AnalyzeAllContext is AnalyzeAll honoring ctx: cancellation or deadline
 // expiry stops the fixpoint with an error wrapping ErrCanceled.
 func (a *Analyzer) AnalyzeAllContext(ctx context.Context) (*Result, error) {
-	var entries []*domain.Pattern
-	if a.mod.Proc(a.tab.Func("main", 0)) != nil {
-		entries = append(entries, domain.NewPattern(a.tab.Func("main", 0), nil))
-	} else {
-		for _, fn := range a.mod.Order {
-			args := make([]*domain.Term, fn.Arity)
-			for i := range args {
-				args[i] = domain.Top()
-			}
-			entries = append(entries, domain.NewPattern(fn, args))
-		}
-	}
 	a.ctx = ctx
-	return a.analyze(entries)
+	return a.analyze(a.allEntries())
+}
+
+// allEntries is AnalyzeAll's entry set: main/0 when present, otherwise
+// an all-any calling pattern per predicate.
+func (a *Analyzer) allEntries() []*domain.Pattern {
+	if a.mod.Proc(a.tab.Func("main", 0)) != nil {
+		return []*domain.Pattern{domain.NewPattern(a.tab.Func("main", 0), nil)}
+	}
+	var entries []*domain.Pattern
+	for _, fn := range a.mod.Order {
+		args := make([]*domain.Term, fn.Arity)
+		for i := range args {
+			args[i] = domain.Top()
+		}
+		entries = append(entries, domain.NewPattern(fn, args))
+	}
+	return entries
 }
 
 // Analyze runs the extension-table fixpoint from the given top-level
@@ -369,6 +378,41 @@ func (a *Analyzer) AnalyzeEntriesContext(ctx context.Context, entries []*domain.
 }
 
 func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
+	entries, err := a.prepare(entries)
+	if err != nil {
+		return nil, err
+	}
+	if a.cfg.Strategy == StrategyParallel {
+		return a.analyzeParallel(entries)
+	}
+	execStart := time.Now()
+	err = a.fixpoint(entries)
+	execDur := time.Since(execStart)
+	if errors.Is(err, errNoConvergence) {
+		return &Result{
+			Tab:        a.tab,
+			Entries:    a.table.Entries(),
+			Steps:      a.Steps,
+			Iterations: a.Iterations,
+			TableSize:  a.table.Len(),
+			Warnings:   a.Warnings,
+			Metrics:    a.buildMetrics(nil, execDur, 0),
+		}, err
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Present the converged table deterministically (finalize.go): the
+	// raw naive and worklist tables retain transient calling patterns
+	// whose shape depends on the exploration schedule, so they serve as
+	// the summary oracle while the finalize pass rebuilds the reported
+	// entries. This makes the three strategies byte-comparable.
+	return a.present(entries, a.table, nil, execDur)
+}
+
+// prepare validates the configuration, builds the transfer program on
+// first use and widens the caller's entry patterns.
+func (a *Analyzer) prepare(entries []*domain.Pattern) ([]*domain.Pattern, error) {
 	if err := a.cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -398,19 +442,26 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 	for i, e := range entries {
 		widened[i] = domain.WidenPattern(a.tab, e.Canonical(), a.cfg.Depth)
 	}
-	entries = widened
-	switch a.cfg.Strategy {
-	case StrategyWorklist:
-		return a.analyzeWorklist(entries)
-	case StrategyParallel:
-		return a.analyzeParallel(entries)
-	}
+	return widened, nil
+}
+
+// errNoConvergence reports a naive fixpoint that hit its iteration
+// backstop.
+var errNoConvergence = errors.New("core: fixpoint did not converge")
+
+// fixpoint runs the naive or worklist fixpoint to convergence, leaving
+// the converged table in a.table and each entry's last exploration in
+// a.rec.
+func (a *Analyzer) fixpoint(entries []*domain.Pattern) error {
 	a.table = NewDenseTable()
 	a.Steps = 0
 	a.err = nil
 	a.budget.reset(a.cfg.MaxSteps, 1)
 	a.reserved, a.allow = 0, 0
-	execStart := time.Now()
+	a.rec = recorder{}
+	if a.cfg.Strategy == StrategyWorklist {
+		return a.fixWorklist(entries)
+	}
 	const maxIterations = 1000 // backstop; the finite domain terminates first
 	for a.Iterations = 1; a.Iterations <= maxIterations; a.Iterations++ {
 		a.iter = a.Iterations
@@ -423,7 +474,7 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 		for _, e := range entries {
 			a.solve(e.Canonical())
 			if a.err != nil {
-				return nil, a.err
+				return a.err
 			}
 		}
 		// Re-explore every remaining table entry. A calling pattern can
@@ -436,7 +487,7 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 			if e.exploredIter != a.iter {
 				a.solve(e.CP)
 				if a.err != nil {
-					return nil, a.err
+					return a.err
 				}
 			}
 		}
@@ -446,38 +497,10 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 	}
 	a.attrClose()
 	a.noteHeap()
-	execDur := time.Since(execStart)
 	if a.Iterations > maxIterations {
-		return &Result{
-			Tab:        a.tab,
-			Entries:    a.table.Entries(),
-			Steps:      a.Steps,
-			Iterations: a.Iterations,
-			TableSize:  a.table.Len(),
-			Warnings:   a.Warnings,
-			Metrics:    a.buildMetrics(nil, execDur, 0),
-		}, fmt.Errorf("core: fixpoint did not converge in %d iterations", maxIterations)
+		return fmt.Errorf("%w in %d iterations", errNoConvergence, maxIterations)
 	}
-	// Present the converged table deterministically (finalize.go), like
-	// the worklist and parallel strategies: the raw naive table retains
-	// stale entries whose calling patterns stopped being reachable as
-	// summaries grew, so the three strategies are only byte-comparable on
-	// the rebuilt presentation.
-	finStart := time.Now()
-	finEntries, err := a.finalize(entries, a.table)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Tab:        a.tab,
-		Entries:    finEntries,
-		Steps:      a.Steps,
-		Iterations: a.Iterations,
-		TableSize:  len(finEntries),
-		Warnings:   a.Warnings,
-		Metrics:    a.buildMetrics(nil, execDur, time.Since(finStart)),
-	}
-	return res, nil
+	return nil
 }
 
 // tick is the periodic safety check inside charge (every few thousand
@@ -542,6 +565,8 @@ func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) *domain
 		}
 	}
 	e.exploredIter = a.iter
+	prevRec := a.beginRec(id)
+	defer a.endRec(id, prevRec)
 
 	proc := a.mod.Proc(cp.Fn)
 	if proc == nil {
@@ -567,6 +592,7 @@ func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) *domain
 		if ok {
 			sp := a.abstractArgs(cp.Fn, argAddrs)
 			spID := a.intern(sp)
+			a.noteSucc(spID)
 			// Fast path: a success pattern below the accumulated one
 			// cannot change it (the common case after the first
 			// iteration), so skip the graph lub entirely.

@@ -425,7 +425,8 @@ func (a *Analyzer) applyPattern(p *domain.Pattern, argAddrs []int) bool {
 
 // solveID explores a pre-interned calling pattern under the running
 // strategy's table discipline, returning the success pattern (nil =
-// bottom).
+// bottom). Under the naive and worklist strategies the read is recorded
+// on the exploration in progress, for finalize to replay.
 func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.fin != nil {
 		return a.solveFinID(cp, id)
@@ -433,10 +434,14 @@ func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) *domain.Patt
 	if a.par != nil {
 		return a.solveParID(cp, id)
 	}
+	var succ *domain.Pattern
 	if a.wl != nil {
-		return a.solveWLID(cp, id)
+		succ = a.solveWLID(cp, id)
+	} else {
+		succ = a.solveNaiveID(cp, id)
 	}
-	return a.solveNaiveID(cp, id)
+	a.noteRead(id)
+	return succ
 }
 
 // allocEnv draws a zeroed environment frame from the pool (LIFO: clause

@@ -1,0 +1,71 @@
+package core
+
+import (
+	"awam/internal/domain"
+	"awam/internal/wam"
+)
+
+// ReplayProbe holds a converged naive or worklist fixpoint before its
+// finalize pass, so a test can present the same table several ways.
+type ReplayProbe struct {
+	a        *Analyzer
+	entries  []*domain.Pattern
+	rec      recorder
+	warnings []string
+}
+
+// NewReplayProbe runs cfg's fixpoint (naive or worklist) from
+// AnalyzeAll's entry set and keeps its exploration records.
+func NewReplayProbe(mod *wam.Module, cfg Config) (*ReplayProbe, error) {
+	a := NewWith(mod, cfg)
+	entries, err := a.prepare(a.allEntries())
+	if err != nil {
+		return nil, err
+	}
+	if err := a.fixpoint(entries); err != nil {
+		return nil, err
+	}
+	return &ReplayProbe{a: a, entries: entries, rec: a.rec,
+		warnings: append([]string(nil), a.Warnings...)}, nil
+}
+
+// reads returns the read items of the calling pattern id's recorded
+// exploration (nil when it has none).
+func (p *ReplayProbe) reads(id domain.PatternID) []*recItem {
+	if int(id) >= len(p.rec.byID) || !p.rec.byID[id].done {
+		return nil
+	}
+	er := p.rec.byID[id]
+	var out []*recItem
+	for i := er.off; i < er.off+er.n; i++ {
+		if p.rec.items[i].n > 0 {
+			out = append(out, &p.rec.items[i])
+		}
+	}
+	return out
+}
+
+// RecordedReads returns how many callees the recorded exploration of the
+// calling pattern id read.
+func (p *ReplayProbe) RecordedReads(id domain.PatternID) int { return len(p.reads(id)) }
+
+// Present runs the finalize pass over the converged table. With
+// records false every entry runs its clauses; with tamperID non-zero the
+// summary recorded at read position tamperRead of that entry's
+// exploration is replaced by an ID no summary has, so its replay
+// mismatches there.
+func (p *ReplayProbe) Present(records bool, tamperID domain.PatternID, tamperRead int) (*Result, error) {
+	a := p.a
+	a.Warnings = append([]string(nil), p.warnings...)
+	a.rec = recorder{}
+	if records {
+		a.rec = p.rec
+	}
+	if tamperID != domain.BottomID {
+		it := p.reads(tamperID)[tamperRead]
+		saved := it.summ
+		it.summ = -1
+		defer func() { it.summ = saved }()
+	}
+	return a.present(p.entries, a.table, nil, 0)
+}

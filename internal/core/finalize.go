@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"awam/internal/domain"
 	"awam/internal/rt"
 	"awam/internal/term"
@@ -22,15 +24,15 @@ import (
 // occur once its callees reach their fixpoint (transients), and
 // discovery order differs per schedule.
 //
-// The finalize pass removes that dependence: it re-explores the program
-// once, depth-first from the entry patterns, and rebuilds both parts of
-// the presentation from scratch. Calling patterns are rediscovered
-// exactly as reachable under converged summaries, in deterministic
-// depth-first order; each entry's published summary is recomputed as the
-// lub of its clause successes under those summaries, free of historical
-// contributions. The converged oracle is consulted only where the replay
-// cannot supply a value of its own: a cyclic consultation (the entry is
-// still running its own clauses) reads the oracle's converged summary.
+// The finalize pass removes that dependence: it walks the program once,
+// depth-first from the entry patterns, and rebuilds both parts of the
+// presentation from scratch. Calling patterns are rediscovered exactly
+// as reachable under converged summaries, in deterministic depth-first
+// order; each entry's published summary is the lub of its clause
+// successes under those summaries, free of historical contributions.
+// The converged oracle is consulted only where the walk cannot supply a
+// value of its own: a cyclic consultation (the entry is still being
+// presented) reads the oracle's converged summary.
 // At such points the strategies' oracles agree — the converged summary
 // function is the same under every schedule (the join argument above) —
 // so the reported table (Entries, summaries, TableSize, Report,
@@ -38,6 +40,28 @@ import (
 // strategies, worker counts and schedules. internal/baseline runs the
 // same replay over its meta-interpreted table, which is what lets the
 // cross-validation suite compare the two analyzers byte for byte.
+//
+// Replay instead of re-execution: the naive and worklist fixpoints record
+// each entry's last completed exploration (recorder: its first reads of
+// callee summaries and its clause successes, in order). When those
+// strategies stop, every entry's last exploration read only converged
+// summaries — the last naive iteration changed nothing, and any later
+// growth would have re-enqueued a worklist entry. Running a clause is a
+// deterministic function of the calling pattern and the summaries it
+// reads, so the walk's execution of an entry can differ from that
+// exploration only where a callee's *presented* summary differs from the
+// converged one it read. replayFin therefore presents the recorded
+// callees in order through the normal call path (same consultations,
+// same discovery order), and publishes the merge of the recorded
+// successes when every presented summary equals the recorded one. At the
+// first mismatch it falls back to running the entry's clauses
+// (exploreFin); the prefix already presented is exactly what the
+// execution would have presented, so the result is the same either way.
+// Entries without a record also run their clauses: everything under the
+// parallel engine (its workers run clauses past bottom callees, so their
+// reads are not a replay of this walk) and anything the fixpoint never
+// explored. An undefined predicate records an empty exploration.
+// Warm-seeded entries replay their cached trace instead.
 //
 // Termination needs no in-flight bookkeeping: an entry is added to the
 // presentation table before its clauses run (carrying the oracle summary
@@ -62,12 +86,106 @@ type summaryOracle interface {
 	Get(id domain.PatternID) *Entry
 }
 
+// recorder keeps each entry's last completed exploration under the naive
+// or worklist fixpoint, for finalize to replay. Nothing in it holds a
+// pointer, so the garbage collector never scans it, and an exploration
+// is named by its entry's ID, never by a pointer into a slice a nested
+// exploration may grow.
+type recorder struct {
+	// byID[id] locates entry id's last completed exploration in items.
+	byID []exploreRec
+	// items holds the completed explorations' streams; a re-exploration
+	// overwrites its slot when the new stream fits.
+	items []recItem
+	// stack holds the streams of the explorations in progress, innermost
+	// on top: cur's stream starts at base. Explorations nest strictly, so
+	// each stream stays contiguous.
+	stack []recItem
+	cur   domain.PatternID
+	base  int
+}
+
+// exploreRec locates one exploration's stream: items[off:off+n], in a
+// slot of cap items.
+type exploreRec struct {
+	off, n, cap int32
+	done        bool
+}
+
+// recItem is one element of an exploration's stream, in execution order.
+// A callee's first read (n ≥ 1) carries the callee's ID, the summary
+// that read returned and how many times the exploration read the callee
+// in all; a clause success (n = 0) carries the interned success pattern.
+type recItem struct {
+	id, summ domain.PatternID
+	n        int32
+}
+
+// recFrame is the recording state an exploration's end restores.
+type recFrame struct {
+	cur  domain.PatternID
+	base int
+}
+
+// beginRec starts recording id's exploration.
+func (a *Analyzer) beginRec(id domain.PatternID) recFrame {
+	r := &a.rec
+	prev := recFrame{r.cur, r.base}
+	r.cur, r.base = id, len(r.stack)
+	return prev
+}
+
+// endRec stores the exploration's stream as id's record, replacing the
+// previous one, and resumes recording the enclosing exploration.
+func (a *Analyzer) endRec(id domain.PatternID, prev recFrame) {
+	r := &a.rec
+	if n := int(id) + 1; n > len(r.byID) {
+		r.byID = append(r.byID, make([]exploreRec, n-len(r.byID))...)
+	}
+	s := r.stack[r.base:]
+	er := &r.byID[id]
+	if len(s) > int(er.cap) {
+		er.off, er.cap = int32(len(r.items)), int32(len(s))
+		r.items = append(r.items, s...)
+	} else {
+		copy(r.items[er.off:], s)
+	}
+	er.n, er.done = int32(len(s)), true
+	r.stack = r.stack[:r.base]
+	r.cur, r.base = prev.cur, prev.base
+}
+
+// noteRead records a read of callee id's summary, as the fixpoint table
+// holds it after the call returned, on the exploration in progress.
+func (a *Analyzer) noteRead(id domain.PatternID) {
+	r := &a.rec
+	if r.cur == domain.BottomID || a.err != nil {
+		return
+	}
+	s := r.stack[r.base:]
+	for i := range s {
+		if s[i].n > 0 && s[i].id == id {
+			s[i].n++
+			return
+		}
+	}
+	r.stack = append(r.stack, recItem{id: id, summ: a.table.Get(id).succID, n: 1})
+}
+
+// noteSucc records a clause success of the exploration in progress.
+func (a *Analyzer) noteSucc(spID domain.PatternID) {
+	a.rec.stack = append(a.rec.stack, recItem{id: spID})
+}
+
 // finState is the finalize-pass bookkeeping; solve dispatches on it.
 // The presentation index is an ID-indexed slice, like the tables.
 type finState struct {
 	oracle summaryOracle
 	index  []*Entry
 	order  []*Entry
+	// replayed and executed count the entries presented from their
+	// exploration record and those whose clauses ran (Metrics).
+	replayed, executed int64
 	// cur is the entry whose clauses (or cached trace) are being
 	// replayed; consultations are recorded on it, deduplicated through
 	// the entry's finSeen scratch (first occurrences only — repeats are
@@ -106,15 +224,37 @@ func (f *finState) consult(id domain.PatternID, cp *domain.Pattern) {
 	f.cur.Consults = append(f.cur.Consults, cp)
 }
 
-// finalize rebuilds the presentation table from the converged oracle.
+// present runs the finalize pass over the converged oracle and assembles
+// the Result — the common tail of every strategy driver.
+func (a *Analyzer) present(entries []*domain.Pattern, oracle summaryOracle, workers []*Analyzer, execDur time.Duration) (*Result, error) {
+	finStart := time.Now()
+	fs, err := a.finalize(entries, oracle)
+	if err != nil {
+		return nil, err
+	}
+	m := a.buildMetrics(workers, execDur, time.Since(finStart))
+	m.FinalizeReplayed, m.FinalizeExecuted = fs.replayed, fs.executed
+	return &Result{
+		Tab:        a.tab,
+		Entries:    fs.order,
+		Steps:      a.Steps,
+		Iterations: a.Iterations,
+		TableSize:  len(fs.order),
+		Warnings:   a.Warnings,
+		Metrics:    m,
+	}, nil
+}
+
+// finalize rebuilds the presentation table from the converged oracle and
+// the fixpoint's exploration records, which it drops when it returns.
 // The abstract instructions it executes are not charged to a.Steps: the
 // Exec statistic stays comparable to the paper's Table 1 (fixpoint work
-// only). For the same reason the replay is invisible to the
+// only). For the same reason the pass is invisible to the
 // observability layer — its instructions land in a scratch metrics shard
 // that is thrown away, the tracer is detached, and it draws on a private
 // step budget — so Metrics totals stay equal to Result.Steps and a
 // nearly exhausted fixpoint budget cannot fail the presentation pass.
-func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]*Entry, error) {
+func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) (*finState, error) {
 	savedSteps := a.Steps
 	savedMet, savedTr := a.met, a.tr
 	savedBudget, savedReserved, savedAllow := a.budget, a.reserved, a.allow
@@ -126,9 +266,11 @@ func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]
 	a.reserved, a.allow = 0, 0
 	a.attrFn = term.Functor{}
 	a.attrStart = 0
-	a.fin = &finState{oracle: oracle}
+	fs := &finState{oracle: oracle}
+	a.fin = fs
 	defer func() {
 		a.fin = nil
+		a.rec = recorder{}
 		a.Steps = savedSteps
 		a.met, a.tr = savedMet, savedTr
 		a.budget, a.reserved, a.allow = savedBudget, savedReserved, savedAllow
@@ -143,19 +285,20 @@ func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) ([]
 			return nil, a.err
 		}
 	}
-	for _, e := range a.fin.order {
+	for _, e := range fs.order {
 		e.finSeen = nil // scratch only; don't retain it in the result
 	}
-	return a.fin.order, nil
+	return fs, nil
 }
 
 // solveFinID is the reinterpreted call during finalization: memo-return
 // when the calling pattern was already presented, otherwise record it
-// and explore its clauses once (inline, depth-first — the discovery
-// order of a sequential first sight), recomputing its summary from the
-// clause successes. While the entry's own clauses run, Succ holds the
-// converged oracle summary so that cyclic consultations read the
-// fixpoint value; exploreFin replaces it with the recomputed lub.
+// and present it once (inline, depth-first — the discovery order of a
+// sequential first sight), from its exploration record or by running its
+// clauses. While the entry is being presented, Succ holds the converged
+// oracle summary so that cyclic consultations read the fixpoint value;
+// replayFin or exploreFin replaces it with the lub of the clause
+// successes.
 func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.err != nil {
 		return nil
@@ -204,17 +347,78 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.P
 	a.fin.order = append(a.fin.order, e)
 	prev := a.fin.cur
 	a.fin.cur = e
-	a.exploreFin(e)
+	if a.replayFin(e) {
+		a.fin.replayed++
+	} else {
+		a.fin.executed++
+		a.exploreFin(e)
+	}
 	a.fin.cur = prev
 	return e.Succ
+}
+
+// replayFin presents e from its last fixpoint exploration: it walks the
+// recorded stream, presenting each callee at its first read and folding
+// each clause success in, and publishes the fold when every presented
+// summary equals the one the exploration read. It reports false —
+// leaving the entry to exploreFin — when e has no record or at the
+// first mismatching read.
+func (a *Analyzer) replayFin(e *Entry) bool {
+	if int(e.ID) >= len(a.rec.byID) || !a.rec.byID[e.ID].done {
+		return false
+	}
+	er := a.rec.byID[e.ID]
+	items := a.rec.items[er.off : er.off+er.n]
+	accID := domain.BottomID
+	for i, it := range items {
+		if it.n == 0 {
+			accID = a.foldSucc(e, accID, it.id)
+			continue
+		}
+		a.solveID(a.in.Pattern(it.id), it.id)
+		if a.err != nil {
+			return true
+		}
+		if a.fin.get(it.id).succID != it.summ {
+			// exploreFin reruns the same path up to this read, reading
+			// each callee so far once more: take those repeats back out.
+			for _, p := range items[:i+1] {
+				if p.n > 0 {
+					a.fin.get(p.id).Lookups--
+				}
+			}
+			return false
+		}
+	}
+	for _, it := range items {
+		if it.n > 0 {
+			a.fin.get(it.id).Lookups += int(it.n) - 1
+		}
+	}
+	e.Succ = a.in.Pattern(accID)
+	e.succID = accID
+	return true
+}
+
+// foldSucc merges a clause success into a presented entry's accumulated
+// summary. The converged summary (held in e.Succ while the entry is
+// presented) must bound every clause success; a violation means the
+// fixpoint phase did not actually converge. A first success is the
+// accumulation itself: successes are widened, and merge(⊥, sp) = sp.
+func (a *Analyzer) foldSucc(e *Entry, accID, spID domain.PatternID) domain.PatternID {
+	if e.succID == domain.BottomID || !a.leqSumm(spID, e.succID) {
+		a.warnOnce("core: finalize: summary not converged for " + e.CP.String(a.tab))
+	}
+	if accID == domain.BottomID {
+		return spID
+	}
+	accID, _ = a.mergeSumm(accID, spID)
+	return accID
 }
 
 // exploreFin runs the entry's clauses once against the converged
 // summaries and recomputes the published summary as the lub of the
 // clause successes — the single-history value every schedule agrees on.
-// The converged summary (held in e.Succ during the loop, visible to
-// cyclic consultations) must bound each clause success; a violation
-// means the fixpoint phase did not actually converge.
 func (a *Analyzer) exploreFin(e *Entry) {
 	proc := a.mod.Proc(e.CP.Fn)
 	if proc == nil {
@@ -233,12 +437,7 @@ func (a *Analyzer) exploreFin(e *Entry) {
 			return
 		}
 		if ok {
-			sp := a.abstractArgs(e.CP.Fn, argAddrs)
-			spID := a.intern(sp)
-			if e.succID == domain.BottomID || !a.leqSumm(spID, e.succID) {
-				a.warnOnce("core: finalize: summary not converged for " + e.CP.String(a.tab))
-			}
-			accID, _ = a.mergeSumm(accID, spID)
+			accID = a.foldSucc(e, accID, a.intern(a.abstractArgs(e.CP.Fn, argAddrs)))
 		}
 		a.h.Undo(mark)
 	}

@@ -126,8 +126,14 @@ type Metrics struct {
 	// HeapHighWater is the largest abstract heap (in cells) any worker
 	// ever held.
 	HeapHighWater int
+	// FinalizeReplayed and FinalizeExecuted count how the finalize pass
+	// presented its entries: from the fixpoint's record of the entry's
+	// last exploration, or by running the entry's clauses again (always
+	// so under StrategyParallel). Warm-seeded entries, presented from
+	// their cached trace, count in neither. Neither counts toward Steps.
+	FinalizeReplayed, FinalizeExecuted int64
 	// ExecuteTime is the fixpoint-phase wall time; FinalizeTime is the
-	// deterministic replay's. TableTime estimates the share of
+	// deterministic presentation pass's. TableTime estimates the share of
 	// ExecuteTime spent in table operations; it is sampled (one timed
 	// operation in tableSampleEvery), so treat it as an estimate.
 	ExecuteTime, TableTime, FinalizeTime time.Duration
@@ -384,6 +390,7 @@ func (m *Metrics) Render(tab *term.Tab) string {
 	fmt.Fprintf(&b, "phase    execute=%v table~%v finalize=%v\n",
 		m.ExecuteTime.Round(time.Microsecond), m.TableTime.Round(time.Microsecond),
 		m.FinalizeTime.Round(time.Microsecond))
+	fmt.Fprintf(&b, "finalize replayed=%d executed=%d\n", m.FinalizeReplayed, m.FinalizeExecuted)
 	fmt.Fprintf(&b, "table    hits=%d misses=%d inserts=%d updates=%d enqueues=%d\n",
 		m.TableHits, m.TableMisses, m.TableInserts, m.TableUpdates, m.Enqueues)
 	fmt.Fprintf(&b, "intern   hits=%d misses=%d patterns=%d terms=%d\n",

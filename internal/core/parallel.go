@@ -149,7 +149,7 @@ func (ps *parState) fail(err error) {
 }
 
 // analyzeParallel is the StrategyParallel driver, the counterpart of
-// analyze() and analyzeWorklist().
+// fixpoint() for the naive and worklist strategies.
 func (a *Analyzer) analyzeParallel(entries []*domain.Pattern) (*Result, error) {
 	n := a.cfg.Parallelism
 	if n <= 0 {
@@ -223,21 +223,7 @@ func (a *Analyzer) analyzeParallel(entries []*domain.Pattern) (*Result, error) {
 		return nil, ps.err
 	}
 
-	fixSteps := a.Steps
-	finStart := time.Now()
-	finEntries, err := a.finalize(seeds, ps.table)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Tab:        a.tab,
-		Entries:    finEntries,
-		Steps:      fixSteps,
-		Iterations: a.Iterations,
-		TableSize:  len(finEntries),
-		Warnings:   a.Warnings,
-		Metrics:    a.buildMetrics(workers, execDur, time.Since(finStart)),
-	}, nil
+	return a.present(seeds, ps.table, workers, execDur)
 }
 
 // runWorker is one worker's loop: pull an entry, explore it on a fresh

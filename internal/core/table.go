@@ -59,15 +59,16 @@ type Entry struct {
 	// already converged, so the worklist never explores it and a summary
 	// growth can never reach it.
 	warm bool
-	// Consults lists the callee calling patterns this entry's clauses
-	// consulted during the finalize replay — first occurrences, in
-	// discovery order. The incremental engine caches it as the entry's
-	// trace, so a later warm finalize can replay discovery (and keep the
-	// presentation byte-identical) without executing the entry's clauses.
-	// Populated by the worklist and parallel strategies only (naive has
-	// no finalize pass).
+	// Consults lists the callee calling patterns this entry consulted
+	// during the finalize pass — first occurrences, in discovery order,
+	// whether the entry was presented from its exploration record or by
+	// running its clauses. The incremental engine caches it as the
+	// entry's trace, so a later warm finalize can replay discovery (and
+	// keep the presentation byte-identical) without executing the entry's
+	// clauses. Populated by every strategy (each presents through
+	// finalize).
 	Consults []*domain.Pattern
-	// finSeen dedups Consults during the finalize replay (first
+	// finSeen dedups Consults during the finalize pass (first
 	// occurrences only); cleared when the pass finishes. A small slice
 	// with linear scans beats a per-entry set: consult lists are short,
 	// and the replay visits every presented entry on every warm run.

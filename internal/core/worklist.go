@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"awam/internal/domain"
 	"awam/internal/rt"
@@ -104,20 +103,15 @@ func (w *wlState) enqueue(e *Entry) bool {
 	return true
 }
 
-// analyzeWorklist is the worklist driver, the counterpart of analyze().
-func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
-	a.table = NewDenseTable()
-	a.Steps = 0
-	a.err = nil
-	a.budget.reset(a.cfg.MaxSteps, 1)
-	a.reserved, a.allow = 0, 0
+// fixWorklist is the worklist fixpoint, the counterpart of the naive
+// loop in fixpoint().
+func (a *Analyzer) fixWorklist(entries []*domain.Pattern) error {
 	a.wl = &wlState{}
 	a.resetHeap()
-	execStart := time.Now()
 	for _, cp := range entries {
 		a.solve(cp.Canonical())
 		if a.err != nil {
-			return nil, a.err
+			return a.err
 		}
 	}
 	for len(a.wl.queue) > 0 {
@@ -128,34 +122,14 @@ func (a *Analyzer) analyzeWorklist(entries []*domain.Pattern) (*Result, error) {
 		a.resetHeap()
 		a.exploreWL(e)
 		if a.err != nil {
-			return nil, a.err
+			return a.err
 		}
 	}
 	a.Iterations = a.wl.explorations
 	a.wl = nil
 	a.attrClose()
 	a.noteHeap()
-	execDur := time.Since(execStart)
-	// Present the converged table deterministically (finalize.go): the
-	// raw worklist table retains transient calling patterns whose shape
-	// depends on the exploration schedule, so it serves as the summary
-	// oracle while the finalize pass rebuilds the reported entries. This
-	// makes worklist and parallel runs byte-identical.
-	finStart := time.Now()
-	finEntries, err := a.finalize(entries, a.table)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Tab:        a.tab,
-		Entries:    finEntries,
-		Steps:      a.Steps,
-		Iterations: a.Iterations,
-		TableSize:  len(finEntries),
-		Warnings:   a.Warnings,
-		Metrics:    a.buildMetrics(nil, execDur, time.Since(finStart)),
-	}
-	return res, nil
+	return nil
 }
 
 // solveWLID is the reinterpreted call under the worklist strategy:
@@ -228,9 +202,11 @@ func (a *Analyzer) exploreWL(e *Entry) {
 	a.met.predRuns[e.CP.Fn]++
 	prev := a.wl.current
 	a.wl.current = e
+	prevRec := a.beginRec(e.ID)
 	prevFn := a.attrSwitch(e.CP.Fn)
 	defer func() {
 		a.attrRestore(prevFn)
+		a.endRec(e.ID, prevRec)
 		a.wl.current = prev
 		a.wl.setExploring(e.ID, false)
 	}()
@@ -253,6 +229,7 @@ func (a *Analyzer) exploreWL(e *Entry) {
 		if ok {
 			sp := a.abstractArgs(e.CP.Fn, argAddrs)
 			spID := a.intern(sp)
+			a.noteSucc(spID)
 			if e.succID == domain.BottomID || !a.leqSumm(spID, e.succID) {
 				nextID, next := a.mergeSumm(e.succID, spID)
 				if nextID != e.succID {

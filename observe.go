@@ -152,6 +152,12 @@ type Metrics struct {
 	// degraded to local misses). Zero without a remote tier.
 	RemoteLoads, RemoteMisses, RemotePuts int64
 	RemoteRoundTrips, RemoteErrors        int64
+	// FinalizeReplayed and FinalizeExecuted count how the deterministic
+	// presentation pass produced its entries: replayed from the
+	// fixpoint's record of each entry's last exploration, or by running
+	// the entry's clauses again (every entry under Parallel). Entries
+	// seeded from a summary cache count in neither. Not part of Exec.
+	FinalizeReplayed, FinalizeExecuted int64
 	// ExecuteTime is the fixpoint-phase wall time; FinalizeTime the
 	// deterministic presentation pass's. TableTime estimates the share
 	// of ExecuteTime spent in extension-table operations (sampled).
@@ -194,6 +200,8 @@ func (a *Analysis) Metrics() Metrics {
 		ExecuteTime:      cm.ExecuteTime,
 		TableTime:        cm.TableTime,
 		FinalizeTime:     cm.FinalizeTime,
+		FinalizeReplayed: cm.FinalizeReplayed,
+		FinalizeExecuted: cm.FinalizeExecuted,
 	}
 	for fn, steps := range cm.PredSteps {
 		m.Predicates = append(m.Predicates, PredMetrics{
