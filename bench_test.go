@@ -249,7 +249,8 @@ func benchLabel(name, param string, v int) string {
 // in internal/core/worklist.go), on three Table 1 programs and on the
 // wide_512 reference program. Besides time and allocations per
 // analysis it reports the fixpoint (exec_ms) and finalize (fin_ms)
-// shares from Result.Metrics.
+// shares from Result.Metrics and the abstract instructions executed
+// (steps/op, the paper's Exec).
 func BenchmarkStrategy(b *testing.B) {
 	var programs []bench.Program
 	for _, name := range []string{"qsort", "zebra", "serialise"} {
@@ -276,6 +277,7 @@ func BenchmarkStrategy(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				var exec, fin time.Duration
+				var steps int64
 				for i := 0; i < b.N; i++ {
 					res, err := core.NewWith(env.mod, cfg).AnalyzeMain()
 					if err != nil {
@@ -283,9 +285,11 @@ func BenchmarkStrategy(b *testing.B) {
 					}
 					exec += res.Metrics.ExecuteTime
 					fin += res.Metrics.FinalizeTime
+					steps += res.Steps
 				}
 				b.ReportMetric(float64(exec)/float64(time.Millisecond)/float64(b.N), "exec_ms")
 				b.ReportMetric(float64(fin)/float64(time.Millisecond)/float64(b.N), "fin_ms")
+				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 			})
 		}
 	}

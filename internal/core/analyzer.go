@@ -154,9 +154,12 @@ type Analyzer struct {
 	parReadEnts []*Entry
 	parReadVals []domain.PatternID
 	// rec records each entry's last completed exploration under the
-	// naive or worklist fixpoint; finalize presents entries from it
-	// (finalize.go) and drops it when it returns.
-	rec recorder
+	// naive or worklist fixpoint; the naive fixpoint replays unchanged
+	// explorations from it, finalize presents entries from it
+	// (finalize.go) and drops it when it returns. naiveReplayOff, set
+	// only by tests, makes every naive exploration run its clauses.
+	rec            recorder
+	naiveReplayOff bool
 
 	// Stream-engine state (exec.go). spec is cfg.Spec or, when that is
 	// nil, the plain stream; staticCalls caches the calling patterns of
@@ -565,6 +568,10 @@ func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) *domain
 		}
 	}
 	e.exploredIter = a.iter
+	if a.replayNaive(e) {
+		return e.Succ
+	}
+	a.met.naiveExecuted++
 	prevRec := a.beginRec(id)
 	defer a.endRec(id, prevRec)
 
@@ -615,6 +622,31 @@ func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) *domain
 		a.h.Undo(mark)
 	}
 	return e.Succ
+}
+
+// replayNaive stands in for e's exploration in this pass when its last
+// one still holds: it replays e's record (replayRec) and reports whether
+// every recorded callee returned the summary that exploration read.
+// Running the clauses is a deterministic function of the calling
+// pattern and the summaries read (a callee's summary moves only inside
+// its own exploration, finished or suspended meanwhile, so every read
+// returns the first; a self-read matches only if it already returned
+// e's final summary), so a rerun would only re-merge successes already
+// in e.Succ: the record stays and nothing is marked changed.
+// Recording is suspended for the walk; a callee explored inside it
+// records its own stream. At a mismatch the clauses run and the prefix
+// reads repeat as memo hits.
+func (a *Analyzer) replayNaive(e *Entry) bool {
+	if a.naiveReplayOff {
+		return false
+	}
+	prev := a.beginRec(domain.BottomID)
+	_, _, ok := a.replayRec(e.ID, nil)
+	a.rec.cur, a.rec.base = prev.cur, prev.base
+	if ok {
+		a.met.naiveReplayed++
+	}
+	return ok
 }
 
 // selectClauses returns the clause addresses to explore for cp,

@@ -426,7 +426,7 @@ func (a *Analyzer) applyPattern(p *domain.Pattern, argAddrs []int) bool {
 // solveID explores a pre-interned calling pattern under the running
 // strategy's table discipline, returning the success pattern (nil =
 // bottom). Under the naive and worklist strategies the read is recorded
-// on the exploration in progress, for finalize to replay.
+// on the exploration in progress, for replayRec.
 func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.fin != nil {
 		return a.solveFinID(cp, id)

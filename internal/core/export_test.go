@@ -2,6 +2,7 @@ package core
 
 import (
 	"awam/internal/domain"
+	"awam/internal/term"
 	"awam/internal/wam"
 )
 
@@ -68,4 +69,53 @@ func (p *ReplayProbe) Present(records bool, tamperID domain.PatternID, tamperRea
 		defer func() { it.summ = saved }()
 	}
 	return a.present(p.entries, a.table, nil, 0)
+}
+
+// PassTable is the naive extension table as one pass left it: each
+// entry's calling-pattern ID and summary ID, in insertion order.
+type PassTable [][2]domain.PatternID
+
+// NaiveRun analyzes from AnalyzeAll's entry set under the naive
+// strategy, replaying unchanged explorations from their records or,
+// with replay false, running every exploration's clauses. It also
+// returns the table after each pass.
+func NaiveRun(mod *wam.Module, cfg Config, replay bool) (*Result, []PassTable, error) {
+	cfg.Strategy = StrategyNaive
+	pt := &passTables{}
+	cfg.Tracer = pt
+	a := NewWith(mod, cfg)
+	a.naiveReplayOff = !replay
+	pt.a = a
+	res, err := a.AnalyzeAll()
+	if err != nil {
+		return nil, nil, err
+	}
+	pt.take()
+	return res, pt.passes, nil
+}
+
+// passTables is a Tracer that takes the table at each pass boundary.
+type passTables struct {
+	a      *Analyzer
+	passes []PassTable
+}
+
+func (p *passTables) Instr(term.Functor, wam.Op)     {}
+func (p *passTables) Table(term.Functor, TableEvent) {}
+func (p *passTables) Enqueue(term.Functor)           {}
+func (p *passTables) Worker(int, bool)               {}
+
+// Iteration fires before pass n starts, when pass n-1 has finished.
+func (p *passTables) Iteration(n int) {
+	if n > 1 {
+		p.take()
+	}
+}
+
+func (p *passTables) take() {
+	var t PassTable
+	for _, e := range p.a.table.Entries() {
+		t = append(t, [2]domain.PatternID{e.ID, e.succID})
+	}
+	p.passes = append(p.passes, t)
 }

@@ -52,9 +52,10 @@ import (
 // exploration only where a callee's *presented* summary differs from the
 // converged one it read. replayFin therefore presents the recorded
 // callees in order through the normal call path (same consultations,
-// same discovery order), and publishes the merge of the recorded
-// successes when every presented summary equals the recorded one. At the
-// first mismatch it falls back to running the entry's clauses
+// same discovery order; replayRec, the walk the naive fixpoint also
+// uses to skip unchanged explorations), and publishes the merge of the
+// recorded successes when every presented summary equals the recorded
+// one. At the first mismatch it falls back to running the entry's clauses
 // (exploreFin); the prefix already presented is exactly what the
 // execution would have presented, so the result is the same either way.
 // Entries without a record also run their clauses: everything under the
@@ -87,10 +88,10 @@ type summaryOracle interface {
 }
 
 // recorder keeps each entry's last completed exploration under the naive
-// or worklist fixpoint, for finalize to replay. Nothing in it holds a
-// pointer, so the garbage collector never scans it, and an exploration
-// is named by its entry's ID, never by a pointer into a slice a nested
-// exploration may grow.
+// or worklist fixpoint, for the naive fixpoint and finalize to replay.
+// Nothing in it holds a pointer, so the garbage collector never scans
+// it, and an exploration is named by its entry's ID, never by a pointer
+// into a slice a nested exploration may grow.
 type recorder struct {
 	// byID[id] locates entry id's last completed exploration in items.
 	byID []exploreRec
@@ -127,7 +128,8 @@ type recFrame struct {
 	base int
 }
 
-// beginRec starts recording id's exploration.
+// beginRec starts recording id's exploration; BottomID, which names no
+// calling pattern, suspends recording until the frame is restored.
 func (a *Analyzer) beginRec(id domain.PatternID) recFrame {
 	r := &a.rec
 	prev := recFrame{r.cur, r.base}
@@ -357,38 +359,68 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.P
 	return e.Succ
 }
 
-// replayFin presents e from its last fixpoint exploration: it walks the
-// recorded stream, presenting each callee at its first read and folding
-// each clause success in, and publishes the fold when every presented
-// summary equals the one the exploration read. It reports false —
-// leaving the entry to exploreFin — when e has no record or at the
-// first mismatching read.
-func (a *Analyzer) replayFin(e *Entry) bool {
-	if int(e.ID) >= len(a.rec.byID) || !a.rec.byID[e.ID].done {
-		return false
+// replayRec walks id's last recorded exploration, for both the naive
+// fixpoint (replayNaive) and finalize (replayFin): it presents each
+// recorded callee at its first read through solveID, under whichever
+// phase runs, compares the summary then held for it with the recorded
+// one, and hands each recorded success to succ when non-nil. It returns
+// the stream and how many items it walked — all when ok, else through
+// the first mismatching read; ok is false without a record, at a
+// mismatch or on an error. Nested explorations never record into id's
+// slot: id is already marked explored or presented.
+func (a *Analyzer) replayRec(id domain.PatternID, succ func(domain.PatternID)) (items []recItem, n int, ok bool) {
+	if int(id) >= len(a.rec.byID) || !a.rec.byID[id].done {
+		return nil, 0, false
 	}
-	er := a.rec.byID[e.ID]
-	items := a.rec.items[er.off : er.off+er.n]
-	accID := domain.BottomID
+	er := a.rec.byID[id]
+	items = a.rec.items[er.off : er.off+er.n]
 	for i, it := range items {
 		if it.n == 0 {
-			accID = a.foldSucc(e, accID, it.id)
+			if succ != nil {
+				succ(it.id)
+			}
 			continue
 		}
 		a.solveID(a.in.Pattern(it.id), it.id)
-		if a.err != nil {
-			return true
+		if a.err != nil || a.heldSumm(it.id) != it.summ {
+			return items, i + 1, false
 		}
-		if a.fin.get(it.id).succID != it.summ {
-			// exploreFin reruns the same path up to this read, reading
-			// each callee so far once more: take those repeats back out.
-			for _, p := range items[:i+1] {
-				if p.n > 0 {
-					a.fin.get(p.id).Lookups--
-				}
+	}
+	return items, len(items), true
+}
+
+// heldSumm returns the summary ID held for id after a call: the
+// presented entry's under finalize, the fixpoint table's otherwise.
+func (a *Analyzer) heldSumm(id domain.PatternID) domain.PatternID {
+	if a.fin != nil {
+		return a.fin.get(id).succID
+	}
+	return a.table.Get(id).succID
+}
+
+// replayFin presents e from its last fixpoint exploration: it replays
+// the recorded stream (replayRec), folding each clause success in, and
+// publishes the fold when every presented summary equals the one the
+// exploration read. It reports false — leaving the entry to exploreFin —
+// when e has no record or at the first mismatching read.
+func (a *Analyzer) replayFin(e *Entry) bool {
+	accID := domain.BottomID
+	items, n, ok := a.replayRec(e.ID, func(spID domain.PatternID) {
+		accID = a.foldSucc(e, accID, spID)
+	})
+	if a.err != nil {
+		return true
+	}
+	if !ok {
+		// exploreFin reruns the same path up to the mismatching read,
+		// reading each callee so far once more: take those repeats back
+		// out.
+		for _, p := range items[:n] {
+			if p.n > 0 {
+				a.fin.get(p.id).Lookups--
 			}
-			return false
 		}
+		return false
 	}
 	for _, it := range items {
 		if it.n > 0 {

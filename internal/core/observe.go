@@ -29,6 +29,10 @@ import (
 //     their instructions are charged to a scratch shard and their
 //     events suppressed, so Metrics totals stay equal to Result.Steps
 //     (the fixpoint-phase Exec statistic) under every strategy.
+//   - Steps, and with it the paper's Exec column, counts only abstract
+//     instructions actually executed. A naive exploration replayed from
+//     the entry's record (NaiveReplayed) runs no clause and adds none;
+//     the callees it presents count as they run.
 
 // Tracer receives analysis events. Install one with Config.Tracer; a
 // nil tracer costs a single pointer test per abstract instruction.
@@ -126,6 +130,11 @@ type Metrics struct {
 	// HeapHighWater is the largest abstract heap (in cells) any worker
 	// ever held.
 	HeapHighWater int
+	// NaiveReplayed and NaiveExecuted count the naive fixpoint's
+	// explorations replayed from the entry's last one, every callee
+	// summary read unchanged (no clause runs, no Steps), and those that
+	// ran the entry's clauses. Zero under the other strategies.
+	NaiveReplayed, NaiveExecuted int64
 	// FinalizeReplayed and FinalizeExecuted count how the finalize pass
 	// presented its entries: from the fixpoint's record of the entry's
 	// last exploration, or by running the entry's clauses again (always
@@ -154,6 +163,10 @@ type metricsShard struct {
 	internHits, internMisses int64
 	lubHits, lubMisses       int64
 	warmHits, warmMisses     int64
+
+	// naiveReplayed and naiveExecuted split the naive fixpoint's
+	// explorations; parallel workers never run it, so merge skips them.
+	naiveReplayed, naiveExecuted int64
 
 	tableOps  int64
 	tableTime time.Duration
@@ -363,6 +376,8 @@ func (a *Analyzer) buildMetrics(workers []*Analyzer, execute, finalize time.Dura
 		LubCacheMisses: a.met.lubMisses,
 		WarmHits:       a.met.warmHits,
 		WarmMisses:     a.met.warmMisses,
+		NaiveReplayed:  a.met.naiveReplayed,
+		NaiveExecuted:  a.met.naiveExecuted,
 		ExecuteTime:    execute,
 		TableTime:      a.met.tableTime,
 		FinalizeTime:   finalize,
@@ -390,6 +405,7 @@ func (m *Metrics) Render(tab *term.Tab) string {
 	fmt.Fprintf(&b, "phase    execute=%v table~%v finalize=%v\n",
 		m.ExecuteTime.Round(time.Microsecond), m.TableTime.Round(time.Microsecond),
 		m.FinalizeTime.Round(time.Microsecond))
+	fmt.Fprintf(&b, "naive    replayed=%d executed=%d\n", m.NaiveReplayed, m.NaiveExecuted)
 	fmt.Fprintf(&b, "finalize replayed=%d executed=%d\n", m.FinalizeReplayed, m.FinalizeExecuted)
 	fmt.Fprintf(&b, "table    hits=%d misses=%d inserts=%d updates=%d enqueues=%d\n",
 		m.TableHits, m.TableMisses, m.TableInserts, m.TableUpdates, m.Enqueues)

@@ -101,7 +101,9 @@ func TestTrapWordReachable(t *testing.T) {
 // produced for this module.
 func TestTrapWordUnreachable(t *testing.T) {
 	const want = "awam-analysis 1\ncall main\nsucc main\ncall p(var)\nsucc p(atom)\ncall r(atom)\nsucc r(atom)\n"
-	wantSteps := map[Strategy]int64{StrategyWorklist: 9, StrategyNaive: 18}
+	// Naive runs main's clause once: its second pass replays main's
+	// record (p's summary is unchanged) instead of executing it again.
+	wantSteps := map[Strategy]int64{StrategyWorklist: 9, StrategyNaive: 9}
 	for _, leg := range trapLegs {
 		for _, st := range trapStrategies {
 			mod := assembleTrap(t, "p", "try_me_else 3")

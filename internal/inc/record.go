@@ -69,7 +69,7 @@ func EncodeRecord(tab *term.Tab, entries []*core.Entry) []byte {
 // DecodeRecord parses a record produced by EncodeRecord, interning
 // pattern names into tab. The summary block is validated by
 // core.Unmarshal (structure, duplicate calls, truncation); the trace
-// section must reference every entry at most once with its exact dep
+// section must reference every entry exactly once with its exact dep
 // count. Any failure wraps ErrBadRecord.
 func DecodeRecord(tab *term.Tab, data []byte) ([]RecordEntry, error) {
 	return decodeRecord(tab, data, nil)
@@ -173,6 +173,16 @@ func decodeRecord(tab *term.Tab, data []byte, memo map[string]*domain.Pattern) (
 			deps = append(deps, dep)
 		}
 		out[idx].Deps = deps
+	}
+	if len(seen) != len(out) {
+		// EncodeRecord writes a trace line for every entry: a record
+		// without one is corrupt, and the entry would present with no
+		// consultations.
+		for i := range out {
+			if !seen[i] {
+				return nil, fmt.Errorf("%w: no trace for entry %d", ErrBadRecord, i)
+			}
+		}
 	}
 	return out, nil
 }

@@ -102,6 +102,8 @@ func TestDecodeRecordErrors(t *testing.T) {
 		{"bad dep pattern", "awam-scc 1\nawam-analysis 1\ncall p(g)\nsucc bottom\ntrace 0 1\ndep )(\n"},
 		{"junk after traces", "awam-scc 1\nawam-analysis 1\ncall p(g)\nsucc bottom\ntrace 0 0\nwhat is this\n"},
 		{"dep without trace", "awam-scc 1\nawam-analysis 1\ncall p(g)\nsucc bottom\ndep q(g)\n"},
+		{"no trace section", "awam-scc 1\nawam-analysis 1\ncall p(g)\nsucc bottom\n"},
+		{"trace leaves out an entry", "awam-scc 1\nawam-analysis 1\ncall p(g)\nsucc bottom\ncall q(g)\nsucc bottom\ntrace 1 0\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -152,6 +152,12 @@ type Metrics struct {
 	// degraded to local misses). Zero without a remote tier.
 	RemoteLoads, RemoteMisses, RemotePuts int64
 	RemoteRoundTrips, RemoteErrors        int64
+	// NaiveReplayed and NaiveExecuted count the naive fixpoint's
+	// explorations: those replayed from the entry's last exploration
+	// because every callee summary it read was unchanged, and those that
+	// ran the entry's clauses. A replay executes no instruction, so it
+	// adds nothing to Exec. Zero under Worklist and Parallel.
+	NaiveReplayed, NaiveExecuted int64
 	// FinalizeReplayed and FinalizeExecuted count how the deterministic
 	// presentation pass produced its entries: replayed from the
 	// fixpoint's record of each entry's last exploration, or by running
@@ -200,6 +206,8 @@ func (a *Analysis) Metrics() Metrics {
 		ExecuteTime:      cm.ExecuteTime,
 		TableTime:        cm.TableTime,
 		FinalizeTime:     cm.FinalizeTime,
+		NaiveReplayed:    cm.NaiveReplayed,
+		NaiveExecuted:    cm.NaiveExecuted,
 		FinalizeReplayed: cm.FinalizeReplayed,
 		FinalizeExecuted: cm.FinalizeExecuted,
 	}
