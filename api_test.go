@@ -33,9 +33,6 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := sys.Analyze(WithDepth(-1)); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("negative depth = %v, want ErrBadOption", err)
 	}
-	if _, err := sys.Analyze(WithParallelism(-2)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("negative parallelism = %v, want ErrBadOption", err)
-	}
 	if _, err := sys.Analyze(WithMaxSteps(-1)); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("negative budget = %v, want ErrBadOption", err)
 	}
@@ -45,8 +42,7 @@ func TestTypedErrors(t *testing.T) {
 }
 
 // TestAnalyzeContextCancellation: a canceled context surfaces as
-// ErrCanceled wrapping the context cause, for the sequential and
-// parallel engines alike.
+// ErrCanceled wrapping the context cause, under both strategies.
 func TestAnalyzeContextCancellation(t *testing.T) {
 	sys, err := Load(apiProg)
 	if err != nil {
@@ -57,7 +53,6 @@ func TestAnalyzeContextCancellation(t *testing.T) {
 	for _, opts := range [][]AnalyzeOption{
 		nil,
 		{WithStrategy(Worklist)},
-		{WithParallelism(4)},
 	} {
 		_, err := sys.AnalyzeContext(ctx, opts...)
 		if !errors.Is(err, ErrCanceled) {
@@ -65,32 +60,6 @@ func TestAnalyzeContextCancellation(t *testing.T) {
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("opts %v: err = %v, want context.Canceled in chain", opts, err)
-		}
-	}
-}
-
-// TestParallelOption: the parallel engine, including the n=0 auto-sized
-// pool, reproduces the worklist result byte for byte through the facade.
-func TestParallelOption(t *testing.T) {
-	sys, err := Load(apiProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := sys.Analyze(WithStrategy(Worklist))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 1, 4} {
-		par, err := sys.Analyze(WithParallelism(n))
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", n, err)
-		}
-		if par.Report() != wl.Report() {
-			t.Fatalf("parallelism %d: report differs from worklist:\n%s\nvs\n%s",
-				n, par.Report(), wl.Report())
-		}
-		if par.Marshal() != wl.Marshal() {
-			t.Fatalf("parallelism %d: marshal differs from worklist", n)
 		}
 	}
 }

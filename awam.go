@@ -67,7 +67,7 @@ var (
 	// context.DeadlineExceeded).
 	ErrCanceled = errors.New("awam: analysis canceled")
 	// ErrBadOption reports an invalid analysis option value, such as a
-	// negative depth or worker count.
+	// negative depth.
 	ErrBadOption = errors.New("awam: invalid analysis option")
 )
 
@@ -271,15 +271,12 @@ const (
 	// success pattern changes (the default).
 	Naive Strategy = iota
 	// Worklist re-explores only the dependents of changed entries.
+	// Results are byte-identical to Naive.
 	Worklist
-	// Parallel runs the worklist concurrently over a sharded table; size
-	// the worker pool with WithParallelism. Results are byte-identical to
-	// Worklist for every worker count and schedule.
-	Parallel
 )
 
-// WithStrategy selects the fixpoint algorithm. Values outside Naive,
-// Worklist and Parallel are rejected by Analyze with ErrBadOption.
+// WithStrategy selects the fixpoint algorithm. Values other than Naive
+// and Worklist are rejected by Analyze with ErrBadOption.
 func WithStrategy(s Strategy) AnalyzeOption {
 	return func(c *analyzeCfg) {
 		switch s {
@@ -287,8 +284,6 @@ func WithStrategy(s Strategy) AnalyzeOption {
 			c.cfg.Strategy = core.StrategyNaive
 		case Worklist:
 			c.cfg.Strategy = core.StrategyWorklist
-		case Parallel:
-			c.cfg.Strategy = core.StrategyParallel
 		default:
 			c.fail(fmt.Errorf("%w: unknown strategy %d", ErrBadOption, s))
 			return
@@ -303,28 +298,9 @@ func WithoutIndexing() AnalyzeOption {
 	return func(c *analyzeCfg) { c.cfg.Indexing = false }
 }
 
-// WithParallelism selects the parallel fixpoint engine with n workers
-// over a sharded extension table. n = 0 sizes the pool to
-// runtime.GOMAXPROCS(0); negative n is rejected by Analyze with
-// ErrBadOption. The result is byte-identical to WithStrategy(Worklist)
-// for every worker count and schedule.
-func WithParallelism(n int) AnalyzeOption {
-	return func(c *analyzeCfg) {
-		if n < 0 {
-			c.fail(fmt.Errorf("%w: negative worker count %d", ErrBadOption, n))
-			return
-		}
-		c.cfg.Strategy = core.StrategyParallel
-		c.cfg.Parallelism = n
-		c.strategySet = true
-	}
-}
-
 // WithMaxSteps bounds the number of abstract instructions the analysis
 // may execute; exceeding it fails with ErrAnalysisBudget. Nonpositive
-// budgets are rejected by Analyze with ErrBadOption. The budget is
-// global: under WithParallelism every worker draws from the same shared
-// pool, so the bound is independent of the worker count.
+// budgets are rejected by Analyze with ErrBadOption.
 func WithMaxSteps(n int64) AnalyzeOption {
 	return func(c *analyzeCfg) {
 		if n <= 0 {
@@ -398,12 +374,12 @@ func (s *System) Analyze(opts ...AnalyzeOption) (*Analysis, error) {
 }
 
 // AnalyzeContext runs the compiled dataflow analysis under a context:
-// cancellation or deadline expiry stops the fixpoint promptly — in every
-// strategy, including all workers of the parallel engine — and fails
-// with an error wrapping ErrCanceled and the context's cause.
+// cancellation or deadline expiry stops the fixpoint promptly, under
+// either strategy, and fails with an error wrapping ErrCanceled and the
+// context's cause.
 //
 // Other failures wrap ErrBadOption (an invalid option value, such as a
-// negative depth or worker count), ErrParse (an unparsable WithEntry
+// negative depth), ErrParse (an unparsable WithEntry
 // pattern) or ErrAnalysisBudget (the WithMaxSteps abstract-instruction
 // budget was exhausted).
 func (s *System) AnalyzeContext(ctx context.Context, opts ...AnalyzeOption) (*Analysis, error) {

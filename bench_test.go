@@ -1,7 +1,6 @@
 package awam
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -307,46 +306,6 @@ func buildProgram(b *testing.B, p bench.Program) built {
 		b.Fatal(err)
 	}
 	return built{tab: tab, prog: prog, mod: mod}
-}
-
-// BenchmarkAnalyzeParallel compares the sequential worklist with the
-// parallel engine (sharded extension table) across worker counts, on a
-// real multi-predicate benchmark (zebra) and on generated wide programs
-// whose extension tables hold thousands of calling patterns. The
-// measured numbers are recorded in EXPERIMENTS.md.
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	programs := []bench.Program{}
-	if p, ok := bench.ByName("zebra"); ok {
-		programs = append(programs, p)
-	}
-	programs = append(programs, bench.WideProgram(128), bench.WideProgram(256), bench.WideProgram(512))
-	runCfg := func(b *testing.B, env built, cfg core.Config) {
-		b.Helper()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.NewWith(env.mod, cfg).AnalyzeMain(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for _, p := range programs {
-		p := p
-		env := buildProgram(b, p)
-		b.Run(p.Name+"/worklist", func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Strategy = core.StrategyWorklist
-			runCfg(b, env, cfg)
-		})
-		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			b.Run(fmt.Sprintf("%s/parallel-%d", p.Name, workers), func(b *testing.B) {
-				cfg := core.DefaultConfig()
-				cfg.Strategy = core.StrategyParallel
-				cfg.Parallelism = workers
-				runCfg(b, env, cfg)
-			})
-		}
-	}
 }
 
 // BenchmarkTransformedAnalyze measures the paper's transforming

@@ -248,10 +248,9 @@ func (sc *SummaryCache) engine() *inc.Engine {
 // WithSummaryCache runs the analysis through the incremental engine
 // backed by s (a Store from NewStore, or a SummaryCache from the
 // deprecated constructor). The incremental engine is defined over the
-// worklist fixpoint: combining this option with WithStrategy(Parallel)
-// or an explicit WithStrategy(Naive) fails with ErrBadOption, as does
-// WithEntry (the cache keys whole-program analyses). A nil s is a
-// no-op.
+// worklist fixpoint: combining this option with an explicit
+// WithStrategy(Naive) fails with ErrBadOption, as does WithEntry (the
+// cache keys whole-program analyses). A nil s is a no-op.
 func WithSummaryCache(s Store) AnalyzeOption {
 	return func(c *analyzeCfg) { c.cache = s }
 }

@@ -98,8 +98,6 @@ func TestSummaryCacheOptionConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := [][]AnalyzeOption{
-		{WithSummaryCache(sc), WithStrategy(Parallel)},
-		{WithSummaryCache(sc), WithParallelism(4)},
 		{WithStrategy(Naive), WithSummaryCache(sc)},
 		{WithSummaryCache(sc), WithEntry("qsort(list(g), var)")},
 	}

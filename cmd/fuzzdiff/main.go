@@ -31,7 +31,7 @@ func main() {
 		n         = flag.Int64("n", 10000, "number of cases to run; 0 = run until interrupted")
 		jsonPath  = flag.String("json", "", "append violations as JSON lines to this file (default stdout)")
 		keepGoing = flag.Bool("keep-going", false, "continue after a violation instead of stopping")
-		strict    = flag.Bool("strict", true, "require byte-identical worklist/naive/parallel results (schedule-confluence contract)")
+		strict    = flag.Bool("strict", true, "require byte-identical worklist/naive results (schedule-confluence contract)")
 		meta      = flag.Bool("meta", true, "also run metamorphic checks (clause reorder, predicate rename)")
 		backward  = flag.Bool("backward", false, "also run the forward/backward consistency oracle (demands must admit forward success)")
 		progress  = flag.Int64("progress", 1000, "print a progress line every N cases (0 = quiet)")

@@ -8,7 +8,7 @@ import (
 
 // WideProgram generates a synthetic benchmark with the given number of
 // independent predicate families, for scaling experiments on the
-// fixpoint engines (BenchmarkAnalyzeParallel). Each family combines a
+// fixpoint engines (BenchmarkStrategy). Each family combines a
 // renamed copy of the naive-reverse/length/check cluster — recursive
 // predicates whose analysis produces realistic list-typed calling
 // patterns — with a fan of calls to a family-local dispatch predicate,

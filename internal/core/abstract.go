@@ -16,9 +16,8 @@ func (a *Analyzer) abstractArgs(fn term.Functor, argAddrs []int) *domain.Pattern
 	// One scratch abstractor per analyzer, generation-stamped: bumping
 	// gen invalidates every map entry at once, so the per-call clear()
 	// walks (measurable at call-event frequency) disappear. The *Term
-	// nodes escape into the pattern; the map storage does not. Analyzers
-	// are goroutine-private — parallel workers each own a clone — so the
-	// reuse needs no locking.
+	// nodes escape into the pattern; the map storage does not. An
+	// Analyzer runs on one goroutine, so the reuse needs no locking.
 	if a.absScratch == nil {
 		a.absScratch = &abstractor{a: a, first: make(map[int]genTerm), ids: make(map[int]genInt)}
 		a.absBusy = make(map[int]bool)

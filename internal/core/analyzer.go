@@ -26,16 +26,10 @@ type Config struct {
 	// MaxSteps bounds the number of abstract instructions executed.
 	MaxSteps int64
 	// Strategy selects the fixpoint algorithm: the paper's naive
-	// iteration (default), the dependency-tracking worklist, or the
-	// concurrent worklist.
+	// iteration (default) or the dependency-tracking worklist.
 	Strategy Strategy
-	// Parallelism is the worker-goroutine count for StrategyParallel;
-	// 0 means runtime.GOMAXPROCS(0). Ignored by the other strategies.
-	Parallelism int
 	// Tracer, when non-nil, receives analysis events (observe.go). A nil
-	// tracer costs one pointer test per abstract instruction. Under
-	// StrategyParallel the tracer is shared by all workers and must be
-	// safe for concurrent use.
+	// tracer costs one pointer test per abstract instruction.
 	Tracer Tracer
 	// Spec, when non-nil, is the specialized transfer program
 	// (internal/specialize) the analysis executes: fused
@@ -92,14 +86,11 @@ func (c Config) Validate() error {
 	if c.Depth < 0 {
 		return fmt.Errorf("core: invalid config: negative depth %d", c.Depth)
 	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: invalid config: negative parallelism %d", c.Parallelism)
-	}
 	if c.MaxSteps < 0 {
 		return fmt.Errorf("core: invalid config: negative step budget %d", c.MaxSteps)
 	}
 	switch c.Strategy {
-	case StrategyNaive, StrategyWorklist, StrategyParallel:
+	case StrategyNaive, StrategyWorklist:
 	default:
 		return fmt.Errorf("core: invalid config: unknown strategy %d", c.Strategy)
 	}
@@ -128,31 +119,17 @@ type Analyzer struct {
 	table *DenseTable
 	// in is the analysis-wide hash-conser: every canonical pattern the
 	// engine handles is interned to a dense domain.PatternID, and all
-	// tables, worklists and dependency maps key on those IDs. Parallel
-	// workers share the driver's interner (it is concurrent and its lock
-	// is leaf-level). memo caches the pattern-level lattice operations on
-	// IDs; it is goroutine-private (workers get their own, absorbed into
-	// the driver's after the barrier, like the metrics shards).
+	// tables, worklists and dependency maps key on those IDs. memo
+	// caches the pattern-level lattice operations on IDs.
 	in   *domain.Interner
 	memo *domain.Memo
-	// Exactly one of wl, par, fin is non-nil while the corresponding
-	// phase runs; solve dispatches on them.
+	// At most one of wl, fin is non-nil while the corresponding phase
+	// runs; solve dispatches on them (neither: the naive fixpoint).
 	wl  *wlState
-	par *parState
 	fin *finState
 	// ctx, when non-nil, cancels the analysis (checked every few
 	// thousand abstract instructions).
 	ctx context.Context
-	// parCur is the entry this parallel worker is exploring (dependency
-	// recording); specFail marks a clause that speculatively survived a
-	// bottom callee during parallel discovery (its success is discarded).
-	parCur   *Entry
-	specFail bool
-	// parReadEnts/parReadVals accumulate the in-flight exploration's
-	// consulted-callee reads (first read per callee), published to the
-	// entry's read snapshot when the exploration completes (table.go).
-	parReadEnts []*Entry
-	parReadVals []domain.PatternID
 	// rec records each entry's last completed exploration under the
 	// naive or worklist fixpoint; the naive fixpoint replays unchanged
 	// explorations from it, finalize presents entries from it
@@ -163,8 +140,7 @@ type Analyzer struct {
 
 	// Stream-engine state (exec.go). spec is cfg.Spec or, when that is
 	// nil, the plain stream; staticCalls caches the calling patterns of
-	// its static call sites. The pools and caches are goroutine-private,
-	// like the metrics shard.
+	// its static call sites.
 	spec        *specialize.Program
 	staticCalls []staticPat
 	envPool     [][]rt.Cell
@@ -174,26 +150,19 @@ type Analyzer struct {
 	matGroups   map[int]genInt
 	matGen      uint64
 
-	// Observability state (observe.go). met is this goroutine's private
-	// counter shard (never nil); tr mirrors cfg.Tracer. attrFn/attrStart
-	// attribute step deltas to predicates at exploration boundaries.
-	// budget is the step budget shared by every goroutine of one
-	// analysis; reserved is this goroutine's current reservation from
-	// it and allow the part not yet charged (refillSteps).
-	met       *metricsShard
+	// Observability state (observe.go). met is the run's counter set
+	// (never nil); tr mirrors cfg.Tracer. attrFn/attrStart attribute step
+	// deltas to predicates at exploration boundaries. heapHW tracks the
+	// high-water mark across discarded fixpoint heaps.
+	met       *counters
 	tr        Tracer
 	attrFn    term.Functor
 	attrStart int64
-	budget    *stepBudget
-	reserved  int64
-	allow     int64
-	// heapHW tracks the high-water mark across discarded fixpoint heaps;
-	// queueWait accumulates this parallel worker's queue waiting time.
 	heapHW    int
-	queueWait time.Duration
 
 	// Steps counts executed abstract instructions — the paper's "Exec"
-	// column in Table 1.
+	// column in Table 1. It is also the step budget's meter: charge
+	// fails the run once it reaches cfg.MaxSteps.
 	Steps int64
 	// Iterations counts fixpoint passes.
 	Iterations int
@@ -220,11 +189,10 @@ func NewWith(mod *wam.Module, cfg Config) *Analyzer {
 		cfg.MaxSteps = 500_000_000
 	}
 	a := &Analyzer{mod: mod, tab: mod.Tab, cfg: cfg, x: make([]rt.Cell, 16)}
-	a.met = newMetricsShard()
+	a.met = newCounters()
 	a.tr = cfg.Tracer
 	a.in = domain.NewInterner()
 	a.memo = domain.NewMemo()
-	a.budget = newStepBudget(cfg.MaxSteps)
 	return a
 }
 
@@ -385,9 +353,6 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if a.cfg.Strategy == StrategyParallel {
-		return a.analyzeParallel(entries)
-	}
 	execStart := time.Now()
 	err = a.fixpoint(entries)
 	execDur := time.Since(execStart)
@@ -399,7 +364,7 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 			Iterations: a.Iterations,
 			TableSize:  a.table.Len(),
 			Warnings:   a.Warnings,
-			Metrics:    a.buildMetrics(nil, execDur, 0),
+			Metrics:    a.buildMetrics(execDur, 0),
 		}, err
 	}
 	if err != nil {
@@ -408,9 +373,9 @@ func (a *Analyzer) analyze(entries []*domain.Pattern) (*Result, error) {
 	// Present the converged table deterministically (finalize.go): the
 	// raw naive and worklist tables retain transient calling patterns
 	// whose shape depends on the exploration schedule, so they serve as
-	// the summary oracle while the finalize pass rebuilds the reported
-	// entries. This makes the three strategies byte-comparable.
-	return a.present(entries, a.table, nil, execDur)
+	// the converged summaries while the finalize pass rebuilds the reported
+	// entries. This makes the two strategies byte-comparable.
+	return a.present(entries, execDur)
 }
 
 // prepare validates the configuration, builds the transfer program on
@@ -459,8 +424,6 @@ func (a *Analyzer) fixpoint(entries []*domain.Pattern) error {
 	a.table = NewDenseTable()
 	a.Steps = 0
 	a.err = nil
-	a.budget.reset(a.cfg.MaxSteps, 1)
-	a.reserved, a.allow = 0, 0
 	a.rec = recorder{}
 	if a.cfg.Strategy == StrategyWorklist {
 		return a.fixWorklist(entries)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"awam/internal/bench"
 	"awam/internal/compiler"
@@ -590,5 +593,70 @@ func TestWorklistSoundnessSample(t *testing.T) {
 	}
 	if !domain.Leq(tab, succ.Args[1], domain.MkLeaf(domain.Ground)) {
 		t.Fatalf("qsort output should be ground: %s", succ.String(tab))
+	}
+}
+
+// TestAnalyzeContextCanceled: a pre-canceled context stops the analysis
+// with an error wrapping both ErrCanceled and context.Canceled, for
+// every strategy.
+func TestAnalyzeContextCanceled(t *testing.T) {
+	p, _ := bench.ByName("zebra")
+	_, mod := buildMod(t, p.Source)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, strat := range []Strategy{StrategyNaive, StrategyWorklist} {
+		cfg := DefaultConfig()
+		cfg.Strategy = strat
+		a := NewWith(mod, cfg)
+		_, err := a.AnalyzeAllContext(ctx)
+		if err == nil {
+			t.Fatalf("strategy %d: expected cancellation error", strat)
+		}
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("strategy %d: error %v does not wrap ErrCanceled", strat, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("strategy %d: error %v does not wrap context.Canceled", strat, err)
+		}
+	}
+}
+
+// TestAnalyzeContextDeadline: an already-expired deadline aborts the
+// fixpoint promptly (mid-run, via the periodic tick).
+func TestAnalyzeContextDeadline(t *testing.T) {
+	p, _ := bench.ByName("zebra")
+	_, mod := buildMod(t, p.Source)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := New(mod).AnalyzeAllContext(ctx)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %v should wrap ErrCanceled and DeadlineExceeded", err)
+	}
+}
+
+// TestConfigValidate: invalid configurations surface as errors from the
+// analysis entry points instead of being clamped or panicking.
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative depth", Config{Depth: -1}},
+		{"negative budget", Config{MaxSteps: -5}},
+		{"bad strategy", Config{Strategy: Strategy(99)}},
+	}
+	for _, c := range cases {
+		if err := c.cfg.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted %+v", c.name, c.cfg)
+		}
+	}
+	_, mod := buildMod(t, "p(a).\n")
+	cfg := DefaultConfig()
+	cfg.Depth = -3
+	if _, err := NewWith(mod, cfg).AnalyzeMain(); err == nil {
+		t.Fatal("AnalyzeMain accepted a negative depth")
+	}
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
 	}
 }

@@ -54,14 +54,10 @@ func (a *Analyzer) charge(op wam.Op) bool {
 	if a.err != nil {
 		return false
 	}
-	// Step accounting draws on the shared budget in budgetChunk
-	// reservations (observe.go), so the common case is a single local
-	// decrement and the bound stays global across parallel workers.
-	if a.allow <= 0 && !a.refillSteps() {
+	if a.Steps >= a.cfg.MaxSteps {
 		a.fail(ErrStepLimit)
 		return false
 	}
-	a.allow--
 	a.Steps++
 	if a.Steps&0xFFF == 0 && !a.tick() {
 		return false
@@ -228,18 +224,15 @@ func (a *Analyzer) runStream(cs *specialize.CompStream, clause int32) bool {
 				return false
 			}
 		case specialize.SExecute:
-			if !a.specCall(cs, ins.K) {
-				return false
-			}
-			return !a.specFail
+			return a.specCall(cs, ins.K)
 		case specialize.SProceed:
-			return !a.specFail
+			return true
 		case specialize.SBuiltin:
 			if !a.absBuiltin(wam.BuiltinID(ins.A), int(ins.B)) {
 				return false
 			}
 		case specialize.SHalt:
-			return !a.specFail
+			return true
 
 		// --- cut: ignored (sound over-approximation; analyzing as if
 		// every clause is reachable only adds success patterns) ---
@@ -393,16 +386,6 @@ func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
 		return false
 	}
 	if succ == nil {
-		if a.par != nil {
-			// Parallel discovery: a bottom summary may just mean the
-			// callee has not converged yet (it was deferred to the work
-			// queue, never explored inline). Keep executing the clause to
-			// discover the calling patterns of later goals, but poison
-			// its success (specFail) — dependency edges guarantee a
-			// re-exploration once the callee grows.
-			a.specFail = true
-			return true
-		}
 		return false
 	}
 	// succ ⊑ cp argument-wise, but the caller's actual cells can be
@@ -430,9 +413,6 @@ func (a *Analyzer) applyPattern(p *domain.Pattern, argAddrs []int) bool {
 func (a *Analyzer) solveID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
 	if a.fin != nil {
 		return a.solveFinID(cp, id)
-	}
-	if a.par != nil {
-		return a.solveParID(cp, id)
 	}
 	var succ *domain.Pattern
 	if a.wl != nil {

@@ -68,7 +68,7 @@ func (p *ReplayProbe) Present(records bool, tamperID domain.PatternID, tamperRea
 		it.summ = -1
 		defer func() { it.summ = saved }()
 	}
-	return a.present(p.entries, a.table, nil, 0)
+	return a.present(p.entries, 0)
 }
 
 // PassTable is the naive extension table as one pass left it: each
@@ -103,7 +103,6 @@ type passTables struct {
 func (p *passTables) Instr(term.Functor, wam.Op)     {}
 func (p *passTables) Table(term.Functor, TableEvent) {}
 func (p *passTables) Enqueue(term.Functor)           {}
-func (p *passTables) Worker(int, bool)               {}
 
 // Iteration fires before pass n starts, when pass n-1 has finished.
 func (p *passTables) Iteration(n int) {

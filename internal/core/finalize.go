@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the deterministic presentation pass shared by
-// all three strategies (naive, worklist, parallel).
+// both strategies (naive and worklist).
 //
 // Every strategy converges the summary function (calling pattern ->
 // merged success pattern) by chaotic iteration. Since the widening
@@ -30,14 +30,14 @@ import (
 // as reachable under converged summaries, in deterministic depth-first
 // order; each entry's published summary is the lub of its clause
 // successes under those summaries, free of historical contributions.
-// The converged oracle is consulted only where the walk cannot supply a
+// The converged table is consulted only where the walk cannot supply a
 // value of its own: a cyclic consultation (the entry is still being
-// presented) reads the oracle's converged summary.
-// At such points the strategies' oracles agree — the converged summary
+// presented) reads the table's converged summary.
+// At such points the strategies' tables agree — the converged summary
 // function is the same under every schedule (the join argument above) —
 // so the reported table (Entries, summaries, TableSize, Report,
 // Marshal) is a pure function of the fixpoint, identical across
-// strategies, worker counts and schedules. internal/baseline runs the
+// strategies and schedules. internal/baseline runs the
 // same replay over its meta-interpreted table, which is what lets the
 // cross-validation suite compare the two analyzers byte for byte.
 //
@@ -58,34 +58,24 @@ import (
 // one. At the first mismatch it falls back to running the entry's clauses
 // (exploreFin); the prefix already presented is exactly what the
 // execution would have presented, so the result is the same either way.
-// Entries without a record also run their clauses: everything under the
-// parallel engine (its workers run clauses past bottom callees, so their
-// reads are not a replay of this walk) and anything the fixpoint never
-// explored. An undefined predicate records an empty exploration.
+// Entries without a record, which the fixpoint never explored, also run
+// their clauses. An undefined predicate records an empty exploration.
 // Warm-seeded entries replay their cached trace instead.
 //
 // Termination needs no in-flight bookkeeping: an entry is added to the
-// presentation table before its clauses run (carrying the oracle summary
-// while in progress), so recursive occurrences memo-return immediately
+// presentation table before its clauses run (carrying the converged
+// summary while in progress), so recursive occurrences memo-return immediately
 // and each calling pattern is explored at most once.
 //
-// Completeness of the oracle is a property of the converged strategies:
+// Completeness of the converged table is a property of the strategies:
 // at termination every entry's last exploration read only final
 // summaries (any later growth would have re-enqueued it), so the calling
 // patterns generated under final summaries were all inserted before the
 // queue drained. Soundness of the recomputed summaries follows by
 // induction over the replay: every callee value read is either itself
-// recomputed from sound values or a converged (sound) oracle summary,
+// recomputed from sound values or a converged (sound) table summary,
 // and clause execution over sound callee summaries yields sound success
 // patterns.
-
-// summaryOracle answers converged-summary lookups by interned ID; both
-// DenseTable and DenseShardedTable satisfy it.
-// The replay shares the fixpoint phase's interner, so its IDs are
-// directly comparable with the oracle's.
-type summaryOracle interface {
-	Get(id domain.PatternID) *Entry
-}
 
 // recorder keeps each entry's last completed exploration under the naive
 // or worklist fixpoint, for the naive fixpoint and finalize to replay.
@@ -182,9 +172,8 @@ func (a *Analyzer) noteSucc(spID domain.PatternID) {
 // finState is the finalize-pass bookkeeping; solve dispatches on it.
 // The presentation index is an ID-indexed slice, like the tables.
 type finState struct {
-	oracle summaryOracle
-	index  []*Entry
-	order  []*Entry
+	index []*Entry
+	order []*Entry
 	// replayed and executed count the entries presented from their
 	// exploration record and those whose clauses ran (Metrics).
 	replayed, executed int64
@@ -226,15 +215,15 @@ func (f *finState) consult(id domain.PatternID, cp *domain.Pattern) {
 	f.cur.Consults = append(f.cur.Consults, cp)
 }
 
-// present runs the finalize pass over the converged oracle and assembles
-// the Result — the common tail of every strategy driver.
-func (a *Analyzer) present(entries []*domain.Pattern, oracle summaryOracle, workers []*Analyzer, execDur time.Duration) (*Result, error) {
+// present runs the finalize pass over the converged table and assembles
+// the Result.
+func (a *Analyzer) present(entries []*domain.Pattern, execDur time.Duration) (*Result, error) {
 	finStart := time.Now()
-	fs, err := a.finalize(entries, oracle)
+	fs, err := a.finalize(entries)
 	if err != nil {
 		return nil, err
 	}
-	m := a.buildMetrics(workers, execDur, time.Since(finStart))
+	m := a.buildMetrics(execDur, time.Since(finStart))
 	m.FinalizeReplayed, m.FinalizeExecuted = fs.replayed, fs.executed
 	return &Result{
 		Tab:        a.tab,
@@ -247,40 +236,38 @@ func (a *Analyzer) present(entries []*domain.Pattern, oracle summaryOracle, work
 	}, nil
 }
 
-// finalize rebuilds the presentation table from the converged oracle and
-// the fixpoint's exploration records, which it drops when it returns.
+// finalize rebuilds the presentation table from the converged table
+// (a.table) and the fixpoint's exploration records, which it drops when
+// it returns. The walk shares the fixpoint phase's interner, so its IDs
+// index the converged table directly.
 // The abstract instructions it executes are not charged to a.Steps: the
 // Exec statistic stays comparable to the paper's Table 1 (fixpoint work
 // only). For the same reason the pass is invisible to the
-// observability layer — its instructions land in a scratch metrics shard
-// that is thrown away, the tracer is detached, and it draws on a private
-// step budget — so Metrics totals stay equal to Result.Steps and a
-// nearly exhausted fixpoint budget cannot fail the presentation pass.
-func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) (*finState, error) {
+// observability layer — its instructions land in scratch counters that
+// are thrown away, the tracer is detached, and its Steps count restarts
+// at zero, a fresh step allowance — so Metrics totals stay equal to
+// Result.Steps and a nearly exhausted fixpoint budget cannot fail the
+// presentation pass.
+func (a *Analyzer) finalize(entries []*domain.Pattern) (*finState, error) {
 	savedSteps := a.Steps
 	savedMet, savedTr := a.met, a.tr
-	savedBudget, savedReserved, savedAllow := a.budget, a.reserved, a.allow
 	savedAttrFn, savedAttrStart := a.attrFn, a.attrStart
 	a.Steps = 0
-	a.met = newMetricsShard()
+	a.met = newCounters()
 	a.tr = nil
-	a.budget = newStepBudget(a.cfg.MaxSteps)
-	a.reserved, a.allow = 0, 0
 	a.attrFn = term.Functor{}
 	a.attrStart = 0
-	fs := &finState{oracle: oracle}
+	fs := &finState{}
 	a.fin = fs
 	defer func() {
 		a.fin = nil
 		a.rec = recorder{}
 		a.Steps = savedSteps
 		a.met, a.tr = savedMet, savedTr
-		a.budget, a.reserved, a.allow = savedBudget, savedReserved, savedAllow
 		a.attrFn, a.attrStart = savedAttrFn, savedAttrStart
 	}()
 	for _, cp := range entries {
-		// Top level: nothing survives between explorations (the parallel
-		// driver reaches here with a nil heap of its own).
+		// Top level: nothing survives between explorations.
 		a.resetHeap()
 		a.solve(cp.Canonical())
 		if a.err != nil {
@@ -298,7 +285,7 @@ func (a *Analyzer) finalize(entries []*domain.Pattern, oracle summaryOracle) (*f
 // and present it once (inline, depth-first — the discovery order of a
 // sequential first sight), from its exploration record or by running its
 // clauses. While the entry is being presented, Succ holds the converged
-// oracle summary so that cyclic consultations read the fixpoint value;
+// table's summary so that cyclic consultations read the fixpoint value;
 // replayFin or exploreFin replaces it with the lub of the clause
 // successes.
 func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.Pattern {
@@ -314,7 +301,7 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.P
 	a.fin.consult(id, e.CP)
 	// Warm start: a cached entry's presentation is replayed from its
 	// recorded trace — same summary, same discovery order — without
-	// executing its clauses. The probe comes before the oracle lookup:
+	// executing its clauses. The probe comes before the table lookup:
 	// trace-replayed callee patterns were never consulted during the
 	// warm fixpoint phase, so the converged table has no record of them.
 	if a.cfg.Warm != nil {
@@ -337,7 +324,7 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.P
 			return e.Succ
 		}
 	}
-	if oe := a.fin.oracle.Get(id); oe != nil {
+	if oe := a.table.Get(id); oe != nil {
 		e.Succ = oe.Succ
 		e.succID = oe.succID
 	} else {

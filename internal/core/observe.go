@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"awam/internal/specialize"
@@ -15,18 +14,14 @@ import (
 // This file implements the observability layer of the analyzer: an
 // opt-in Tracer callback interface (zero overhead when nil — the hot
 // loop guards every callback behind a single pointer test) and an
-// always-on Metrics aggregate built from per-worker counter shards.
+// always-on Metrics aggregate built from the run's plain counters.
 //
 // Design rules, enforced throughout internal/core:
 //
-//   - Counters live in a metricsShard owned by exactly one goroutine
-//     (each parallel worker is a private Analyzer with its own shard);
-//     shards are merged only after the worker WaitGroup barrier, so
-//     metric collection is race-free without atomics in the hot loop.
-//   - Only the shared step *budget* is synchronized (see refillSteps),
-//     and it is touched once per reserved chunk, not per step.
+//   - Counters live in the Analyzer's counters set, written only by the
+//     goroutine running the analysis, so collection needs no atomics.
 //   - The finalize replay and the determinacy pass are not observable:
-//     their instructions are charged to a scratch shard and their
+//     their instructions are charged to scratch counters and their
 //     events suppressed, so Metrics totals stay equal to Result.Steps
 //     (the fixpoint-phase Exec statistic) under every strategy.
 //   - Steps, and with it the paper's Exec column, counts only abstract
@@ -36,9 +31,7 @@ import (
 
 // Tracer receives analysis events. Install one with Config.Tracer; a
 // nil tracer costs a single pointer test per abstract instruction.
-//
-// Under StrategyParallel callbacks arrive concurrently from every
-// worker goroutine; implementations must be safe for concurrent use.
+// Callbacks arrive on the goroutine running the analysis.
 type Tracer interface {
 	// Instr fires before each abstract instruction, with the predicate
 	// whose clause is executing.
@@ -47,30 +40,16 @@ type Tracer interface {
 	// insert, success-pattern update) for the consulted predicate.
 	Table(fn term.Functor, ev TableEvent)
 	// Enqueue fires when a calling pattern is re-enqueued because a
-	// summary it depends on grew (worklist and parallel strategies).
+	// summary it depends on grew (worklist strategy).
 	Enqueue(fn term.Functor)
 	// Iteration fires at the start of each naive fixpoint pass.
 	Iteration(n int)
-	// Worker fires at parallel worker start (start=true) and exit.
-	Worker(id int, start bool)
 }
 
-// WorkerMetrics is one parallel worker's share of the run.
-type WorkerMetrics struct {
-	ID int
-	// Steps is the number of abstract instructions this worker executed.
-	Steps int64
-	// Explorations is the number of table entries this worker explored.
-	Explorations int64
-	// QueueWait is the total time this worker spent waiting on the
-	// shared work queue (lock acquisition plus idle parking).
-	QueueWait time.Duration
-}
-
-// Metrics is the merged instrumentation of one analysis run. It is
-// always collected (per-worker plain counters, merged after the worker
-// barrier) and describes the fixpoint phase only: the deterministic
-// finalize replay is excluded, so the counter totals match Result.Steps.
+// Metrics is the instrumentation of one analysis run. It is always
+// collected (plain counters) and describes the fixpoint phase only: the
+// deterministic finalize replay is excluded, so the counter totals match
+// Result.Steps.
 type Metrics struct {
 	// PredSteps is the number of abstract instructions executed inside
 	// each predicate's clauses (exclusive: a callee's instructions are
@@ -93,7 +72,7 @@ type Metrics struct {
 	// a hit; a miss is immediately followed by an insert; an update is
 	// a success-pattern growth.
 	TableHits, TableMisses, TableInserts, TableUpdates int64
-	// Enqueues counts dependency-driven re-enqueues (worklist/parallel).
+	// Enqueues counts dependency-driven re-enqueues (worklist).
 	Enqueues int64
 	// Hash-consing traffic (intern.go): InternHits counts pattern
 	// interns resolved on the read path, InternMisses first-sight
@@ -127,7 +106,7 @@ type Metrics struct {
 	// tier.
 	RemoteLoads, RemoteMisses, RemotePuts int64
 	RemoteRoundTrips, RemoteErrors        int64
-	// HeapHighWater is the largest abstract heap (in cells) any worker
+	// HeapHighWater is the largest abstract heap (in cells) the fixpoint
 	// ever held.
 	HeapHighWater int
 	// NaiveReplayed and NaiveExecuted count the naive fixpoint's
@@ -137,22 +116,20 @@ type Metrics struct {
 	NaiveReplayed, NaiveExecuted int64
 	// FinalizeReplayed and FinalizeExecuted count how the finalize pass
 	// presented its entries: from the fixpoint's record of the entry's
-	// last exploration, or by running the entry's clauses again (always
-	// so under StrategyParallel). Warm-seeded entries, presented from
-	// their cached trace, count in neither. Neither counts toward Steps.
+	// last exploration, or by running the entry's clauses again.
+	// Warm-seeded entries, presented from their cached trace, count in
+	// neither. Neither counts toward Steps.
 	FinalizeReplayed, FinalizeExecuted int64
 	// ExecuteTime is the fixpoint-phase wall time; FinalizeTime is the
 	// deterministic presentation pass's. TableTime estimates the share of
 	// ExecuteTime spent in table operations; it is sampled (one timed
 	// operation in tableSampleEvery), so treat it as an estimate.
 	ExecuteTime, TableTime, FinalizeTime time.Duration
-	// Workers holds per-worker breakdowns (StrategyParallel only).
-	Workers []WorkerMetrics
 }
 
-// metricsShard is one goroutine's private counter set. The zero value
-// is not ready; use newMetricsShard.
-type metricsShard struct {
+// counters is the run's counter set behind Metrics. The zero value is
+// not ready; use newCounters.
+type counters struct {
 	predSteps map[term.Functor]int64
 	predRuns  map[term.Functor]int64
 	opcodes   [wam.NumOps]int64
@@ -165,15 +142,15 @@ type metricsShard struct {
 	warmHits, warmMisses     int64
 
 	// naiveReplayed and naiveExecuted split the naive fixpoint's
-	// explorations; parallel workers never run it, so merge skips them.
+	// explorations.
 	naiveReplayed, naiveExecuted int64
 
 	tableOps  int64
 	tableTime time.Duration
 }
 
-func newMetricsShard() *metricsShard {
-	return &metricsShard{
+func newCounters() *counters {
+	return &counters{
 		predSteps: make(map[term.Functor]int64),
 		predRuns:  make(map[term.Functor]int64),
 	}
@@ -185,7 +162,7 @@ func newMetricsShard() *metricsShard {
 const tableSampleEvery = 64
 
 // sampleTable starts a sampled table-operation timing window.
-func (m *metricsShard) sampleTable() (time.Time, bool) {
+func (m *counters) sampleTable() (time.Time, bool) {
 	timed := m.tableOps%tableSampleEvery == 0
 	m.tableOps++
 	if timed {
@@ -195,39 +172,10 @@ func (m *metricsShard) sampleTable() (time.Time, bool) {
 }
 
 // doneTable closes a sampled timing window.
-func (m *metricsShard) doneTable(t0 time.Time, timed bool) {
+func (m *counters) doneTable(t0 time.Time, timed bool) {
 	if timed {
 		m.tableTime += time.Since(t0) * tableSampleEvery
 	}
-}
-
-// merge folds other into m (post-barrier aggregation; no locking).
-func (m *metricsShard) merge(other *metricsShard) {
-	for fn, n := range other.predSteps {
-		m.predSteps[fn] += n
-	}
-	for fn, n := range other.predRuns {
-		m.predRuns[fn] += n
-	}
-	for i := range other.opcodes {
-		m.opcodes[i] += other.opcodes[i]
-	}
-	for i := range other.fusedOps {
-		m.fusedOps[i] += other.fusedOps[i]
-	}
-	m.hits += other.hits
-	m.misses += other.misses
-	m.inserts += other.inserts
-	m.updates += other.updates
-	m.enqueues += other.enqueues
-	m.internHits += other.internHits
-	m.internMisses += other.internMisses
-	m.lubHits += other.lubHits
-	m.lubMisses += other.lubMisses
-	m.warmHits += other.warmHits
-	m.warmMisses += other.warmMisses
-	m.tableOps += other.tableOps
-	m.tableTime += other.tableTime
 }
 
 // attrSwitch charges the steps executed since the last attribution
@@ -253,8 +201,8 @@ func (a *Analyzer) attrClose() {
 }
 
 // noteHeap records the current heap's high-water mark before the heap is
-// replaced or the driver exits (worker heaps are read directly, but the
-// sequential strategies discard heaps between explorations).
+// replaced or the fixpoint ends (the strategies discard heaps between
+// explorations).
 func (a *Analyzer) noteHeap() {
 	if a.h != nil {
 		if hw := a.h.HighWater(); hw > a.heapHW {
@@ -272,95 +220,8 @@ func (a *Analyzer) attrRestore(prev term.Functor) {
 	a.attrStart = a.Steps
 }
 
-// budgetChunk is the largest step allowance a goroutine reserves at a
-// time, so the shared budget is touched once per chunk rather than per
-// instruction.
-const budgetChunk = 4096
-
-// stepBudget is the step budget shared by every goroutine of one
-// analysis. Goroutines reserve allowances from pool and charge steps
-// against them locally; held is the sum of the reservations not yet
-// used up or refunded. The budget is exhausted only when both are zero:
-// then every step of it has actually been charged. A goroutine that
-// finds the pool empty while others still hold allowance waits for
-// them to charge it (and find the budget exhausted too) or refund it.
-type stepBudget struct {
-	mu    sync.Mutex
-	freed sync.Cond // broadcast when held shrinks
-	pool  int64
-	held  int64
-	// share caps one reservation at a fair slice of the budget, so a
-	// small budget is not reserved whole by the first worker.
-	share int64
-}
-
-func newStepBudget(max int64) *stepBudget {
-	b := &stepBudget{}
-	b.freed.L = &b.mu
-	b.reset(max, 1)
-	return b
-}
-
-// reset refills the budget to max steps for an analysis run by workers
-// goroutines.
-func (b *stepBudget) reset(max int64, workers int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.pool, b.held = max, 0
-	b.share = max / int64(workers)
-	if b.share > budgetChunk {
-		b.share = budgetChunk
-	}
-	if b.share < 1 {
-		b.share = 1
-	}
-}
-
-// refillSteps reserves the next allowance, reporting false once every
-// step of the budget has been charged. The previous allowance is used
-// up when this is called (allow reached zero), so its reservation is
-// released first.
-func (a *Analyzer) refillSteps() bool {
-	b := a.budget
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if a.reserved > 0 {
-		b.held -= a.reserved
-		a.reserved = 0
-		b.freed.Broadcast()
-	}
-	for b.pool == 0 {
-		if b.held == 0 {
-			return false
-		}
-		b.freed.Wait()
-	}
-	take := min(b.pool, b.share)
-	b.pool -= take
-	b.held += take
-	a.reserved, a.allow = take, take
-	return true
-}
-
-// refundSteps returns unused allowance to the shared budget. A parallel
-// worker calls it before it parks on the queue or stops, so an idle or
-// finished worker never starves the others of budget.
-func (a *Analyzer) refundSteps() {
-	if a.reserved == 0 {
-		return
-	}
-	b := a.budget
-	b.mu.Lock()
-	b.pool += a.allow
-	b.held -= a.reserved
-	b.freed.Broadcast()
-	b.mu.Unlock()
-	a.reserved, a.allow = 0, 0
-}
-
-// buildMetrics assembles the public Metrics from the driver's shard,
-// already merged with any worker shards, plus per-worker breakdowns.
-func (a *Analyzer) buildMetrics(workers []*Analyzer, execute, finalize time.Duration) *Metrics {
+// buildMetrics assembles the public Metrics from the run's counters.
+func (a *Analyzer) buildMetrics(execute, finalize time.Duration) *Metrics {
 	m := &Metrics{
 		PredSteps:      a.met.predSteps,
 		PredRuns:       a.met.predRuns,
@@ -385,17 +246,6 @@ func (a *Analyzer) buildMetrics(workers []*Analyzer, execute, finalize time.Dura
 	m.FusedOps = a.met.fusedOps
 	m.InternedPatterns, m.InternedTerms = a.in.Size()
 	m.HeapHighWater = a.heapHW
-	for i, w := range workers {
-		if hw := w.h.HighWater(); hw > m.HeapHighWater {
-			m.HeapHighWater = hw
-		}
-		m.Workers = append(m.Workers, WorkerMetrics{
-			ID:           i,
-			Steps:        w.Steps,
-			Explorations: int64(w.Iterations),
-			QueueWait:    w.queueWait,
-		})
-	}
 	return m
 }
 
@@ -422,10 +272,6 @@ func (m *Metrics) Render(tab *term.Tab) string {
 			m.RemoteLoads, m.RemoteMisses, m.RemotePuts, m.RemoteRoundTrips, m.RemoteErrors)
 	}
 	fmt.Fprintf(&b, "heap     high-water=%d cells\n", m.HeapHighWater)
-	for _, w := range m.Workers {
-		fmt.Fprintf(&b, "worker   #%d steps=%d explorations=%d queue-wait=%v\n",
-			w.ID, w.Steps, w.Explorations, w.QueueWait.Round(time.Microsecond))
-	}
 	b.WriteString("predicate steps/runs:\n")
 	fns := make([]term.Functor, 0, len(m.PredSteps))
 	for fn := range m.PredSteps {

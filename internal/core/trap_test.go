@@ -62,13 +62,11 @@ var trapStrategies = []struct {
 }{
 	{"worklist", StrategyWorklist},
 	{"naive", StrategyNaive},
-	{"parallel-2", StrategyParallel},
 }
 
 func analyzeTrap(mod *wam.Module, strat Strategy, spec *specialize.Program) (*Analyzer, *Result, error) {
 	cfg := DefaultConfig()
 	cfg.Strategy = strat
-	cfg.Parallelism = 2
 	cfg.Spec = spec
 	a := NewWith(mod, cfg)
 	res, err := a.AnalyzeMain()
@@ -77,8 +75,7 @@ func analyzeTrap(mod *wam.Module, strat Strategy, spec *specialize.Program) (*An
 
 // TestTrapWordReachable: a choice instruction inside a reachable clause
 // body fails the analysis with the error text and at the step count the
-// generic opcode switch produced (sequential strategies; a parallel
-// run's step total is schedule-dependent).
+// generic opcode switch produced.
 func TestTrapWordReachable(t *testing.T) {
 	const wantErr = "core: unexpected opcode try_me_else 3 inside clause at 10"
 	for _, leg := range trapLegs {
@@ -89,7 +86,7 @@ func TestTrapWordReachable(t *testing.T) {
 				t.Errorf("%s/%s: err = %v, want %q", leg.name, st.name, err, wantErr)
 				continue
 			}
-			if st.strat != StrategyParallel && a.Steps != 5 {
+			if a.Steps != 5 {
 				t.Errorf("%s/%s: Steps at failure = %d, want 5", leg.name, st.name, a.Steps)
 			}
 		}
@@ -115,7 +112,7 @@ func TestTrapWordUnreachable(t *testing.T) {
 			if got := res.Marshal(); got != want {
 				t.Errorf("%s/%s: Marshal\n%s\nwant\n%s", leg.name, st.name, got, want)
 			}
-			if n, ok := wantSteps[st.strat]; ok && res.Steps != n {
+			if n := wantSteps[st.strat]; res.Steps != n {
 				t.Errorf("%s/%s: Steps = %d, want %d", leg.name, st.name, res.Steps, n)
 			}
 		}

@@ -30,10 +30,6 @@ const (
 	// StrategyWorklist re-explores only the dependents of changed
 	// entries.
 	StrategyWorklist
-	// StrategyParallel runs the worklist concurrently: N worker
-	// goroutines, each owning private execution state, pull entries from
-	// a shared queue backed by a lock-striped table (parallel.go).
-	StrategyParallel
 )
 
 // wlState carries the worklist bookkeeping, keyed by the entries'

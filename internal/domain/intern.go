@@ -28,9 +28,9 @@ import (
 // The fast path therefore walks under a read lock; only a miss retries
 // the walk under the write lock (RWMutex cannot upgrade, and the insert
 // path re-checks every node, so the race window between the two walks
-// is harmless). The interner lock is leaf-level: no entry, shard or
-// queue lock is ever acquired while holding it, so callers may intern
-// while holding engine locks.
+// is harmless). The interner lock is leaf-level: nothing else is locked
+// while it is held, so callers may intern while holding locks of their
+// own.
 //
 // Each interned pattern stores a canonical representative (*Pattern)
 // whose Key is precomputed under the write lock before the ID is
@@ -409,10 +409,9 @@ func eqIDs(a []TermID, b []TermID) bool {
 
 // Memo caches the pattern-level lattice operations on interned IDs, so
 // repeated merges of the same summaries are map hits instead of graph
-// walks. A Memo belongs to one goroutine (each parallel worker gets its
-// own, folded into the driver's after the barrier, like the metrics
-// shards — no hot-path locks); all IDs must come from one Interner, and
-// the widen cache additionally assumes one fixed depth k per analysis.
+// walks. A Memo belongs to one analysis and is not safe for concurrent
+// use (no hot-path locks); all IDs must come from one Interner, and the
+// widen cache additionally assumes one fixed depth k per analysis.
 type Memo struct {
 	lub   map[[2]PatternID]PatternID
 	widen map[PatternID]PatternID
@@ -454,18 +453,3 @@ func (m *Memo) Leq(a, b PatternID) (v, ok bool) {
 
 // SetLeq records a LeqPattern verdict.
 func (m *Memo) SetLeq(a, b PatternID, v bool) { m.leq[[2]PatternID{a, b}] = v }
-
-// Absorb folds other's entries into m (post-barrier aggregation; the
-// cached operations are pure functions of their IDs, so overlapping
-// entries always agree and last-writer-wins is safe).
-func (m *Memo) Absorb(other *Memo) {
-	for k, v := range other.lub {
-		m.lub[k] = v
-	}
-	for k, v := range other.widen {
-		m.widen[k] = v
-	}
-	for k, v := range other.leq {
-		m.leq[k] = v
-	}
-}

@@ -30,8 +30,8 @@ type Violation struct {
 	// Kind is one of "soundness" (a concrete answer escapes some
 	// strategy's abstract summary), "bottom-success" (a strategy
 	// claims failure but the query succeeds), "strategy-divergence"
-	// (strict mode: worklist, naive and parallel results are not
-	// byte-identical), "metamorphic-reorder", "metamorphic-rename", or
+	// (strict mode: worklist and naive results are not byte-identical),
+	// "metamorphic-reorder", "metamorphic-rename", or
 	// "backward-consistency" (a forward analysis from an inferred
 	// weakest demand refutes success).
 	Kind    string `json:"kind"`
@@ -60,7 +60,7 @@ type Stats struct {
 	// interpreter (any solutions observed before the error are still
 	// checked).
 	Skipped int
-	// Diverged counts byte-level worklist/parallel disagreements that
+	// Diverged counts byte-level worklist/naive disagreements that
 	// were tolerated because Options.StrictCross was off (each
 	// strategy's summary is still individually checked for soundness).
 	Diverged int

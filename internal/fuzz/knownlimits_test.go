@@ -18,9 +18,9 @@ import (
 // fixpoint reached depended on iteration order: whether a deep cons
 // chain was widened to list(e) — silently admitting [] and changing
 // base-clause reachability downstream — depended on the schedule's
-// accumulated chain depth, so worklist, naive and parallel-N landed on
-// different, individually sound, post-fixpoints (typically 3-6
-// byte-level divergences in 20 parallel runs). The uniform-list
+// accumulated chain depth, so different schedules landed on different,
+// individually sound, post-fixpoints (typically 3-6 byte-level
+// divergences in 20 runs of a concurrent worklist). The uniform-list
 // closure removed the nil injection, and this file pins the program as
 // a byte-identity regression test.
 const confluenceRegressionSrc = `qsort([X|L], R, R0) :- partition(L, X, b1, L2), qsort(L2, R1, R0), qsort(L1, R, [X|R1]).
@@ -33,7 +33,7 @@ const confluenceRegressionQuery = "qsort([3,1,2], R, [])"
 
 // analyzeRegression runs one strategy on the pinned program and
 // returns the marshaled table.
-func analyzeRegression(t *testing.T, strat core.Strategy, par int) string {
+func analyzeRegression(t *testing.T, strat core.Strategy) string {
 	t.Helper()
 	tab := term.NewTab()
 	prog, err := parser.ParseProgram(tab, confluenceRegressionSrc)
@@ -58,7 +58,6 @@ func analyzeRegression(t *testing.T, strat core.Strategy, par int) string {
 	cp := domain.WidenPattern(tab, domain.NewPattern(fn, argAbs), 4)
 	cfg := core.DefaultConfig()
 	cfg.Strategy = strat
-	cfg.Parallelism = par
 	res, err := core.NewWith(mod, cfg).Analyze(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -67,35 +66,35 @@ func analyzeRegression(t *testing.T, strat core.Strategy, par int) string {
 }
 
 // TestConfluenceRegression: on the historical counterexample, every
-// strategy under every schedule must now produce the byte-identical
-// table. Parallel legs are repeated because a single run exercises
-// only one schedule; 20 rounds of parallel-1/2/4 was enough to show
-// several divergent schedules under the old domain.
+// schedule must now reach the same fixpoint. The program runs under
+// three schedules: the worklist's dependency-driven one and the naive
+// passes, which must produce the byte-identical table, and the
+// worklist over the clause-reversed program (CheckMetamorphic), whose
+// discovery order differs and whose summary must not.
 func TestConfluenceRegression(t *testing.T) {
-	want := analyzeRegression(t, core.StrategyWorklist, 0)
+	want := analyzeRegression(t, core.StrategyWorklist)
 	if !strings.Contains(want, "qsort") {
 		t.Fatal("marshal output missing the entry predicate")
 	}
-	if got := analyzeRegression(t, core.StrategyNaive, 0); got != want {
+	if got := analyzeRegression(t, core.StrategyNaive); got != want {
 		t.Fatalf("naive diverges from worklist:\nworklist:\n%s\nnaive:\n%s", want, got)
 	}
-	for round := 0; round < 20; round++ {
-		for _, par := range []int{1, 2, 4} {
-			if got := analyzeRegression(t, core.StrategyParallel, par); got != want {
-				t.Fatalf("parallel-%d diverges from worklist on round %d:\nworklist:\n%s\nparallel:\n%s",
-					par, round, want, got)
-			}
-		}
+	c := Case{Source: confluenceRegressionSrc, Queries: []string{confluenceRegressionQuery}}
+	v, err := CheckMetamorphic(c, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != nil {
+		t.Fatalf("metamorphic violation on pinned program: %+v", v)
 	}
 	// The strict oracle must agree: full cross-strategy byte-identity
 	// plus soundness of the shared result against concrete answers.
-	c := Case{Source: confluenceRegressionSrc, Queries: []string{confluenceRegressionQuery}}
 	opt := DefaultOptions()
 	// The mutilated partition makes the concrete search explode; a few
 	// thousand steps observe plenty of answers.
 	opt.ConcreteSteps = 20_000
 	opt.MaxSolutions = 4
-	v, _, err := Check(c, opt)
+	v, _, err = Check(c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestWorklistSelfDeterminism(t *testing.T) {
 	for _, strat := range []core.Strategy{core.StrategyWorklist, core.StrategyNaive} {
 		var first string
 		for i := 0; i < 10; i++ {
-			m := analyzeRegression(t, strat, 0)
+			m := analyzeRegression(t, strat)
 			if i == 0 {
 				first = m
 			} else if m != first {

@@ -54,8 +54,8 @@ func FuzzSoundnessSource(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src, query string) {
 		// The caps bound single-exec latency: the Go fuzzer has no
-		// per-input timeout, so a 64 KB program analyzed under four
-		// strategies would stall a worker for seconds per exec.
+		// per-input timeout, so a 64 KB program analyzed under both
+		// strategies would stall a fuzz worker for seconds per exec.
 		if len(src) > maxFuzzSource || len(query) > 1<<10 {
 			t.Skip("oversized input")
 		}

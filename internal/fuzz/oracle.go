@@ -25,17 +25,17 @@ type Options struct {
 	// rather than failing it.
 	ConcreteSteps int64
 	AbstractSteps int64
-	// CrossStrategies additionally runs the naive and parallel-2/4
-	// engines and checks every strategy's summary for soundness
-	// against the concrete answers.
+	// CrossStrategies additionally runs the naive fixpoint and checks
+	// both strategies' summaries for soundness against the concrete
+	// answers.
 	CrossStrategies bool
 	// StrictCross escalates cross-strategy disagreement to a
-	// violation: worklist, naive and parallel-N results must be
-	// byte-identical. Since the widening was restructured into an
-	// upper closure (merge = widen ∘ lub is an idempotent,
-	// commutative, associative join on the widened subdomain — see
-	// domain/laws_test.go) this is a theorem for arbitrary programs,
-	// so it defaults on everywhere, including source-level fuzzing.
+	// violation: worklist and naive results must be byte-identical.
+	// Since the widening was restructured into an upper closure
+	// (merge = widen ∘ lub is an idempotent, commutative, associative
+	// join on the widened subdomain — see domain/laws_test.go) this is
+	// a theorem for arbitrary programs, so it defaults on everywhere,
+	// including source-level fuzzing.
 	StrictCross bool
 	// MutateSummary, when non-nil, post-processes the analyzer's
 	// success pattern before the soundness check. It exists for fault
@@ -111,15 +111,14 @@ func Check(c Case, opt Options) (*Violation, Stats, error) {
 		}
 		cp := domain.WidenPattern(tab, domain.NewPattern(fn, argAbs), opt.Depth)
 
-		run := func(strat core.Strategy, par int) (*core.Result, error) {
+		run := func(strat core.Strategy) (*core.Result, error) {
 			cfg := core.DefaultConfig()
 			cfg.Depth = opt.Depth
 			cfg.MaxSteps = opt.AbstractSteps
 			cfg.Strategy = strat
-			cfg.Parallelism = par
 			return core.NewWith(mod, cfg).Analyze(cp)
 		}
-		resWL, err := run(core.StrategyWorklist, 0)
+		resWL, err := run(core.StrategyWorklist)
 		if errors.Is(err, core.ErrStepLimit) {
 			st.Skipped++
 			continue
@@ -132,7 +131,7 @@ func Check(c Case, opt Options) (*Violation, Stats, error) {
 		var alts []altSummary
 		if opt.CrossStrategies {
 			var v *Violation
-			alts, v, err = crossCheck(tab, fn, succ, resWL, run, viol, q, opt.StrictCross, &st)
+			alts, v, err = crossCheck(fn, resWL, run, viol, q, opt.StrictCross, &st)
 			if err != nil {
 				return nil, st, err
 			}
@@ -215,61 +214,37 @@ type altSummary struct {
 	succ  *domain.Pattern
 }
 
-// crossCheck runs the other fixpoint strategies on the same entry
-// pattern and returns their summaries for the soundness check. Under
-// strict mode it enforces the schedule-confluence contract: worklist,
-// naive and parallel-N tables must all be byte-identical. Outside
-// strict mode a byte-level disagreement only increments Stats.Diverged
-// (each strategy's summary is still individually checked for
-// soundness); that mode survives as an escape hatch for fault
-// injection and for bisecting a confluence regression.
-func crossCheck(tab *term.Tab, fn term.Functor, succWL *domain.Pattern,
-	resWL *core.Result, run func(core.Strategy, int) (*core.Result, error),
+// crossCheck runs the naive fixpoint on the same entry pattern and
+// returns its summary for the soundness check. Under strict mode it
+// enforces the schedule-confluence contract: the worklist and naive
+// tables must be byte-identical. Outside strict mode a byte-level
+// disagreement only increments Stats.Diverged (each strategy's summary
+// is still individually checked for soundness); that mode survives as
+// an escape hatch for fault injection and for bisecting a confluence
+// regression.
+func crossCheck(fn term.Functor, resWL *core.Result, run func(core.Strategy) (*core.Result, error),
 	viol func(kind, query, detail string) *Violation, q string,
 	strict bool, st *Stats) ([]altSummary, *Violation, error) {
-
-	divergence := func(label string, other *core.Result) *Violation {
-		pred, pair := FirstDivergence(resWL, other)
-		v := viol("strategy-divergence", q, fmt.Sprintf(
-			"worklist and %s results are not byte-identical; first divergence at %s: %s vs %s",
-			label, pred, pair[0], pair[1]))
-		v.DivergedPred = pred
-		v.DivergedPair = pair[:]
-		return v
-	}
-
-	var alts []altSummary
-	for _, par := range []int{2, 4} {
-		resPar, err := run(core.StrategyParallel, par)
-		if errors.Is(err, core.ErrStepLimit) {
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("fuzz: parallel-%d analyze %q: %w", par, q, err)
-		}
-		if resWL.Marshal() != resPar.Marshal() {
-			if strict {
-				return nil, divergence(fmt.Sprintf("parallel-%d", par), resPar), nil
-			}
-			st.Diverged++
-		}
-		alts = append(alts, altSummary{fmt.Sprintf("parallel-%d", par), resPar.SuccessFor(fn)})
-	}
-	resNaive, err := run(core.StrategyNaive, 0)
+	resNaive, err := run(core.StrategyNaive)
 	if errors.Is(err, core.ErrStepLimit) {
-		return alts, nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("fuzz: naive analyze %q: %w", q, err)
 	}
 	if resWL.Marshal() != resNaive.Marshal() {
 		if strict {
-			return nil, divergence("naive", resNaive), nil
+			pred, pair := FirstDivergence(resWL, resNaive)
+			v := viol("strategy-divergence", q, fmt.Sprintf(
+				"worklist and naive results are not byte-identical; first divergence at %s: %s vs %s",
+				pred, pair[0], pair[1]))
+			v.DivergedPred = pred
+			v.DivergedPair = pair[:]
+			return nil, v, nil
 		}
 		st.Diverged++
 	}
-	alts = append(alts, altSummary{"naive", resNaive.SuccessFor(fn)})
-	return alts, nil, nil
+	return []altSummary{{"naive", resNaive.SuccessFor(fn)}}, nil, nil
 }
 
 // FirstDivergence locates the first table entry on which two analysis

@@ -26,8 +26,8 @@ import (
 type BenchEntry struct {
 	// Name is the workload, e.g. "wide_256" or a Table 1 benchmark.
 	Name string `json:"name"`
-	// Config names the analyzer configuration: "naive" (paper default),
-	// "worklist", or "parallel-N".
+	// Config names the analyzer configuration: "naive" (paper default)
+	// or "worklist".
 	Config string `json:"config"`
 	// Iters is the number of timed runs behind the per-op averages.
 	Iters int `json:"iters"`
@@ -85,24 +85,12 @@ type BenchReport struct {
 	Backward []BackwardEntry `json:"backward,omitempty"`
 }
 
-// benchConfigs are the engine configurations the JSON report sweeps on
-// the wide programs — the rows EXPERIMENTS.md E13/E16 track.
-func benchConfigs() []struct {
-	label string
-	cfg   core.Config
-} {
-	worklist := core.DefaultConfig()
-	worklist.Strategy = core.StrategyWorklist
-	par4 := core.DefaultConfig()
-	par4.Strategy = core.StrategyParallel
-	par4.Parallelism = 4
-	return []struct {
-		label string
-		cfg   core.Config
-	}{
-		{"worklist", worklist},
-		{"parallel-4", par4},
-	}
+// worklistConfig is the engine configuration the JSON report measures
+// on the wide programs — the rows EXPERIMENTS.md E13/E16 track.
+func worklistConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Strategy = core.StrategyWorklist
+	return cfg
 }
 
 // measureJSON times repeated AnalyzeMain runs of one compiled module
@@ -178,7 +166,7 @@ func compileBench(p bench.Program) (*wam.Module, error) {
 }
 
 // MeasureBenchJSON produces the benchmark report: the wide_256/wide_512
-// scaling programs under the worklist and parallel-4 engines, plus the
+// scaling programs under the worklist, plus the
 // paper's Table 1 suite under the default (naive) configuration.
 // progress, when non-nil, receives one line per cell. seed perturbs
 // the wide workloads via bench.WideProgramSeeded; 0 keeps the fixed
@@ -205,15 +193,13 @@ func MeasureBenchJSON(label string, quick bool, seed int64, progress io.Writer) 
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range benchConfigs() {
-			say("  %s/%s (seed=%d)...\n", p.Name, c.label, p.Seed)
-			e, err := measureJSON(p.Name, c.label, mod, c.cfg, quick)
-			if err != nil {
-				return nil, err
-			}
-			e.Seed = p.Seed
-			rep.Entries = append(rep.Entries, e)
+		say("  %s/worklist (seed=%d)...\n", p.Name, p.Seed)
+		e, err := measureJSON(p.Name, "worklist", mod, worklistConfig(), quick)
+		if err != nil {
+			return nil, err
 		}
+		e.Seed = p.Seed
+		rep.Entries = append(rep.Entries, e)
 	}
 	for _, p := range bench.Programs {
 		mod, err := compileBench(p)

@@ -135,8 +135,7 @@ func TestSeededWideProgramAnalyzes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := benchConfigs()[0] // worklist
-	e, err := measureJSON(p.Name, cfg.label, mod, cfg.cfg, true)
+	e, err := measureJSON(p.Name, "worklist", mod, worklistConfig(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

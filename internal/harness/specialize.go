@@ -60,7 +60,7 @@ func buildSpecProgram(mod *wam.Module, prof *specialize.Profile, opts specialize
 
 // SpecializeEntry is one measured cell of the specialization ablation.
 type SpecializeEntry struct {
-	// Name is the workload, Config the engine ("worklist"/"parallel-4"),
+	// Name is the workload, Config the engine ("worklist"),
 	// Leg the specializer configuration ("flatten", "fuse", "full").
 	Name        string `json:"name"`
 	Config      string `json:"config"`
@@ -120,9 +120,9 @@ func measureSpecCell(name, config, leg string, mod *wam.Module, cfg core.Config,
 	return e, nil
 }
 
-// MeasureSpecialize produces the specialization ablation: the wide
-// scaling workloads under worklist and parallel-4 across all three
-// legs, plus the Table 1 suite under the worklist at flatten/full.
+// MeasureSpecialize produces the specialization ablation, all under the
+// worklist: the wide scaling workloads across all three legs, plus the
+// Table 1 suite at flatten/full.
 // Fusion is guided by a measured profile of one plain-stream worklist
 // run per workload. progress, when non-nil, receives one line per cell.
 func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error) {
@@ -133,10 +133,7 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 	}
 	var out []SpecializeEntry
 
-	measure := func(p bench.Program, configs []struct {
-		label string
-		cfg   core.Config
-	}, legs []struct {
+	measure := func(p bench.Program, legs []struct {
 		name string
 		opts specialize.Options
 	}) error {
@@ -146,48 +143,43 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 		}
 		// Profiling run: plain-stream worklist, also the identity
 		// reference.
-		wlCfg := core.DefaultConfig()
-		wlCfg.Strategy = core.StrategyWorklist
-		ref, err := core.NewWith(mod, wlCfg).AnalyzeMain()
+		ref, err := core.NewWith(mod, worklistConfig()).AnalyzeMain()
 		if err != nil {
 			return fmt.Errorf("%s: profile run: %w", p.Name, err)
 		}
 		prof := SpecProfile(ref.Metrics)
 		want := ref.Marshal()
-		for _, c := range configs {
-			var flat int64
-			for _, leg := range legs {
-				cfg := c.cfg
-				cfg.Spec = buildSpecProgram(mod, prof, leg.opts)
-				say("  specialize %s/%s/%s...\n", p.Name, c.label, leg.name)
-				e, err := measureSpecCell(p.Name, c.label, leg.name, mod, cfg, want, quick)
-				if err != nil {
-					return err
-				}
-				if leg.name == "flatten" {
-					flat = e.NsPerOp
-				}
-				if flat > 0 && e.NsPerOp > 0 {
-					e.SpeedupVsFlatten = float64(flat) / float64(e.NsPerOp)
-				}
-				out = append(out, e)
+		var flat int64
+		for _, leg := range legs {
+			cfg := worklistConfig()
+			cfg.Spec = buildSpecProgram(mod, prof, leg.opts)
+			say("  specialize %s/worklist/%s...\n", p.Name, leg.name)
+			e, err := measureSpecCell(p.Name, "worklist", leg.name, mod, cfg, want, quick)
+			if err != nil {
+				return err
 			}
+			if leg.name == "flatten" {
+				flat = e.NsPerOp
+			}
+			if flat > 0 && e.NsPerOp > 0 {
+				e.SpeedupVsFlatten = float64(flat) / float64(e.NsPerOp)
+			}
+			out = append(out, e)
 		}
 		return nil
 	}
 
 	for _, fam := range []int{256, 512} {
-		if err := measure(bench.WideProgram(fam), benchConfigs(), specLegs); err != nil {
+		if err := measure(bench.WideProgram(fam), specLegs); err != nil {
 			return nil, err
 		}
 	}
-	wl := benchConfigs()[:1] // worklist only for the small programs
 	flatFull := []struct {
 		name string
 		opts specialize.Options
 	}{specLegs[0], specLegs[2]}
 	for _, p := range bench.Programs {
-		if err := measure(p, wl, flatFull); err != nil {
+		if err := measure(p, flatFull); err != nil {
 			return nil, err
 		}
 	}

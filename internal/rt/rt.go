@@ -152,8 +152,8 @@ func (h *Heap) Top() int { return len(h.Cells) }
 
 // Reset empties the heap for reuse, keeping the allocated capacity —
 // cheaper than a fresh heap for callers that run many short abstract
-// executions (e.g. parallel fixpoint workers, one reset per table
-// entry).
+// executions (e.g. the fixpoint strategies, one reset per top-level
+// exploration).
 func (h *Heap) Reset() {
 	if len(h.Cells) > h.high {
 		h.high = len(h.Cells)

@@ -11,19 +11,16 @@ package specialize_test
 //
 // The reference is testdata/reference.json: per program, the Marshal
 // SHA-256, Steps and opcode histogram under the worklist and naive
-// strategies, and the Marshal SHA-256 under parallel-2 and parallel-4.
-// It was recorded from the generic opcode-switch engine the streams
+// strategies. It was recorded from the generic opcode-switch engine the streams
 // replaced, so every leg below — the plain stream (Config.Spec nil),
 // flatten, fuse and full — is compared against that frozen engine's
 // observable output. internal/baseline and internal/refint remain the
 // independent cross-checks of the semantics itself.
 //
 // Strategy coverage: worklist and naive comparisons are exact (Marshal
-// + Steps + Opcodes; the sequential engines are fully deterministic).
-// Parallel-2 and parallel-4 compare Marshal only — the step totals of a
-// parallel run are schedule-dependent. The widening is an upper closure,
-// so parallel results are schedule-confluent and must equal the
-// recorded digests on every run. The interner counters are deliberately
+// + Steps + Opcodes; both engines are fully deterministic). The
+// widening is an upper closure, so the two strategies' Marshal digests
+// are equal for every program. The interner counters are deliberately
 // NOT compared: the pre-interning specialization exists to eliminate
 // interner traffic, so those counters are legitimately lower. Table
 // traffic is compared leg against leg instead: under worklist and naive,
@@ -58,7 +55,7 @@ import (
 // counterexample (see internal/fuzz/knownlimits_test.go): under the
 // pre-closure domain its schedules landed on different sound
 // post-fixpoints. It is now byte-identical under every strategy and is
-// exercised with the full parallel comparison like any other program.
+// exercised with the full comparison like any other program.
 const confluenceRegressionSrc = `qsort([X|L], R, R0) :- partition(L, X, b1, L2), qsort(L2, R1, R0), qsort(L1, R, [X|R1]).
 qsort([], R, R).
 partition([X|L], Y, L1, [X|L2]).
@@ -101,11 +98,10 @@ func components(mod *wam.Module) [][]term.Functor {
 	return comps
 }
 
-func analyzeWith(t *testing.T, mod *wam.Module, strat core.Strategy, workers int, spec *specialize.Program) *core.Result {
+func analyzeWith(t *testing.T, mod *wam.Module, strat core.Strategy, spec *specialize.Program) *core.Result {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Strategy = strat
-	cfg.Parallelism = workers
 	cfg.Spec = spec
 	res, err := core.NewWith(mod, cfg).AnalyzeAll()
 	if err != nil {
@@ -114,7 +110,7 @@ func analyzeWith(t *testing.T, mod *wam.Module, strat core.Strategy, workers int
 	return res
 }
 
-// runRef is the observable output of one sequential analysis.
+// runRef is the observable output of one analysis.
 type runRef struct {
 	Marshal string           `json:"marshal_sha256"`
 	Steps   int64            `json:"steps"`
@@ -131,10 +127,8 @@ type tableTraffic struct {
 
 // programRef is one program's reference record.
 type programRef struct {
-	Worklist  runRef `json:"worklist"`
-	Naive     runRef `json:"naive"`
-	Parallel2 string `json:"parallel2_marshal_sha256"`
-	Parallel4 string `json:"parallel4_marshal_sha256"`
+	Worklist runRef `json:"worklist"`
+	Naive    runRef `json:"naive"`
 }
 
 func digest(res *core.Result) string {
@@ -160,10 +154,8 @@ func record(res *core.Result) runRef {
 // stream configuration (nil = the plain stream).
 func recordProgram(t *testing.T, mod *wam.Module, spec *specialize.Program) programRef {
 	return programRef{
-		Worklist:  record(analyzeWith(t, mod, core.StrategyWorklist, 0, spec)),
-		Naive:     record(analyzeWith(t, mod, core.StrategyNaive, 0, spec)),
-		Parallel2: digest(analyzeWith(t, mod, core.StrategyParallel, 2, spec)),
-		Parallel4: digest(analyzeWith(t, mod, core.StrategyParallel, 4, spec)),
+		Worklist: record(analyzeWith(t, mod, core.StrategyWorklist, spec)),
+		Naive:    record(analyzeWith(t, mod, core.StrategyNaive, spec)),
 	}
 }
 
@@ -193,7 +185,7 @@ func reference(t *testing.T, key string) programRef {
 	return ref
 }
 
-// checkRun is the exact comparison of one sequential run.
+// checkRun is the exact comparison of one run.
 func checkRun(t *testing.T, name string, want, got runRef) {
 	t.Helper()
 	if want.Marshal != got.Marshal {
@@ -260,12 +252,6 @@ func diffProgram(t *testing.T, key, src string) {
 		} else {
 			checkTraffic(t, leg.name+"/worklist", plain.Worklist.Traffic, got.Worklist.Traffic)
 			checkTraffic(t, leg.name+"/naive", plain.Naive.Traffic, got.Naive.Traffic)
-		}
-		if got.Parallel2 != want.Parallel2 {
-			t.Errorf("%s/parallel-2: Marshal digest %s, reference %s", leg.name, got.Parallel2, want.Parallel2)
-		}
-		if got.Parallel4 != want.Parallel4 {
-			t.Errorf("%s/parallel-4: Marshal digest %s, reference %s", leg.name, got.Parallel4, want.Parallel4)
 		}
 	}
 }
@@ -403,9 +389,9 @@ func TestDifferentialFuzzSources(t *testing.T) {
 }
 
 // TestDifferentialConfluenceRegression pins the historical
-// counterexample with the full comparison, parallel legs included: the
-// program that once separated schedules must now be byte-identical
-// across every engine and strategy.
+// counterexample with the full comparison: the program that once
+// separated schedules must now be byte-identical across every engine
+// and strategy.
 func TestDifferentialConfluenceRegression(t *testing.T) {
 	p := confluenceCorpus()[0]
 	diffProgram(t, p.key, p.src)

@@ -1,7 +1,6 @@
 package specialize_test
 
 import (
-	"sync"
 	"testing"
 
 	"awam/internal/bench"
@@ -11,27 +10,21 @@ import (
 	"awam/internal/wam"
 )
 
-// opTracer counts Instr events per opcode; safe for concurrent use.
+// opTracer counts Instr events per opcode.
 type opTracer struct {
-	mu  sync.Mutex
 	ops [wam.NumOps]int64
 }
 
-func (o *opTracer) Instr(_ term.Functor, op wam.Op) {
-	o.mu.Lock()
-	o.ops[op]++
-	o.mu.Unlock()
-}
+func (o *opTracer) Instr(_ term.Functor, op wam.Op)     { o.ops[op]++ }
 func (o *opTracer) Table(term.Functor, core.TableEvent) {}
 func (o *opTracer) Enqueue(term.Functor)                {}
 func (o *opTracer) Iteration(int)                       {}
-func (o *opTracer) Worker(int, bool)                    {}
 
 // TestTracerLegs: on every stream configuration a Tracer sees one Instr
 // event per charged base opcode — each fused word reports its anchor and
 // both slots — so the per-opcode Instr counts equal Metrics.Opcodes, and
-// installing it changes neither Marshal nor, under the sequential
-// strategies, Steps and the opcode histogram.
+// installing it changes neither Marshal nor Steps nor the opcode
+// histogram.
 func TestTracerLegs(t *testing.T) {
 	var fused int64
 	for _, p := range bench.Programs {
@@ -42,18 +35,15 @@ func TestTracerLegs(t *testing.T) {
 				spec = buildSpec(mod, *leg.opts)
 			}
 			for _, st := range []struct {
-				name    string
-				strat   core.Strategy
-				workers int
+				name  string
+				strat core.Strategy
 			}{
-				{"worklist", core.StrategyWorklist, 0},
-				{"naive", core.StrategyNaive, 0},
-				{"parallel-2", core.StrategyParallel, 2},
+				{"worklist", core.StrategyWorklist},
+				{"naive", core.StrategyNaive},
 			} {
 				name := p.Name + "/" + leg.name + "/" + st.name
 				cfg := core.DefaultConfig()
 				cfg.Strategy = st.strat
-				cfg.Parallelism = st.workers
 				cfg.Spec = spec
 				untraced, err := core.NewWith(mod, cfg).AnalyzeAll()
 				if err != nil {
@@ -71,11 +61,9 @@ func TestTracerLegs(t *testing.T) {
 				if traced.Marshal() != untraced.Marshal() {
 					t.Errorf("%s: tracing changed Marshal", name)
 				}
-				if st.strat != core.StrategyParallel {
-					if traced.Steps != untraced.Steps || traced.Metrics.Opcodes != untraced.Metrics.Opcodes {
-						t.Errorf("%s: tracing changed Steps (%d vs %d) or the opcode histogram",
-							name, traced.Steps, untraced.Steps)
-					}
+				if traced.Steps != untraced.Steps || traced.Metrics.Opcodes != untraced.Metrics.Opcodes {
+					t.Errorf("%s: tracing changed Steps (%d vs %d) or the opcode histogram",
+						name, traced.Steps, untraced.Steps)
 				}
 				for _, n := range traced.Metrics.FusedOps {
 					fused += n

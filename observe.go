@@ -30,9 +30,8 @@ func (ev TableEvent) String() string { return core.TableEvent(ev).String() }
 // for understanding a run, not for production metrics — every abstract
 // instruction calls Instr, so expect an order-of-magnitude slowdown;
 // with no tracer installed the instrumentation costs one pointer test
-// per instruction. Under WithParallelism callbacks arrive concurrently
-// from every worker goroutine; implementations must be safe for
-// concurrent use.
+// per instruction. Callbacks arrive on the goroutine running the
+// analysis.
 type Tracer interface {
 	// Instr fires before each abstract instruction with the predicate
 	// ("name/arity") whose clause is executing and the opcode name.
@@ -41,12 +40,10 @@ type Tracer interface {
 	// predicate.
 	Table(pred string, ev TableEvent)
 	// Enqueue fires when a calling pattern is re-enqueued because a
-	// summary it depends on grew (Worklist and Parallel strategies).
+	// summary it depends on grew (Worklist strategy).
 	Enqueue(pred string)
 	// Iteration fires at the start of each Naive fixpoint pass.
 	Iteration(n int)
-	// Worker fires at Parallel worker start (start=true) and exit.
-	Worker(id int, start bool)
 }
 
 // WithTracer installs a Tracer for the analysis. A nil t is a no-op.
@@ -56,7 +53,7 @@ func WithTracer(t Tracer) AnalyzeOption {
 
 // coreTracer adapts the public string-oriented Tracer onto the internal
 // functor/opcode interface. The symbol table is only read (names are
-// interned at load time), so translation is safe from worker goroutines.
+// interned at load time).
 type coreTracer struct {
 	tab *term.Tab
 	t   Tracer
@@ -68,9 +65,8 @@ func (ct coreTracer) Instr(fn term.Functor, op wam.Op) {
 func (ct coreTracer) Table(fn term.Functor, ev core.TableEvent) {
 	ct.t.Table(ct.tab.FuncString(fn), TableEvent(ev))
 }
-func (ct coreTracer) Enqueue(fn term.Functor)   { ct.t.Enqueue(ct.tab.FuncString(fn)) }
-func (ct coreTracer) Iteration(n int)           { ct.t.Iteration(n) }
-func (ct coreTracer) Worker(id int, start bool) { ct.t.Worker(id, start) }
+func (ct coreTracer) Enqueue(fn term.Functor) { ct.t.Enqueue(ct.tab.FuncString(fn)) }
+func (ct coreTracer) Iteration(n int)         { ct.t.Iteration(n) }
 
 // PredMetrics is the per-predicate share of an analysis run.
 type PredMetrics struct {
@@ -93,21 +89,8 @@ type OpMetrics struct {
 	Count int64
 }
 
-// WorkerMetrics is one Parallel worker's share of the run.
-type WorkerMetrics struct {
-	ID int
-	// Steps is the number of abstract instructions the worker executed.
-	Steps int64
-	// Explorations is the number of table entries the worker explored.
-	Explorations int64
-	// QueueWait is the total time the worker spent waiting on the shared
-	// work queue.
-	QueueWait time.Duration
-}
-
-// Metrics is the merged instrumentation of one analysis run. It is
-// always collected — the counters are per-worker plain increments merged
-// after the fixpoint — and covers the fixpoint phase only (the
+// Metrics is the instrumentation of one analysis run. It is always
+// collected — the counters are plain increments — and covers the fixpoint phase only (the
 // deterministic finalize replay is excluded), so the step totals equal
 // Stats().Exec under every strategy.
 type Metrics struct {
@@ -121,7 +104,7 @@ type Metrics struct {
 	// a hit; a miss is immediately followed by an insert; an update is a
 	// success-pattern growth.
 	TableHits, TableMisses, TableInserts, TableUpdates int64
-	// Enqueues counts dependency-driven re-enqueues (Worklist/Parallel).
+	// Enqueues counts dependency-driven re-enqueues (Worklist).
 	Enqueues int64
 	// Hash-consing traffic: InternHits counts pattern interns resolved
 	// by the interner's read path, InternMisses first-sight insertions.
@@ -156,20 +139,18 @@ type Metrics struct {
 	// explorations: those replayed from the entry's last exploration
 	// because every callee summary it read was unchanged, and those that
 	// ran the entry's clauses. A replay executes no instruction, so it
-	// adds nothing to Exec. Zero under Worklist and Parallel.
+	// adds nothing to Exec. Zero under Worklist.
 	NaiveReplayed, NaiveExecuted int64
 	// FinalizeReplayed and FinalizeExecuted count how the deterministic
 	// presentation pass produced its entries: replayed from the
 	// fixpoint's record of each entry's last exploration, or by running
-	// the entry's clauses again (every entry under Parallel). Entries
-	// seeded from a summary cache count in neither. Not part of Exec.
+	// the entry's clauses again. Entries seeded from a summary cache
+	// count in neither. Not part of Exec.
 	FinalizeReplayed, FinalizeExecuted int64
 	// ExecuteTime is the fixpoint-phase wall time; FinalizeTime the
 	// deterministic presentation pass's. TableTime estimates the share
 	// of ExecuteTime spent in extension-table operations (sampled).
 	ExecuteTime, TableTime, FinalizeTime time.Duration
-	// Workers holds per-worker breakdowns (Parallel strategy only).
-	Workers []WorkerMetrics
 }
 
 // Metrics returns the run's instrumentation. The zero Metrics is
@@ -242,10 +223,5 @@ func (a *Analysis) Metrics() Metrics {
 		}
 		return m.Opcodes[i].Opcode < m.Opcodes[j].Opcode
 	})
-	for _, w := range cm.Workers {
-		m.Workers = append(m.Workers, WorkerMetrics{
-			ID: w.ID, Steps: w.Steps, Explorations: w.Explorations, QueueWait: w.QueueWait,
-		})
-	}
 	return m
 }

@@ -2,9 +2,7 @@ package awam
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -27,8 +25,6 @@ var observeStrategies = []struct {
 }{
 	{"naive", nil},
 	{"worklist", []AnalyzeOption{WithStrategy(Worklist)}},
-	{"parallel-1", []AnalyzeOption{WithParallelism(1)}},
-	{"parallel-4", []AnalyzeOption{WithParallelism(4)}},
 }
 
 // TestMetricsTotals: under every strategy the per-predicate step
@@ -71,55 +67,7 @@ func TestMetricsTotals(t *testing.T) {
 			if m.HeapHighWater <= 0 {
 				t.Errorf("HeapHighWater = %d, want > 0", m.HeapHighWater)
 			}
-			var workerSum int64
-			for _, w := range m.Workers {
-				workerSum += w.Steps
-			}
-			if len(m.Workers) > 0 && workerSum != exec {
-				t.Errorf("worker steps sum to %d, Stats().Exec = %d", workerSum, exec)
-			}
 		})
-	}
-}
-
-// TestWorklistParallelAgreement: on a call-free program the parallel
-// engine at one worker has no speculative re-exploration, so its
-// per-predicate step and run counts — not just the rendered result —
-// match the worklist exactly.
-func TestWorklistParallelAgreement(t *testing.T) {
-	sys, err := Load(`
-p(a, b).
-p(c, d).
-q([1, 2, 3]).
-r(X, X).
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := sys.Analyze(WithStrategy(Worklist))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := sys.Analyze(WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Report() != wl.Report() {
-		t.Fatalf("reports differ:\n%s\nvs\n%s", par.Report(), wl.Report())
-	}
-	if got, want := par.Stats().TableSize, wl.Stats().TableSize; got != want {
-		t.Errorf("table size %d, worklist has %d", got, want)
-	}
-	type counts struct{ Steps, Runs int64 }
-	perPred := func(m Metrics) map[string]counts {
-		out := make(map[string]counts)
-		for _, p := range m.Predicates {
-			out[p.Pred] = counts{p.Steps, p.Runs}
-		}
-		return out
-	}
-	if got, want := perPred(par.Metrics()), perPred(wl.Metrics()); !reflect.DeepEqual(got, want) {
-		t.Errorf("per-predicate metrics differ:\nparallel: %v\nworklist: %v", got, want)
 	}
 }
 
@@ -135,7 +83,6 @@ func TestOptionValidation(t *testing.T) {
 		opt  AnalyzeOption
 	}{
 		{"negative depth", WithDepth(-1)},
-		{"negative workers", WithParallelism(-2)},
 		{"negative budget", WithMaxSteps(-1)},
 		{"zero budget", WithMaxSteps(0)},
 		{"unknown strategy", WithStrategy(Strategy(99))},
@@ -149,55 +96,53 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestSharedStepBudget: WithMaxSteps is one global pool. A budget below
-// the program's step count fails with ErrAnalysisBudget at every worker
-// count — under the old per-worker accounting, eight workers would have
-// had 8x the allowance and succeeded.
+// TestSharedStepBudget: WithMaxSteps bounds the fixpoint exactly under
+// both strategies. A budget equal to the steps the run needs succeeds
+// with that many steps; one step less, or a third of it, fails with
+// ErrAnalysisBudget. The finalize pass draws on an allowance of its own,
+// so an exact fixpoint budget does not starve it.
 func TestSharedStepBudget(t *testing.T) {
 	sys, err := Load(observeProg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := sys.Analyze(WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := an.Stats().Exec
-	small := need / 3
-	if small <= 0 {
-		t.Fatalf("fixture too small: parallel run took %d steps", need)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			_, err := sys.Analyze(WithParallelism(workers), WithMaxSteps(small))
-			if !errors.Is(err, ErrAnalysisBudget) {
-				t.Fatalf("budget %d with %d workers: err = %v, want ErrAnalysisBudget",
-					small, workers, err)
+	for _, sc := range observeStrategies {
+		t.Run(sc.name, func(t *testing.T) {
+			an, err := sys.Analyze(sc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			need := an.Stats().Exec
+			if need/3 <= 0 {
+				t.Fatalf("fixture too small: run took %d steps", need)
+			}
+			for _, short := range []int64{need / 3, need - 1} {
+				opts := append([]AnalyzeOption{WithMaxSteps(short)}, sc.opts...)
+				if _, err := sys.Analyze(opts...); !errors.Is(err, ErrAnalysisBudget) {
+					t.Fatalf("budget %d of %d needed: err = %v, want ErrAnalysisBudget", short, need, err)
+				}
+			}
+			for _, budget := range []int64{need, 4 * need} {
+				opts := append([]AnalyzeOption{WithMaxSteps(budget)}, sc.opts...)
+				an, err := sys.Analyze(opts...)
+				if err != nil {
+					t.Fatalf("budget %d of %d needed: %v", budget, need, err)
+				}
+				if got := an.Stats().Exec; got != need {
+					t.Errorf("budget %d: Stats().Exec = %d, want %d", budget, got, need)
+				}
 			}
 		})
 	}
-	// A sufficient budget succeeds and is respected exactly.
-	big := 4 * need
-	an, err = sys.Analyze(WithParallelism(4), WithMaxSteps(big))
-	if err != nil {
-		t.Fatalf("budget %d: %v", big, err)
-	}
-	if got := an.Stats().Exec; got > big {
-		t.Errorf("Stats().Exec = %d exceeds budget %d", got, big)
-	}
 }
 
-// countingTracer tallies events; safe for concurrent use as the Tracer
-// contract requires under WithParallelism.
+// countingTracer tallies events.
 type countingTracer struct {
-	mu          sync.Mutex
-	instrs      int64
-	ops         map[string]int64
-	table       map[TableEvent]int64
-	enqueues    int64
-	iterations  int
-	workerStart int
-	workerStop  int
+	instrs     int64
+	ops        map[string]int64
+	table      map[TableEvent]int64
+	enqueues   int64
+	iterations int
 }
 
 func newCountingTracer() *countingTracer {
@@ -205,45 +150,20 @@ func newCountingTracer() *countingTracer {
 }
 
 func (c *countingTracer) Instr(pred, opcode string) {
-	c.mu.Lock()
 	c.instrs++
 	c.ops[opcode]++
-	c.mu.Unlock()
 }
-func (c *countingTracer) Table(pred string, ev TableEvent) {
-	c.mu.Lock()
-	c.table[ev]++
-	c.mu.Unlock()
-}
-func (c *countingTracer) Enqueue(pred string) {
-	c.mu.Lock()
-	c.enqueues++
-	c.mu.Unlock()
-}
-func (c *countingTracer) Iteration(n int) {
-	c.mu.Lock()
-	c.iterations++
-	c.mu.Unlock()
-}
-func (c *countingTracer) Worker(id int, start bool) {
-	c.mu.Lock()
-	if start {
-		c.workerStart++
-	} else {
-		c.workerStop++
-	}
-	c.mu.Unlock()
-}
+func (c *countingTracer) Table(pred string, ev TableEvent) { c.table[ev]++ }
+func (c *countingTracer) Enqueue(pred string)              { c.enqueues++ }
+func (c *countingTracer) Iteration(n int)                  { c.iterations++ }
 
 // TestTracerEvents: the tracer sees exactly the events the metrics
 // count — one Instr per abstract instruction, table events matching the
 // counters — plus the strategy-specific lifecycle callbacks. Observing a
 // run does not change it: under every strategy, with the specialized
 // streams on (the default) and off (the plain stream), a traced run
-// gives the untraced run's Marshal and the per-opcode Instr counts
-// equal its Metrics opcode histogram; the sequential strategies also
-// reproduce Steps and the histogram exactly (a parallel run's step
-// total is schedule-dependent).
+// gives the untraced run's Marshal, Steps and opcode histogram, and the
+// per-opcode Instr counts equal its Metrics opcode histogram.
 func TestTracerEvents(t *testing.T) {
 	sys, err := Load(observeProg)
 	if err != nil {
@@ -269,13 +189,11 @@ func TestTracerEvents(t *testing.T) {
 		return true
 	}
 	for _, st := range []struct {
-		name       string
-		opt        AnalyzeOption
-		sequential bool
+		name string
+		opt  AnalyzeOption
 	}{
-		{"naive", WithStrategy(Naive), true},
-		{"worklist", WithStrategy(Worklist), true},
-		{"parallel-2", WithParallelism(2), false},
+		{"naive", WithStrategy(Naive)},
+		{"worklist", WithStrategy(Worklist)},
 	} {
 		for _, leg := range []struct {
 			name string
@@ -297,9 +215,6 @@ func TestTracerEvents(t *testing.T) {
 				hist := histogram(traced.Metrics())
 				if !sameHistogram(tr.ops, hist) {
 					t.Errorf("Instr counts %v, Metrics opcodes %v", tr.ops, hist)
-				}
-				if !st.sequential {
-					return
 				}
 				if traced.Stats().Exec != plain.Stats().Exec {
 					t.Errorf("traced Steps = %d, untraced %d", traced.Stats().Exec, plain.Stats().Exec)
@@ -351,22 +266,6 @@ func TestTracerEvents(t *testing.T) {
 		}
 		if got, want := tr.enqueues, an.Metrics().Enqueues; got != want {
 			t.Errorf("Enqueue events = %d, metrics count %d", got, want)
-		}
-	})
-
-	t.Run("parallel", func(t *testing.T) {
-		const workers = 2
-		tr := newCountingTracer()
-		an, err := sys.Analyze(WithParallelism(workers), WithTracer(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.instrs != an.Stats().Exec {
-			t.Errorf("Instr events = %d, Stats().Exec = %d", tr.instrs, an.Stats().Exec)
-		}
-		if tr.workerStart != workers || tr.workerStop != workers {
-			t.Errorf("worker events = %d starts / %d stops, want %d each",
-				tr.workerStart, tr.workerStop, workers)
 		}
 	})
 }

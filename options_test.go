@@ -21,7 +21,6 @@ func TestOptionValidationExactErrors(t *testing.T) {
 	}{
 		{"negative depth", WithDepth(-1), "awam: invalid analysis option: negative depth -1"},
 		{"unknown strategy", WithStrategy(Strategy(7)), "awam: invalid analysis option: unknown strategy 7"},
-		{"negative workers", WithParallelism(-2), "awam: invalid analysis option: negative worker count -2"},
 		{"zero budget", WithMaxSteps(0), "awam: invalid analysis option: nonpositive step budget 0"},
 		{"negative budget", WithMaxSteps(-5), "awam: invalid analysis option: nonpositive step budget -5"},
 	}
@@ -45,7 +44,7 @@ func TestOptionFirstErrorWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Analyze(WithDepth(-3), WithParallelism(-7))
+	_, err = sys.Analyze(WithDepth(-3), WithMaxSteps(-7))
 	if err == nil || err.Error() != "awam: invalid analysis option: negative depth -3" {
 		t.Fatalf("err = %v, want the first option's error", err)
 	}
@@ -61,16 +60,12 @@ func TestOptionFirstErrorWins(t *testing.T) {
 }
 
 // TestOptionBoundaryValues: zero is valid where the docs say it is —
-// WithParallelism(0) auto-sizes the pool, WithDepth(0) is an extreme
-// but legal widening — and repeated or overridden options follow
-// last-one-wins without tripping validation.
+// WithDepth(0) is an extreme but legal widening — and repeated or
+// overridden options follow last-one-wins without tripping validation.
 func TestOptionBoundaryValues(t *testing.T) {
 	sys, err := Load(apiProg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := sys.Analyze(WithParallelism(0)); err != nil {
-		t.Fatalf("WithParallelism(0) must auto-size, got %v", err)
 	}
 	a0, err := sys.Analyze(WithDepth(0))
 	if err != nil {
@@ -106,9 +101,8 @@ func TestOptionCombos(t *testing.T) {
 		opts []AnalyzeOption
 	}{
 		{"worklist", []AnalyzeOption{WithStrategy(Worklist)}},
-		{"parallel", []AnalyzeOption{WithParallelism(2)}},
-		{"parallel then worklist (last strategy wins)", []AnalyzeOption{WithParallelism(2), WithStrategy(Worklist)}},
-		{"worklist then parallel (last strategy wins)", []AnalyzeOption{WithStrategy(Worklist), WithParallelism(2)}},
+		{"naive then worklist (last strategy wins)", []AnalyzeOption{WithStrategy(Naive), WithStrategy(Worklist)}},
+		{"worklist then naive (last strategy wins)", []AnalyzeOption{WithStrategy(Worklist), WithStrategy(Naive)}},
 		{"explicit naive", []AnalyzeOption{WithStrategy(Naive)}},
 	}
 	for _, c := range combos {
