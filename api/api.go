@@ -1,6 +1,6 @@
 // Package api declares the request and response types of the awamd
-// analysis service, importable by clients. The daemon serves them under
-// the versioned prefix /v1 (the unversioned routes remain as aliases):
+// analysis service, importable by clients. The daemon serves them only
+// under the versioned prefix /v1:
 //
 //	POST /v1/analyze    AnalyzeRequest   -> AnalyzeResponse
 //	POST /v1/backward   BackwardRequest  -> BackwardResponse
@@ -151,12 +151,17 @@ type OptimizeRequest struct {
 	// TimeoutMS bounds the analysis wall time, as in AnalyzeRequest.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MeasureRuns is the number of timed runs per speedup measurement;
-	// 0 selects the server default.
+	// 0 selects the server default. Values above MaxMeasureRuns fail
+	// with a bad_request ErrorBody.
 	MeasureRuns int `json:"measure_runs,omitempty"`
 	// Disasm requests the optimized module's code listing in the
 	// response.
 	Disasm bool `json:"disasm,omitempty"`
 }
+
+// MaxMeasureRuns caps OptimizeRequest.MeasureRuns: the measurement
+// runs the program concretely that many times on each machine.
+const MaxMeasureRuns = 100
 
 // OptimizeResponse is the POST /v1/optimize success body.
 type OptimizeResponse struct {

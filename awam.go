@@ -62,9 +62,9 @@ var (
 	// ErrAnalysisBudget reports an analysis stopped by its abstract step
 	// budget (WithMaxSteps).
 	ErrAnalysisBudget = errors.New("awam: analysis budget exhausted")
-	// ErrCanceled reports an analysis stopped by its context; the error
-	// also wraps the context's cause (context.Canceled or
-	// context.DeadlineExceeded).
+	// ErrCanceled reports an analysis or optimization stopped by its
+	// context; the error also wraps the context's cause
+	// (context.Canceled or context.DeadlineExceeded).
 	ErrCanceled = errors.New("awam: analysis canceled")
 	// ErrBadOption reports an invalid analysis option value, such as a
 	// negative depth.

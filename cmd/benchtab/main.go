@@ -1,5 +1,6 @@
 // Command benchtab regenerates the paper's evaluation tables on this
-// machine.
+// machine. Every timing is the median [Q1, Q3] of interleaved samples
+// (internal/harness's Sample).
 //
 // Usage:
 //
@@ -11,16 +12,17 @@
 //	benchtab -table specialize # specialized transfer stream ablation
 //	benchtab -table backward   # demand queries: cold vs store-warm vs one-edit
 //	benchtab -table all        # everything
-//	benchtab -quick            # smaller timing samples
-//	benchtab -json out.json    # machine-readable report (BENCH_PR3.json)
+//	benchtab -quick            # fewer, shorter samples
+//	benchtab -json out.json    # write the measured tables as JSON instead
 //	benchtab -dump-wide 512    # print the wide_512 workload source and exit
+//	benchtab -dump-wide 512 -seed 7  # ... with randomized family shapes
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"slices"
 
 	"awam/internal/bench"
 	"awam/internal/harness"
@@ -28,10 +30,10 @@ import (
 
 func main() {
 	table := flag.String("table", "all", "which table to produce: 1, 2, ablation, observe, optimize, specialize, backward, all")
-	quick := flag.Bool("quick", false, "use short timing samples")
-	jsonOut := flag.String("json", "", "write a machine-readable benchmark report to this file and exit")
+	quick := flag.Bool("quick", false, "take fewer, shorter timing samples")
+	jsonOut := flag.String("json", "", "write the measured tables as a machine-readable report to this file instead of printing them")
 	label := flag.String("label", "PR3", "revision label recorded in the -json report")
-	seed := flag.Int64("seed", 0, "randomize the wide scaling workloads with this seed (0 = fixed legacy programs)")
+	seed := flag.Int64("seed", 0, "randomize the -dump-wide workload with this seed (0 = the fixed legacy program)")
 	dumpWide := flag.Int("dump-wide", 0, "print the wide scaling workload with this many families to stdout and exit (honors -seed)")
 	flag.Parse()
 
@@ -39,108 +41,34 @@ func main() {
 		fmt.Print(bench.WideProgramSeeded(*dumpWide, *seed).Source)
 		return
 	}
-
-	if *jsonOut != "" {
-		fmt.Fprintf(os.Stderr, "measuring JSON benchmark report (seed=%d)...\n", *seed)
-		rep, err := harness.MeasureBenchJSON(*label, *quick, *seed, os.Stderr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		if err := harness.WriteBenchJSON(f, rep); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	opts := harness.DefaultMeasureOptions()
-	if *quick {
-		opts.MinSampleTime = 5 * time.Millisecond
-	}
-
-	needRows := *table == "1" || *table == "2" || *table == "observe" || *table == "all"
-	var rows []*harness.Metrics
-	var err error
-	if needRows {
-		fmt.Fprintln(os.Stderr, "measuring benchmarks (this repeats each analysis until stable)...")
-		rows, err = harness.MeasureAll(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-	}
-
-	switch *table {
-	case "1":
-		harness.WriteTable1(os.Stdout, rows)
-	case "2":
-		configs, err := harness.MeasureConfigs(opts, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		harness.WriteTable2(os.Stdout, rows, configs)
-	case "ablation":
-		ab, err := harness.MeasureAblation(opts, []int{2, 4, 8})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		harness.WriteAblation(os.Stdout, ab)
-	case "observe":
-		harness.WriteObservability(os.Stdout, rows)
-	case "optimize":
-		entries, err := harness.MeasureOptimizeJSON(*quick, os.Stderr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		harness.WriteOptimizeTable(os.Stdout, entries)
-	case "specialize":
-		entries, err := harness.MeasureSpecialize(*quick, os.Stderr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		harness.WriteSpecializeTable(os.Stdout, entries)
-	case "backward":
-		entry, err := harness.MeasureBackward(512, *quick, os.Stderr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		harness.WriteBackwardTable(os.Stdout, []harness.BackwardEntry{*entry})
-	case "all":
-		harness.WriteTable1(os.Stdout, rows)
-		fmt.Println()
-		configs, err := harness.MeasureConfigs(opts, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		harness.WriteTable2(os.Stdout, rows, configs)
-		fmt.Println()
-		ab, err := harness.MeasureAblation(opts, []int{2, 4, 8})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		harness.WriteAblation(os.Stdout, ab)
-		fmt.Println()
-		harness.WriteObservability(os.Stdout, rows)
-	default:
+	if !slices.Contains(harness.Tables, *table) {
 		fmt.Fprintln(os.Stderr, "benchtab: unknown table", *table)
 		os.Exit(2)
 	}
+
+	fmt.Fprintln(os.Stderr, "measuring (interleaved samples of every leg)...")
+	rep, err := harness.MeasureReport(*label, *table, *quick, os.Stderr)
+	if err != nil {
+		fail(err)
+	}
+	if *jsonOut == "" {
+		harness.WriteReport(os.Stdout, rep)
+		return
+	}
+	f, err := os.Create(*jsonOut)
+	if err != nil {
+		fail(err)
+	}
+	if err := harness.WriteBenchJSON(f, rep); err != nil {
+		f.Close()
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "benchtab:", err)
+	os.Exit(1)
 }

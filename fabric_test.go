@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,13 +34,19 @@ use(_).
 // base URL.
 func startDaemon(t *testing.T, store awam.Store) *httptest.Server {
 	t.Helper()
+	ts := httptest.NewServer(daemonHandler(t, store))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// daemonHandler returns a daemon's handler over the given store.
+func daemonHandler(t *testing.T, store awam.Store) http.Handler {
+	t.Helper()
 	s, err := serve.New(serve.Config{Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return ts
+	return s.Handler()
 }
 
 func analyze(t *testing.T, src string, opts ...awam.AnalyzeOption) *awam.Analysis {
@@ -233,5 +240,68 @@ func TestFabricOutageMidRun(t *testing.T) {
 	}
 	if inc, ok := res3.Incremental(); !ok || inc.WarmSCCs != inc.SCCs {
 		t.Fatalf("local tiers lost their records during the outage: %+v", inc)
+	}
+}
+
+// TestFabricOutageMidPrefetch: daemon A is primed over the wire by a
+// cold fabric-attached store, whose flush must push records with no
+// error. Then the peer dies partway through one analysis's prefetch: a
+// proxy serves exactly one store round trip and answers 503 after it,
+// and batches of two make the prefetch of an edit A has never seen take
+// several round trips. The analysis must still return no error and a
+// byte-identical result, and the store must count the failed trips.
+func TestFabricOutageMidPrefetch(t *testing.T) {
+	storeA, err := awam.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := startDaemon(t, storeA)
+
+	primer, err := awam.NewStore(awam.WithRemote(tsA.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyze(t, fabricProg, awam.WithSummaryCache(primer))
+	if st := primer.Stats(); st.RemotePuts == 0 || st.RemoteErrors != 0 {
+		t.Fatalf("priming flush pushed %d records with %d errors", st.RemotePuts, st.RemoteErrors)
+	}
+
+	handlerA := daemonHandler(t, storeA)
+	var served atomic.Int64
+	var mu sync.Mutex
+	var refused []string
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) > 1 {
+			mu.Lock()
+			refused = append(refused, r.URL.Path)
+			mu.Unlock()
+			http.Error(w, "upstream gone", http.StatusServiceUnavailable)
+			return
+		}
+		handlerA.ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+
+	edited := fabricProg + "\nuse(outage_edit).\n"
+	ref := analyze(t, edited, awam.WithStrategy(awam.Worklist))
+	storeB, err := awam.NewStore(awam.WithRemote(proxy.URL,
+		awam.WithRemoteRetries(0),
+		awam.WithRemoteMaxBatch(2),
+		awam.WithRemoteBreaker(2, time.Minute),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := analyze(t, edited, awam.WithSummaryCache(storeB))
+	if res.Marshal() != ref.Marshal() {
+		t.Fatal("analysis with a peer dying mid-prefetch differs from scratch")
+	}
+	if st := storeB.Stats(); st.RemoteErrors == 0 {
+		t.Fatalf("outage did not reach the fabric path: %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(refused) == 0 || refused[0] != "/v1/store/get" {
+		t.Fatalf("first refused round trip %v, want a prefetch get", refused)
 	}
 }

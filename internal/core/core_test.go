@@ -456,6 +456,42 @@ func TestAnalyzeAllBenchmarks(t *testing.T) {
 	}
 }
 
+// TestInternMissesExact: each Analyzer owns its interner, so over the
+// fixpoint phase, where Metrics takes its counters, the miss count is
+// exactly the number of patterns interned. Finalize may intern
+// presentation patterns of its own (its counters are discarded), so a
+// whole run only bounds the misses by InternedPatterns.
+func TestInternMissesExact(t *testing.T) {
+	progs := append(append([]bench.Program(nil), bench.Programs...), bench.WideProgram(64))
+	for _, p := range progs {
+		_, mod := buildMod(t, p.Source)
+		for _, s := range []Strategy{StrategyNaive, StrategyWorklist} {
+			cfg := Config{Depth: 4, Indexing: true, Strategy: s}
+			a := NewWith(mod, cfg)
+			a.ctx = context.Background()
+			entries, err := a.prepare([]*domain.Pattern{domain.NewPattern(mod.Tab.Func("main", 0), nil)})
+			if err == nil {
+				err = a.fixpoint(entries)
+			}
+			if err != nil {
+				t.Fatalf("%s/%v: %v", p.Name, s, err)
+			}
+			if pats, _ := a.in.Size(); a.met.internMisses != int64(pats) || pats == 0 {
+				t.Errorf("%s/%v: fixpoint: %d intern misses for %d interned patterns",
+					p.Name, s, a.met.internMisses, pats)
+			}
+			res, err := NewWith(mod, cfg).AnalyzeMain()
+			if err != nil {
+				t.Fatalf("%s/%v: %v", p.Name, s, err)
+			}
+			if m := res.Metrics; m.InternMisses > int64(m.InternedPatterns) {
+				t.Errorf("%s/%v: %d intern misses for %d interned patterns",
+					p.Name, s, m.InternMisses, m.InternedPatterns)
+			}
+		}
+	}
+}
+
 // TestReportRenders smoke-tests the report output.
 func TestReportRenders(t *testing.T) {
 	p, _ := bench.ByName("qsort")

@@ -1,14 +1,9 @@
 package domain
 
-import (
-	"sync"
+import "awam/internal/term"
 
-	"awam/internal/term"
-)
-
-// This file implements hash-consing for the abstract domain: a
-// concurrent Interner that maps every canonical Pattern (and,
-// recursively, every abstract Term occurring in one) to a dense integer
+// This file implements hash-consing for the abstract domain: an
+// Interner that maps every canonical Pattern (and, recursively, every abstract Term occurring in one) to a dense integer
 // PatternID. Two patterns receive the same ID exactly when their Key()
 // serializations are equal (share groups renumbered in first-occurrence
 // order), so the engine can key its extension table, worklist dedup and
@@ -23,21 +18,17 @@ import (
 // TermID depends on where its share groups sit in the whole pattern —
 // exactly the equivalence Key() quotients by.
 //
-// Concurrency: the depth-k-widened domain is finite, so after a short
-// warm-up almost every Intern call finds its pattern already present.
-// The fast path therefore walks under a read lock; only a miss retries
-// the walk under the write lock (RWMutex cannot upgrade, and the insert
-// path re-checks every node, so the race window between the two walks
-// is harmless). The interner lock is leaf-level: nothing else is locked
-// while it is held, so callers may intern while holding locks of their
-// own.
+// Ownership: an Interner belongs to one Analyzer and, like Memo, is
+// not safe for concurrent use. The depth-k-widened domain is finite, so
+// after a short warm-up almost every Intern call finds its pattern
+// through the whole-pattern fast bucket; a miss walks the pattern once,
+// inserting the nodes not yet present.
 //
 // Each interned pattern stores a canonical representative (*Pattern)
-// whose Key is precomputed under the write lock before the ID is
-// published — the engine shares these reps across goroutines, and the
-// lazy Key memo must never be written concurrently. Reps share interned
-// subtrees (a DAG, not a tree), which every consumer tolerates: the
-// domain operations are read-only and value-based.
+// whose Key is precomputed before its ID is returned, so callers may
+// share reps freely. Reps share interned subtrees (a DAG, not a tree),
+// which every consumer tolerates: the domain operations are read-only
+// and value-based.
 
 // PatternID is the dense hash-consed identity of a canonical Pattern.
 // IDs are only meaningful within the Interner that produced them.
@@ -68,10 +59,9 @@ type pnode struct {
 	rep  *Pattern
 }
 
-// Interner is the concurrent hash-conser. The zero value is not ready;
-// use NewInterner.
+// Interner is the hash-conser. It is owned by one analysis and is not
+// safe for concurrent use. The zero value is not ready; use NewInterner.
 type Interner struct {
-	mu    sync.RWMutex
 	terms []tnode
 	tbuck map[uint64][]TermID
 	pats  []pnode
@@ -81,6 +71,9 @@ type Interner struct {
 	// resolves with one tree hash, one map probe and one compare against
 	// the canonical rep, instead of a per-node bucket probe in tbuck.
 	fast map[uint64][]PatternID
+	// sc is the reusable per-walk state, so the hot path allocates
+	// nothing.
+	sc internScratch
 }
 
 // NewInterner returns an empty interner; ID 0 is reserved for Bottom.
@@ -91,11 +84,12 @@ func NewInterner() *Interner {
 		pats:  make([]pnode, 1), // PatternID 0 = Bottom (nil pattern)
 		pbuck: make(map[uint64][]PatternID, 64),
 		fast:  make(map[uint64][]PatternID, 64),
+		sc:    internScratch{renum: make(map[int]int, 8), ids: make([]TermID, 0, 16)},
 	}
 }
 
-// internScratch is the reusable per-walk state: the share renumbering
-// map and a child-ID stack, pooled so the hot path allocates nothing.
+// internScratch is the per-walk state: the share renumbering map and a
+// child-ID stack.
 type internScratch struct {
 	renum map[int]int
 	ids   []TermID
@@ -106,62 +100,27 @@ func (sc *internScratch) reset() {
 	sc.ids = sc.ids[:0]
 }
 
-var internScratchPool = sync.Pool{
-	New: func() any {
-		return &internScratch{renum: make(map[int]int, 8), ids: make([]TermID, 0, 16)}
-	},
-}
-
 // Intern returns the ID of p's canonical form, interning it on first
-// sight, and reports whether it was already present (the read-path hit;
-// a concurrent first-insert race may very rarely count as a miss on
-// both sides). nil interns to Bottom. Intern(p) == Intern(q) iff
-// p.Key() == q.Key().
+// sight, and reports whether it was already present: the flag is false
+// exactly when this call inserted the pattern. nil interns to Bottom.
+// Intern(p) == Intern(q) iff p.Key() == q.Key().
 func (in *Interner) Intern(p *Pattern) (PatternID, bool) {
 	if p == nil {
 		return BottomID, true
 	}
-	sc := internScratchPool.Get().(*internScratch)
-	h := hashPattern(p, sc)
+	sc := &in.sc
 	sc.reset()
-	in.mu.RLock()
+	h := hashPattern(p, sc)
 	for _, pid := range in.fast[h] {
-		rep := in.pats[pid].rep
-		if eqCanonical(p, rep, sc.renum) {
-			in.mu.RUnlock()
-			sc.reset()
-			internScratchPool.Put(sc)
+		clear(sc.renum)
+		if eqCanonical(p, in.pats[pid].rep, sc.renum) {
 			return pid, true
 		}
-		clear(sc.renum)
 	}
-	id, ok := in.walkPattern(p, sc, false)
-	in.mu.RUnlock()
-	if !ok {
-		sc.reset()
-		in.mu.Lock()
-		id, _ = in.walkPattern(p, sc, true)
-		in.recordFast(h, id)
-		in.mu.Unlock()
-	} else {
-		in.mu.Lock()
-		in.recordFast(h, id)
-		in.mu.Unlock()
-	}
-	sc.reset()
-	internScratchPool.Put(sc)
-	return id, ok
-}
-
-// recordFast adds id to the whole-pattern hash bucket (write lock held);
-// a concurrent racer may have recorded it already.
-func (in *Interner) recordFast(h uint64, id PatternID) {
-	for _, pid := range in.fast[h] {
-		if pid == id {
-			return
-		}
-	}
+	clear(sc.renum)
+	id, hit := in.walkPattern(p, sc)
 	in.fast[h] = append(in.fast[h], id)
+	return id, hit
 }
 
 // hashPattern computes a whole-tree structural hash of p under the same
@@ -250,22 +209,16 @@ func eqCanonicalTerm(t, rep *Term, renum map[int]int) bool {
 }
 
 // Pattern returns the canonical representative of id (nil for Bottom).
-// The rep is immutable with its Key precomputed, safe to share across
-// goroutines.
+// The rep is immutable with its Key precomputed.
 func (in *Interner) Pattern(id PatternID) *Pattern {
 	if id == BottomID {
 		return nil
 	}
-	in.mu.RLock()
-	rep := in.pats[id].rep
-	in.mu.RUnlock()
-	return rep
+	return in.pats[id].rep
 }
 
 // Size reports the number of distinct patterns and term nodes interned.
 func (in *Interner) Size() (patterns, terms int) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
 	return len(in.pats) - 1, len(in.terms) - 1
 }
 
@@ -281,17 +234,12 @@ func mix(h, v uint64) uint64 {
 	return h
 }
 
-// walkPattern resolves p to its ID, interning missing nodes when insert
-// is set. With insert unset it reports ok=false on the first node not
-// yet present (the caller retries under the write lock).
-func (in *Interner) walkPattern(p *Pattern, sc *internScratch, insert bool) (PatternID, bool) {
+// walkPattern resolves p to its ID, interning missing nodes, and
+// reports whether the pattern itself was already present.
+func (in *Interner) walkPattern(p *Pattern, sc *internScratch) (PatternID, bool) {
 	base := len(sc.ids)
 	for _, a := range p.Args {
-		id, ok := in.walkTerm(a, sc, insert)
-		if !ok {
-			return 0, false
-		}
-		sc.ids = append(sc.ids, id)
+		sc.ids = append(sc.ids, in.walkTerm(a, sc))
 	}
 	args := sc.ids[base:]
 	h := mix(mix(fnvOffset, uint64(uint32(p.Fn.Name))), uint64(uint32(p.Fn.Arity)))
@@ -304,9 +252,6 @@ func (in *Interner) walkPattern(p *Pattern, sc *internScratch, insert bool) (Pat
 			return pid, true
 		}
 	}
-	if !insert {
-		return 0, false
-	}
 	var reps []*Term
 	if len(args) > 0 {
 		reps = make([]*Term, len(args))
@@ -315,18 +260,18 @@ func (in *Interner) walkPattern(p *Pattern, sc *internScratch, insert bool) (Pat
 		}
 	}
 	rep := &Pattern{Fn: p.Fn, Args: reps}
-	rep.Key() // precompute under the write lock: reps are shared read-only
+	rep.Key() // precompute: reps are shared read-only
 	pid := PatternID(len(in.pats))
 	in.pats = append(in.pats, pnode{fn: p.Fn, args: append([]TermID(nil), args...), rep: rep})
 	in.pbuck[h] = append(in.pbuck[h], pid)
-	return pid, true
+	return pid, false
 }
 
 // walkTerm resolves t within the current pattern walk. Share groups are
 // renumbered through sc.renum in first-occurrence preorder — the same
 // numbering Key() emits — before the children are resolved, so the
 // stored share values are canonical.
-func (in *Interner) walkTerm(t *Term, sc *internScratch, insert bool) (TermID, bool) {
+func (in *Interner) walkTerm(t *Term, sc *internScratch) TermID {
 	var share int32
 	if t.Share != 0 {
 		g, ok := sc.renum[t.Share]
@@ -343,18 +288,10 @@ func (in *Interner) walkTerm(t *Term, sc *internScratch, insert bool) (TermID, b
 	case Struct:
 		fn = t.Fn
 		for _, a := range t.Args {
-			id, ok := in.walkTerm(a, sc, insert)
-			if !ok {
-				return 0, false
-			}
-			sc.ids = append(sc.ids, id)
+			sc.ids = append(sc.ids, in.walkTerm(a, sc))
 		}
 	case List:
-		id, ok := in.walkTerm(t.Elem, sc, insert)
-		if !ok {
-			return 0, false
-		}
-		elem = id
+		elem = in.walkTerm(t.Elem, sc)
 	}
 	args := sc.ids[base:]
 	h := mix(mix(fnvOffset, uint64(t.Kind)<<32|uint64(uint32(share))), uint64(uint32(fn.Name))<<16|uint64(uint32(fn.Arity)))
@@ -366,11 +303,8 @@ func (in *Interner) walkTerm(t *Term, sc *internScratch, insert bool) (TermID, b
 		n := &in.terms[id]
 		if n.kind == t.Kind && n.share == share && n.fn == fn && n.elem == elem && eqIDs(n.args, args) {
 			sc.ids = sc.ids[:base]
-			return id, true
+			return id
 		}
-	}
-	if !insert {
-		return 0, false
 	}
 	var rep *Term
 	switch t.Kind {
@@ -392,7 +326,7 @@ func (in *Interner) walkTerm(t *Term, sc *internScratch, insert bool) (TermID, b
 	})
 	in.tbuck[h] = append(in.tbuck[h], id)
 	sc.ids = sc.ids[:base]
-	return id, true
+	return id
 }
 
 func eqIDs(a []TermID, b []TermID) bool {

@@ -2,7 +2,6 @@ package domain
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"awam/internal/term"
@@ -130,10 +129,11 @@ func TestInternBottom(t *testing.T) {
 	}
 }
 
-// TestInternConcurrent hammers one interner from N goroutines over a
-// shared pattern pool (run under -race in CI). Every goroutine must
-// observe the same key → ID mapping.
-func TestInternConcurrent(t *testing.T) {
+// TestInternOrderContract: over a shared pattern pool interned in
+// several shuffled orders, each into one interner, the key → ID map is
+// stable, distinct keys get distinct IDs, every rep carries its key, and
+// the hit flag is false exactly on a key's first sight.
+func TestInternOrderContract(t *testing.T) {
 	tab := term.NewTab()
 	r := rand.New(rand.NewSource(7))
 	pool := make([]*Pattern, 400)
@@ -145,43 +145,32 @@ func TestInternConcurrent(t *testing.T) {
 		keys[i] = p.Key()
 	}
 
-	const workers = 8
-	in := NewInterner()
-	got := make([]map[string]PatternID, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			seen := make(map[string]PatternID)
-			wr := rand.New(rand.NewSource(int64(w)))
-			for round := 0; round < 20; round++ {
-				for _, i := range wr.Perm(len(pool)) {
-					id, _ := in.Intern(pool[i])
-					if prev, ok := seen[keys[i]]; ok && prev != id {
-						t.Errorf("worker %d: key %q interned to %d then %d", w, keys[i], prev, id)
-						return
-					}
-					seen[keys[i]] = id
-					// Touch the shared rep as the engine would.
-					if rep := in.Pattern(id); rep.Key() != keys[i] {
-						t.Errorf("worker %d: rep key mismatch for id %d", w, id)
-						return
-					}
+	for order := int64(0); order < 4; order++ {
+		in := NewInterner()
+		seen := make(map[string]PatternID)
+		owner := make(map[PatternID]string)
+		or := rand.New(rand.NewSource(order))
+		for round := 0; round < 3; round++ {
+			for _, i := range or.Perm(len(pool)) {
+				id, hit := in.Intern(pool[i])
+				prev, known := seen[keys[i]]
+				if hit != known {
+					t.Fatalf("order %d: key %q hit=%t, first sight=%t", order, keys[i], hit, !known)
+				}
+				if known && prev != id {
+					t.Fatalf("order %d: key %q interned to %d then %d", order, keys[i], prev, id)
+				}
+				if k, ok := owner[id]; ok && k != keys[i] {
+					t.Fatalf("order %d: id %d shared by keys %q and %q", order, id, k, keys[i])
+				}
+				seen[keys[i]], owner[id] = id, keys[i]
+				if rep := in.Pattern(id); rep.Key() != keys[i] {
+					t.Fatalf("order %d: rep of id %d has key %q, want %q", order, id, rep.Key(), keys[i])
 				}
 			}
-			got[w] = seen
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	for w := 1; w < workers; w++ {
-		for k, id := range got[0] {
-			if got[w][k] != id {
-				t.Fatalf("worker %d maps %q to %d, worker 0 to %d", w, k, got[w][k], id)
-			}
+		}
+		if pats, _ := in.Size(); pats != len(seen) {
+			t.Fatalf("order %d: %d patterns interned for %d distinct keys", order, pats, len(seen))
 		}
 	}
 }

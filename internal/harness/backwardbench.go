@@ -4,8 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"time"
+	"text/tabwriter"
 
 	"awam/internal/backward"
 	"awam/internal/bench"
@@ -23,8 +22,7 @@ import (
 // against a primed store re-executes nothing, and a one-edit re-query
 // pays only for the edited family's dirty records.
 
-// BackwardEntry is the backward-engine measurement for one workload,
-// recorded in the JSON benchmark report.
+// BackwardEntry is the backward-engine measurement for one workload.
 type BackwardEntry struct {
 	// Name is the workload, e.g. "wide_512"; Goal the demand entry.
 	Name string `json:"name"`
@@ -33,26 +31,24 @@ type BackwardEntry struct {
 	// single-family query must visit a tiny fraction of the program.
 	VisitedSCCs int `json:"visited_sccs"`
 	TotalSCCs   int `json:"total_sccs"`
-	// ColdNsPerOp times a query against an empty store (ColdExecuted
-	// components ran the gfp); WarmNsPerOp a repeat against the primed
-	// store (WarmExecuted must be zero, WarmReused = ColdExecuted).
-	ColdNsPerOp  int64 `json:"cold_ns_per_op"`
-	WarmNsPerOp  int64 `json:"warm_ns_per_op"`
-	ColdExecuted int   `json:"cold_executed"`
-	WarmExecuted int   `json:"warm_executed"`
-	WarmReused   int   `json:"warm_reused"`
-	// Speedup is ColdNsPerOp / WarmNsPerOp.
-	Speedup float64 `json:"speedup"`
+	// Cold times a query against an empty store (ColdExecuted
+	// components ran the gfp); Warm a repeat against the primed store
+	// (WarmExecuted must be zero, WarmReused = ColdExecuted).
+	Cold         Stat `json:"cold"`
+	Warm         Stat `json:"warm"`
+	ColdExecuted int  `json:"cold_executed"`
+	WarmExecuted int  `json:"warm_executed"`
+	WarmReused   int  `json:"warm_reused"`
+	// Speedup is Cold over Warm, sample by sample.
+	Speedup Dist `json:"speedup"`
 	// Identical is the byte-level acceptance check: the cold and warm
 	// results Marshal identically.
 	Identical bool `json:"identical"`
-	// EditNsPerOp re-queries after a one-clause edit to the demanded
-	// family; EditExecuted components (the dirty cone) re-ran.
-	EditNsPerOp  int64 `json:"edit_ns_per_op"`
-	EditExecuted int   `json:"edit_executed"`
-	// ColdIters and WarmIters are the run counts behind the averages.
-	ColdIters int `json:"cold_iters"`
-	WarmIters int `json:"warm_iters"`
+	// Edit re-queries after a one-clause edit to the demanded family,
+	// each run on an engine freshly primed with the unedited program;
+	// EditExecuted components (the dirty cone) re-ran.
+	Edit         Stat `json:"edit"`
+	EditExecuted int  `json:"edit_executed"`
 }
 
 // compileBackward parses and compiles p, keeping the source program —
@@ -72,13 +68,12 @@ func compileBackward(p bench.Program) (*term.Tab, *term.Program, *wam.Module, er
 
 // MeasureBackward produces the backward-engine entry for the wide
 // program with the given family count, demanding one family's reverse
-// predicate (p0_rev/2).
+// predicate (p0_rev/2). Cold, warm and one-edit queries are the legs of
+// one Sample.
 func MeasureBackward(families int, quick bool, progress io.Writer) (*BackwardEntry, error) {
 	base := bench.WideProgramSeeded(families, 0)
-	say := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, format, args...)
-		}
+	if progress != nil {
+		fmt.Fprintf(progress, "  %s/backward...\n", base.Name)
 	}
 	ctx := context.Background()
 
@@ -90,51 +85,6 @@ func MeasureBackward(families int, quick bool, progress io.Writer) (*BackwardEnt
 	cfg := backward.Config{Goals: []term.Functor{goal}}
 	e := &BackwardEntry{Name: base.Name, Goal: tab.FuncString(goal)}
 
-	coldIters, warmIters := 5, 20
-	if quick {
-		coldIters, warmIters = 1, 2
-	}
-	e.ColdIters, e.WarmIters = coldIters, warmIters
-
-	// Cold: a fresh engine (empty private store) per run.
-	say("  %s/backward: %d cold runs...\n", base.Name, coldIters)
-	runtime.GC()
-	var cold *backward.Result
-	start := time.Now()
-	for i := 0; i < coldIters; i++ {
-		cold, err = backward.NewEngine(nil).Analyze(ctx, inc.NewCondensation(mod), prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.ColdNsPerOp = time.Since(start).Nanoseconds() / int64(coldIters)
-	e.VisitedSCCs = cold.VisitedSCCs
-	e.TotalSCCs = cold.TotalSCCs
-	e.ColdExecuted = cold.ExecutedSCCs
-
-	// Warm: one engine primed by its first query, then repeat queries.
-	eng := backward.NewEngine(nil)
-	if _, err := eng.Analyze(ctx, inc.NewCondensation(mod), prog, cfg); err != nil {
-		return nil, err
-	}
-	say("  %s/backward: %d warm runs...\n", base.Name, warmIters)
-	runtime.GC()
-	var warm *backward.Result
-	start = time.Now()
-	for i := 0; i < warmIters; i++ {
-		warm, err = eng.Analyze(ctx, inc.NewCondensation(mod), prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.WarmNsPerOp = time.Since(start).Nanoseconds() / int64(warmIters)
-	e.WarmExecuted = warm.ExecutedSCCs
-	e.WarmReused = warm.ReusedSCCs
-	e.Identical = cold.Marshal() == warm.Marshal()
-	if e.WarmNsPerOp > 0 {
-		e.Speedup = float64(e.ColdNsPerOp) / float64(e.WarmNsPerOp)
-	}
-
 	// One-edit re-query: append a clause to the demanded family's leaf
 	// and ask again — only the dirty cone may re-execute.
 	edited := base
@@ -143,27 +93,64 @@ func MeasureBackward(families int, quick bool, progress io.Writer) (*BackwardEnt
 	if err != nil {
 		return nil, err
 	}
-	egoal := emod.Tab.Func("p0_rev", 2)
-	say("  %s/backward: one-edit re-query...\n", base.Name)
-	start = time.Now()
-	eres, err := eng.Analyze(ctx, inc.NewCondensation(emod), eprog, backward.Config{Goals: []term.Functor{egoal}})
-	if err != nil {
+	ecfg := backward.Config{Goals: []term.Functor{emod.Tab.Func("p0_rev", 2)}}
+
+	// Warm: one engine primed by its first query serves every repeat.
+	warmEng := backward.NewEngine(nil)
+	if _, err := warmEng.Analyze(ctx, inc.NewCondensation(mod), prog, cfg); err != nil {
 		return nil, err
 	}
-	e.EditNsPerOp = time.Since(start).Nanoseconds()
-	e.EditExecuted = eres.ExecutedSCCs
+	var cold, warm, edit *backward.Result
+	var editEng *backward.Engine
+	stats, err := Sample(quick,
+		// Cold: a fresh engine (empty private store) per run.
+		Leg{Name: "cold", Run: func() (err error) {
+			cold, err = backward.NewEngine(nil).Analyze(ctx, inc.NewCondensation(mod), prog, cfg)
+			return err
+		}},
+		Leg{Name: "warm", Run: func() (err error) {
+			warm, err = warmEng.Analyze(ctx, inc.NewCondensation(mod), prog, cfg)
+			return err
+		}},
+		// A re-query primes its engine's store with the edit, so every
+		// run needs an engine freshly primed with the unedited program.
+		Leg{Name: "edit",
+			Setup: func() error {
+				editEng = backward.NewEngine(nil)
+				_, err := editEng.Analyze(ctx, inc.NewCondensation(mod), prog, cfg)
+				return err
+			},
+			Run: func() (err error) {
+				edit, err = editEng.Analyze(ctx, inc.NewCondensation(emod), eprog, ecfg)
+				return err
+			}},
+	)
+	if err != nil {
+		return nil, fmt.Errorf("%s/backward: %w", base.Name, err)
+	}
+	e.Cold, e.Warm, e.Edit = stats[0], stats[1], stats[2]
+	e.Speedup = ratio(e.Cold, e.Warm)
+	e.VisitedSCCs = cold.VisitedSCCs
+	e.TotalSCCs = cold.TotalSCCs
+	e.ColdExecuted = cold.ExecutedSCCs
+	e.WarmExecuted = warm.ExecutedSCCs
+	e.WarmReused = warm.ReusedSCCs
+	e.Identical = cold.Marshal() == warm.Marshal()
+	e.EditExecuted = edit.ExecutedSCCs
 	return e, nil
 }
 
 // WriteBackwardTable renders the backward measurements as text.
 func WriteBackwardTable(w io.Writer, entries []BackwardEntry) {
 	fmt.Fprintln(w, "Backward demand queries (cold store vs primed store vs one-edit re-query)")
-	fmt.Fprintf(w, "%-10s %-10s %10s %12s %12s %8s %12s %10s %s\n",
-		"program", "goal", "cone", "cold ns/op", "warm ns/op", "speedup", "edit ns/op", "re-exec", "identical")
+	fmt.Fprintln(w, "  "+hostLine())
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "program\tgoal\tcone\tcold ms\twarm ms\tspeedup\tedit ms\tre-exec\tidentical")
 	for _, e := range entries {
-		fmt.Fprintf(w, "%-10s %-10s %6d/%-5d %12d %12d %7.1fx %12d %10d %t\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d/%d\t%s\t%s\t%sx\t%s\t%d\t%t\n",
 			e.Name, e.Goal, e.VisitedSCCs, e.TotalSCCs,
-			e.ColdNsPerOp, e.WarmNsPerOp, e.Speedup,
-			e.EditNsPerOp, e.EditExecuted, e.Identical)
+			e.Cold.NsPerOp.format(1e6, 2), e.Warm.NsPerOp.format(1e6, 2), e.Speedup.format(1, 1),
+			e.Edit.NsPerOp.format(1e6, 2), e.EditExecuted, e.Identical)
 	}
+	tw.Flush()
 }

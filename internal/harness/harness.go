@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
+	"text/tabwriter"
 
 	"awam/internal/baseline"
 	"awam/internal/bench"
@@ -30,57 +30,45 @@ func isGroundArg(tab *term.Tab, a *domain.Term) bool {
 
 // Metrics is one measured row of the evaluation tables.
 type Metrics struct {
-	Name  string
-	Args  int // total argument places (paper's "Args")
-	Preds int // defined predicates (paper's "Preds")
+	Name  string `json:"name"`
+	Args  int    `json:"args"`  // total argument places (paper's "Args")
+	Preds int    `json:"preds"` // defined predicates (paper's "Preds")
 
-	Size int   // static WAM code size in instructions
-	Exec int64 // abstract WAM instructions executed during analysis
+	Size int   `json:"size"` // static WAM code size in instructions
+	Exec int64 `json:"exec"` // abstract WAM instructions executed during analysis
 
-	TableSize  int
-	Iterations int
+	TableSize  int `json:"table_size"`
+	Iterations int `json:"iterations"`
 
 	// Extension-table traffic and peak working set during the compiled
 	// analysis, from the observability layer (core.Result.Metrics).
-	TableHits    int64
-	TableMisses  int64
-	TableUpdates int64
-	HeapCells    int
+	TableHits    int64 `json:"table_hits"`
+	TableMisses  int64 `json:"table_misses"`
+	TableUpdates int64 `json:"table_updates"`
+	HeapCells    int   `json:"heap_cells"`
 
-	CompileMS float64 // Prolog -> WAM compile time ("PLM" column stand-in)
-	OursMS    float64 // compiled analyzer (internal/core)
-	HostedMS  float64 // Prolog-hosted analyzer on the WAM ("Aquarius" stand-in)
-	MetaGoMS  float64 // Go meta-interpreting analyzer (internal/baseline)
-	// TransformedMS is the paper's "transforming approach": the analysis
+	// The legs of the row, measured together by Sample.
+	Compile Stat `json:"compile"` // Prolog -> WAM compile time ("PLM" column stand-in)
+	Ours    Stat `json:"ours"`    // compiled analyzer (internal/core)
+	Hosted  Stat `json:"hosted"`  // Prolog-hosted analyzer on the WAM ("Aquarius" stand-in)
+	// Transformed is the paper's "transforming approach": the analysis
 	// partially evaluated into a Prolog program, run on the WAM.
-	TransformedMS float64
-}
+	Transformed Stat `json:"transformed"`
+	MetaGo      Stat `json:"meta_go"` // Go meta-interpreting analyzer (internal/baseline)
 
-// SpeedupHosted is the Table 1 speed-up factor: Prolog-hosted analysis
-// time over compiled analysis time.
-func (m *Metrics) SpeedupHosted() float64 {
-	if m.OursMS == 0 {
-		return 0
-	}
-	return m.HostedMS / m.OursMS
-}
-
-// SpeedupMetaGo compares against the Go meta-interpreter.
-func (m *Metrics) SpeedupMetaGo() float64 {
-	if m.OursMS == 0 {
-		return 0
-	}
-	return m.MetaGoMS / m.OursMS
+	// SpeedupHosted is the Table 1 speed-up factor: Prolog-hosted
+	// analysis time over compiled analysis time, sample by sample.
+	SpeedupHosted Dist `json:"speedup_hosted"`
 }
 
 // MeasureOptions tune the harness.
 type MeasureOptions struct {
-	// MinSampleTime is the per-measurement budget; runs repeat until it
-	// is reached (the paper averaged 100-1000 iterations similarly).
-	MinSampleTime time.Duration
+	// Quick selects the short sample plan (benchtab -quick).
+	Quick bool
 	// CoreConfig configures the compiled analyzer.
 	CoreConfig core.Config
-	// SkipHosted skips the (slowest) Prolog-hosted baseline.
+	// SkipHosted skips the (slowest) Prolog-hosted baseline and the
+	// transformed program.
 	SkipHosted bool
 	// SkipMetaGo skips the Go meta-interpreter baseline.
 	SkipMetaGo bool
@@ -88,42 +76,11 @@ type MeasureOptions struct {
 
 // DefaultMeasureOptions uses the paper's analyzer configuration.
 func DefaultMeasureOptions() MeasureOptions {
-	return MeasureOptions{
-		MinSampleTime: 50 * time.Millisecond,
-		CoreConfig:    core.DefaultConfig(),
-	}
+	return MeasureOptions{CoreConfig: core.DefaultConfig()}
 }
 
-// timeIt measures f's time per run by repeating until the sample budget
-// is spent, returning milliseconds per run.
-func timeIt(min time.Duration, f func() error) (float64, error) {
-	// Warm-up and single-run estimate.
-	start := time.Now()
-	if err := f(); err != nil {
-		return 0, err
-	}
-	once := time.Since(start)
-	reps := 1
-	if once < min {
-		reps = int(min / (once + 1))
-		if reps < 1 {
-			reps = 1
-		}
-		if reps > 2000 {
-			reps = 2000
-		}
-	}
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		if err := f(); err != nil {
-			return 0, err
-		}
-	}
-	total := time.Since(start)
-	return float64(total.Microseconds()) / float64(reps) / 1000.0, nil
-}
-
-// Measure runs all measurements for one benchmark program.
+// Measure runs all measurements for one benchmark program: compile,
+// Ours and the baselines are the legs of one Sample.
 func Measure(p bench.Program, opts MeasureOptions) (*Metrics, error) {
 	tab := term.NewTab()
 	prog, err := parser.ParseProgram(tab, p.Source)
@@ -135,26 +92,54 @@ func Measure(p bench.Program, opts MeasureOptions) (*Metrics, error) {
 		Args:  prog.ArgPlaces(),
 		Preds: prog.NumPreds(),
 	}
-
-	// Compile time (the PLM column) and the module used for analysis.
 	mod, err := compiler.CompileWith(tab, prog, compiler.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%s: compile: %w", p.Name, err)
 	}
 	m.Size = mod.Size()
-	m.CompileMS, err = timeIt(opts.MinSampleTime, func() error {
-		_, err := compiler.CompileWith(tab, prog, compiler.DefaultOptions())
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
 
-	// Compiled analysis (Ours).
-	res, err := core.NewWith(mod, opts.CoreConfig).AnalyzeMain()
-	if err != nil {
-		return nil, fmt.Errorf("%s: analyze: %w", p.Name, err)
+	var res *core.Result
+	legs := []Leg{
+		{Name: "compile", Run: func() error {
+			_, err := compiler.CompileWith(tab, prog, compiler.DefaultOptions())
+			return err
+		}},
+		{Name: "ours", Run: func() (err error) {
+			res, err = core.NewWith(mod, opts.CoreConfig).AnalyzeMain()
+			return err
+		}},
 	}
+	into := []*Stat{&m.Compile, &m.Ours}
+	if !opts.SkipHosted {
+		hosted, err := plmeta.NewRunner(tab, prog)
+		if err != nil {
+			return nil, fmt.Errorf("%s: hosted: %w", p.Name, err)
+		}
+		tr, err := transrun.NewRunner(tab, prog)
+		if err != nil {
+			return nil, fmt.Errorf("%s: transformed: %w", p.Name, err)
+		}
+		legs = append(legs,
+			Leg{Name: "hosted", Run: func() error { _, _, _, err := hosted.Run(); return err }},
+			Leg{Name: "transformed", Run: func() error { _, _, _, err := tr.Run(); return err }})
+		into = append(into, &m.Hosted, &m.Transformed)
+	}
+	if !opts.SkipMetaGo {
+		legs = append(legs, Leg{Name: "meta-go", Run: func() error {
+			_, err := baseline.New(tab, prog).AnalyzeMain()
+			return err
+		}})
+		into = append(into, &m.MetaGo)
+	}
+	stats, err := Sample(opts.Quick, legs...)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", p.Name, err)
+	}
+	for i, s := range stats {
+		*into[i] = s
+	}
+	m.SpeedupHosted = ratio(m.Hosted, m.Ours)
+
 	m.Exec = res.Steps
 	m.TableSize = res.TableSize
 	m.Iterations = res.Iterations
@@ -163,54 +148,6 @@ func Measure(p bench.Program, opts MeasureOptions) (*Metrics, error) {
 		m.TableMisses = res.Metrics.TableMisses
 		m.TableUpdates = res.Metrics.TableUpdates
 		m.HeapCells = res.Metrics.HeapHighWater
-	}
-	m.OursMS, err = timeIt(opts.MinSampleTime, func() error {
-		_, err := core.NewWith(mod, opts.CoreConfig).AnalyzeMain()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Prolog-hosted analyzer (Aquarius stand-in).
-	if !opts.SkipHosted {
-		runner, err := plmeta.NewRunner(tab, prog)
-		if err != nil {
-			return nil, fmt.Errorf("%s: hosted: %w", p.Name, err)
-		}
-		m.HostedMS, err = timeIt(opts.MinSampleTime, func() error {
-			_, _, _, err := runner.Run()
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Transformed-program analyzer (the paper's transforming approach).
-	if !opts.SkipHosted {
-		tr, err := transrun.NewRunner(tab, prog)
-		if err != nil {
-			return nil, fmt.Errorf("%s: transformed: %w", p.Name, err)
-		}
-		m.TransformedMS, err = timeIt(opts.MinSampleTime, func() error {
-			_, _, _, err := tr.Run()
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Go meta-interpreter.
-	if !opts.SkipMetaGo {
-		m.MetaGoMS, err = timeIt(opts.MinSampleTime, func() error {
-			_, err := baseline.New(tab, prog).AnalyzeMain()
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
 }
@@ -228,6 +165,21 @@ func MeasureAll(opts MeasureOptions) ([]*Metrics, error) {
 	return out, nil
 }
 
+// AverageSpeedup summarizes Table 1's average speed-up: sample i of the
+// average is the mean over rows of each row's i-th Hosted/Ours quotient.
+func AverageSpeedup(rows []*Metrics) Dist {
+	var avg []float64
+	for _, m := range rows {
+		for i, x := range ratioSamples(m.Hosted, m.Ours) {
+			if i == len(avg) {
+				avg = append(avg, 0)
+			}
+			avg[i] += x / float64(len(rows))
+		}
+	}
+	return summarize(avg)
+}
+
 // WriteTable1 renders the paper's Table 1 with our columns: the hosted
 // Prolog analyzer stands in for Aquarius, our compiler for PLM.
 func WriteTable1(w io.Writer, rows []*Metrics) {
@@ -235,20 +187,19 @@ func WriteTable1(w io.Writer, rows []*Metrics) {
 	fmt.Fprintln(w, "  Hosted  = mode analyzer written in Prolog, run on the concrete WAM (Aquarius stand-in)")
 	fmt.Fprintln(w, "  Compile = Prolog->WAM compilation (PLM stand-in)")
 	fmt.Fprintln(w, "  Ours    = compiled abstract-WAM analyzer (types+modes+aliasing, k=4)")
+	fmt.Fprintln(w, "  "+hostLine())
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-10s %5s %6s %10s %10s %6s %7s %10s %9s\n",
-		"Benchmark", "Args", "Preds", "Hosted ms", "Compile ms", "Size", "Exec", "Ours ms", "Speed-Up")
-	var sum float64
-	n := 0
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(tw, "Benchmark\tArgs\tPreds\tHosted ms\tCompile ms\tSize\tExec\tOurs ms\tSpeed-Up\t")
 	for _, m := range rows {
-		fmt.Fprintf(w, "%-10s %5d %6d %10.3f %10.3f %6d %7d %10.4f %9.1f\n",
-			m.Name, m.Args, m.Preds, m.HostedMS, m.CompileMS, m.Size, m.Exec, m.OursMS, m.SpeedupHosted())
-		sum += m.SpeedupHosted()
-		n++
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%d\t%d\t%s\t%s\t\n",
+			m.Name, m.Args, m.Preds, m.Hosted.NsPerOp.format(1e6, 3), m.Compile.NsPerOp.format(1e6, 3),
+			m.Size, m.Exec, m.Ours.NsPerOp.format(1e6, 4), m.SpeedupHosted.format(1, 1))
 	}
-	if n > 0 {
-		fmt.Fprintf(w, "%-10s %62s %9.1f\n", "average", "", sum/float64(n))
+	if len(rows) > 0 {
+		fmt.Fprintf(tw, "average\t\t\t\t\t\t\t\t%s\t\n", AverageSpeedup(rows).format(1, 1))
 	}
+	tw.Flush()
 }
 
 // WriteObservability renders the per-benchmark instrumentation columns:
@@ -256,6 +207,7 @@ func WriteTable1(w io.Writer, rows []*Metrics) {
 // Table 1 numbers hide.
 func WriteObservability(w io.Writer, rows []*Metrics) {
 	fmt.Fprintln(w, "Observability: extension-table traffic and working set (fixpoint phase)")
+	fmt.Fprintln(w, "  "+hostLine())
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-10s %7s %7s %7s %8s %8s %10s\n",
 		"Benchmark", "Exec", "Table", "Hits", "Misses", "Updates", "Heap cells")
@@ -267,8 +219,10 @@ func WriteObservability(w io.Writer, rows []*Metrics) {
 
 // ConfigRatios is one configuration column of Table 2.
 type ConfigRatios struct {
-	Label  string
-	Ratios []float64 // per benchmark: hosted-time / this-config-time
+	Label string `json:"label"`
+	// Ratios holds, per benchmark, hosted time over this configuration's
+	// time, sample by sample.
+	Ratios []Dist `json:"ratios"`
 }
 
 // WriteTable2 renders the Table 2 substitute: the paper's platform sweep
@@ -277,126 +231,117 @@ type ConfigRatios struct {
 func WriteTable2(w io.Writer, rows []*Metrics, configs []ConfigRatios) {
 	fmt.Fprintln(w, "Table 2: Speed ratios, hosted analyzer = 1 (configuration sweep")
 	fmt.Fprintln(w, "replaces the 1992 hardware sweep; see DESIGN.md substitutions)")
+	fmt.Fprintln(w, "  "+hostLine())
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-10s %8s", "Benchmark", "Hosted")
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprint(tw, "Benchmark\tHosted\t")
 	for _, c := range configs {
-		fmt.Fprintf(w, " %10s", c.Label)
+		fmt.Fprintf(tw, "%s\t", c.Label)
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(tw)
 	sums := make([]float64, len(configs))
 	for i, m := range rows {
-		fmt.Fprintf(w, "%-10s %8.1f", m.Name, 1.0)
+		fmt.Fprintf(tw, "%s\t%.1f\t", m.Name, 1.0)
 		for j, c := range configs {
-			fmt.Fprintf(w, " %10.1f", c.Ratios[i])
-			sums[j] += c.Ratios[i]
+			fmt.Fprintf(tw, "%s\t", c.Ratios[i].format(1, 1))
+			sums[j] += c.Ratios[i].Median
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(tw)
 	}
-	fmt.Fprintf(w, "%-10s %8.1f", "average", 1.0)
+	fmt.Fprintf(tw, "average\t%.1f\t", 1.0)
 	for j := range configs {
-		fmt.Fprintf(w, " %10.1f", sums[j]/float64(len(rows)))
+		fmt.Fprintf(tw, "%.1f\t", sums[j]/float64(len(rows)))
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(tw)
+	tw.Flush()
 }
 
 // MeasureConfigs builds the Table 2 configuration sweep: for each
 // analyzer configuration, per-benchmark speed ratios against the hosted
-// analyzer.
+// analyzer. The k=4, transformed and meta-Go columns reuse the Table 1
+// rows' legs; the other configurations are the legs of one Sample per
+// benchmark.
 func MeasureConfigs(opts MeasureOptions, rows []*Metrics) ([]ConfigRatios, error) {
-	type cfgDef struct {
+	defs := []struct {
 		label string
 		cfg   core.Config
-	}
-	defs := []cfgDef{
-		{"k=4", core.DefaultConfig()},
+	}{
 		{"k=2", core.Config{Depth: 2, Indexing: true}},
 		{"k=8", core.Config{Depth: 8, Indexing: true}},
 		{"no-index", core.Config{Depth: 4, Indexing: false}},
 		{"worklist", core.Config{Depth: 4, Indexing: true, Strategy: core.StrategyWorklist}},
 	}
-	out := make([]ConfigRatios, 0, len(defs)+1)
+	out := []ConfigRatios{{Label: "k=4"}}
 	for _, d := range defs {
-		c := ConfigRatios{Label: d.label, Ratios: make([]float64, len(rows))}
-		for i, row := range rows {
-			p, _ := bench.ByName(row.Name)
-			tab := term.NewTab()
-			prog, err := parser.ParseProgram(tab, p.Source)
-			if err != nil {
-				return nil, err
-			}
-			mod, err := compiler.Compile(tab, prog)
-			if err != nil {
-				return nil, err
-			}
-			ms, err := timeIt(opts.MinSampleTime, func() error {
+		out = append(out, ConfigRatios{Label: d.label})
+	}
+	out = append(out, ConfigRatios{Label: "transfrm"}, ConfigRatios{Label: "meta-Go"})
+	for _, row := range rows {
+		p, _ := bench.ByName(row.Name)
+		mod, err := compileBench(p)
+		if err != nil {
+			return nil, err
+		}
+		legs := make([]Leg, len(defs))
+		for i, d := range defs {
+			legs[i] = Leg{Name: d.label, Run: func() error {
 				_, err := core.NewWith(mod, d.cfg).AnalyzeMain()
 				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			if ms > 0 {
-				c.Ratios[i] = row.HostedMS / ms
-			}
+			}}
 		}
-		out = append(out, c)
+		stats, err := Sample(opts.Quick, legs...)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", row.Name, err)
+		}
+		out[0].Ratios = append(out[0].Ratios, row.SpeedupHosted)
+		for i, s := range stats {
+			out[1+i].Ratios = append(out[1+i].Ratios, ratio(row.Hosted, s))
+		}
+		n := len(out)
+		out[n-2].Ratios = append(out[n-2].Ratios, ratio(row.Hosted, row.Transformed))
+		out[n-1].Ratios = append(out[n-1].Ratios, ratio(row.Hosted, row.MetaGo))
 	}
-	// The Go meta-interpreter and the transformed program as final
-	// columns.
-	metaCol := ConfigRatios{Label: "meta-Go", Ratios: make([]float64, len(rows))}
-	trCol := ConfigRatios{Label: "transfrm", Ratios: make([]float64, len(rows))}
-	for i, row := range rows {
-		if row.MetaGoMS > 0 {
-			metaCol.Ratios[i] = row.HostedMS / row.MetaGoMS
-		}
-		if row.TransformedMS > 0 {
-			trCol.Ratios[i] = row.HostedMS / row.TransformedMS
-		}
-	}
-	out = append(out, trCol, metaCol)
 	return out, nil
 }
 
 // AblationRow measures the depth-k precision/cost tradeoff (E9).
 type AblationRow struct {
-	Name      string
-	Depth     int
-	MS        float64
-	TableSize int
-	Exec      int64
-	GroundPct float64 // fraction of success-pattern argument positions proven ground
+	Name      string  `json:"name"`
+	Depth     int     `json:"depth"`
+	Time      Stat    `json:"time"`
+	TableSize int     `json:"table_size"`
+	Exec      int64   `json:"exec"`
+	GroundPct float64 `json:"ground_pct"` // fraction of success-pattern argument positions proven ground
 }
 
-// MeasureAblation sweeps the term-depth restriction.
+// MeasureAblation sweeps the term-depth restriction; the depths are the
+// legs of one Sample per benchmark.
 func MeasureAblation(opts MeasureOptions, depths []int) ([]AblationRow, error) {
 	var out []AblationRow
 	for _, p := range bench.Programs {
-		tab := term.NewTab()
-		prog, err := parser.ParseProgram(tab, p.Source)
+		mod, err := compileBench(p)
 		if err != nil {
 			return nil, err
 		}
-		mod, err := compiler.Compile(tab, prog)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range depths {
+		results := make([]*core.Result, len(depths))
+		legs := make([]Leg, len(depths))
+		for i, k := range depths {
 			cfg := core.Config{Depth: k, Indexing: true}
-			res, err := core.NewWith(mod, cfg).AnalyzeMain()
-			if err != nil {
-				return nil, err
-			}
-			ms, err := timeIt(opts.MinSampleTime, func() error {
-				_, err := core.NewWith(mod, cfg).AnalyzeMain()
+			legs[i] = Leg{Name: fmt.Sprintf("k=%d", k), Run: func() (err error) {
+				results[i], err = core.NewWith(mod, cfg).AnalyzeMain()
 				return err
-			})
-			if err != nil {
-				return nil, err
-			}
+			}}
+		}
+		stats, err := Sample(opts.Quick, legs...)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
+		}
+		for i, k := range depths {
+			res := results[i]
 			out = append(out, AblationRow{
-				Name: p.Name, Depth: k, MS: ms,
+				Name: p.Name, Depth: k, Time: stats[i],
 				TableSize: res.TableSize, Exec: res.Steps,
-				GroundPct: groundFraction(tab, res),
+				GroundPct: groundFraction(mod.Tab, res),
 			})
 		}
 	}
@@ -425,19 +370,22 @@ func groundFraction(tab *term.Tab, res *core.Result) float64 {
 // WriteAblation renders the depth sweep.
 func WriteAblation(w io.Writer, rows []AblationRow) {
 	fmt.Fprintln(w, "Ablation: term-depth restriction k (cost vs precision)")
+	fmt.Fprintln(w, "  "+hostLine())
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-10s %4s %10s %7s %7s %8s\n", "Benchmark", "k", "ms", "Exec", "Table", "ground%")
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(tw, "Benchmark\tk\tms\tExec\tTable\tground%\t")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %4d %10.4f %7d %7d %7.1f%%\n",
-			r.Name, r.Depth, r.MS, r.Exec, r.TableSize, 100*r.GroundPct)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%d\t%.1f%%\t\n",
+			r.Name, r.Depth, r.Time.NsPerOp.format(1e6, 4), r.Exec, r.TableSize, 100*r.GroundPct)
 	}
+	tw.Flush()
 }
 
 // SummaryLine gives a one-line digest used by tests.
 func SummaryLine(rows []*Metrics) string {
 	var b strings.Builder
 	for _, m := range rows {
-		fmt.Fprintf(&b, "%s=%.1fx ", m.Name, m.SpeedupHosted())
+		fmt.Fprintf(&b, "%s=%.1fx ", m.Name, m.SpeedupHosted.Median)
 	}
 	return strings.TrimSpace(b.String())
 }

@@ -3,15 +3,15 @@ package harness
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"awam/internal/bench"
+	"awam/internal/core"
 )
 
-// quickOpts keeps harness tests fast: single-run samples.
+// quickOpts keeps harness tests fast: the -quick sample plan.
 func quickOpts() MeasureOptions {
 	opts := DefaultMeasureOptions()
-	opts.MinSampleTime = time.Microsecond
+	opts.Quick = true
 	return opts
 }
 
@@ -24,11 +24,11 @@ func TestMeasureOneBenchmark(t *testing.T) {
 	if m.Args != 4 || m.Preds != 2 {
 		t.Fatalf("profile = Args %d Preds %d", m.Args, m.Preds)
 	}
-	if m.Size == 0 || m.Exec == 0 || m.OursMS <= 0 || m.HostedMS <= 0 {
+	if m.Size == 0 || m.Exec == 0 || m.Ours.NsPerOp.Median <= 0 || m.Hosted.NsPerOp.Median <= 0 {
 		t.Fatalf("metrics incomplete: %+v", m)
 	}
-	if m.SpeedupHosted() <= 1 {
-		t.Fatalf("compiled analysis should beat the hosted analyzer on tak, got %.2fx", m.SpeedupHosted())
+	if m.SpeedupHosted.Median <= 1 {
+		t.Fatalf("compiled analysis should beat the hosted analyzer on tak, got %.2fx", m.SpeedupHosted.Median)
 	}
 }
 
@@ -41,7 +41,7 @@ func TestMeasureSkipsBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.HostedMS != 0 || m.MetaGoMS != 0 {
+	if m.Hosted.NsPerOp.Median != 0 || m.MetaGo.NsPerOp.Median != 0 {
 		t.Fatalf("skipped baselines should be zero: %+v", m)
 	}
 }
@@ -126,20 +126,19 @@ func TestSummaryLine(t *testing.T) {
 }
 
 // TestSeededWideProgramAnalyzes checks that a randomized wide workload
-// (benchtab -seed) still compiles and reaches a fixpoint, and that the
-// measurement cell carries the schedule-invariant counters the JSON
-// report records.
+// (benchtab -dump-wide -seed) still compiles and reaches a fixpoint
+// with non-empty schedule-invariant counters.
 func TestSeededWideProgramAnalyzes(t *testing.T) {
 	p := bench.WideProgramSeeded(8, 42)
 	mod, err := compileBench(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := measureJSON(p.Name, "worklist", mod, worklistConfig(), true)
+	res, err := core.NewWith(mod, worklistConfig()).AnalyzeMain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.TableSize == 0 || e.Steps == 0 {
-		t.Fatalf("seeded wide program produced empty counters: %+v", e)
+	if res.TableSize == 0 || res.Steps == 0 {
+		t.Fatalf("seeded wide program produced empty counters: table %d, steps %d", res.TableSize, res.Steps)
 	}
 }

@@ -7,15 +7,18 @@ import (
 
 	"awam/internal/bench"
 	"awam/internal/core"
+	"awam/internal/machine"
 	"awam/internal/optimize"
+	"awam/internal/wam"
 )
 
 // This file backs the benchtab `optimize` section: machine-runtime
 // (not analysis-time) speedups from the gated optimizer pipeline, the
-// paper's actual payoff. Each benchmark's main/0 is timed on the
-// unoptimized and optimized machine; StepRatio is the deterministic
-// abstract-machine step quotient (schedule-invariant, so reruns must
-// reproduce it exactly), Speedup the fastest-of-N wall-clock quotient.
+// paper's actual payoff. Each benchmark's main/0 runs on the
+// unoptimized and the optimized machine, the two legs of one Sample.
+// StepRatio is the deterministic abstract-machine step quotient
+// (schedule-invariant, so reruns must reproduce it exactly), Speedup
+// the wall-clock quotient.
 
 // OptimizeEntry is one benchmark's optimizer measurement.
 type OptimizeEntry struct {
@@ -30,27 +33,37 @@ type OptimizeEntry struct {
 	// pipeline appends dispatch blocks, so CodeAfter >= CodeBefore).
 	CodeBefore int `json:"code_before"`
 	CodeAfter  int `json:"code_after"`
-	// Runs is the measurement repeat count (fastest run kept).
-	Runs int `json:"runs"`
-	// BaselineNs/OptimizedNs are fastest-of-Runs wall times for main/0;
-	// BaselineSteps/OptimizedSteps the machine steps of those runs.
-	BaselineNs     int64 `json:"baseline_ns"`
-	OptimizedNs    int64 `json:"optimized_ns"`
+	// Baseline and Optimized time main/0 on each machine;
+	// BaselineSteps/OptimizedSteps are the machine steps of one run.
+	Baseline       Stat  `json:"baseline"`
+	Optimized      Stat  `json:"optimized"`
 	BaselineSteps  int64 `json:"baseline_steps"`
 	OptimizedSteps int64 `json:"optimized_steps"`
-	// Speedup is BaselineNs/OptimizedNs; StepRatio the deterministic
-	// BaselineSteps/OptimizedSteps.
-	Speedup   float64 `json:"speedup"`
+	// Speedup is Baseline over Optimized, sample by sample; StepRatio
+	// the deterministic BaselineSteps/OptimizedSteps.
+	Speedup   Dist    `json:"speedup"`
 	StepRatio float64 `json:"step_ratio"`
 }
 
-// MeasureOptimizeJSON runs the gated default pipeline over the full
-// benchmark suite and measures main/0 on both machines.
-func MeasureOptimizeJSON(quick bool, progress io.Writer) ([]OptimizeEntry, error) {
-	runs := 25
-	if quick {
-		runs = 3
+// machineLeg runs goal on a fresh machine over a fresh copy of mod per
+// run (query compilation appends to the module), recording the steps.
+func machineLeg(name string, mod *wam.Module, goal string, steps *int64) Leg {
+	var m *machine.Machine
+	return Leg{
+		Name:  name,
+		Setup: func() error { m = machine.New(mod.Clone()); return nil },
+		Run: func() error {
+			// Goal failure is still a measurement; only machine errors abort.
+			_, err := m.Solve(goal)
+			*steps = m.Steps
+			return err
+		},
 	}
+}
+
+// MeasureOptimize runs the gated default pipeline over the full
+// benchmark suite and measures main/0 on both machines.
+func MeasureOptimize(quick bool, progress io.Writer) ([]OptimizeEntry, error) {
 	var out []OptimizeEntry
 	for _, p := range bench.AllPrograms() {
 		if progress != nil {
@@ -73,7 +86,6 @@ func MeasureOptimizeJSON(quick bool, progress io.Writer) ([]OptimizeEntry, error
 			Name:       p.Name,
 			CodeBefore: mod.Size(),
 			CodeAfter:  opt.Size(),
-			Runs:       runs,
 		}
 		for _, oc := range outcomes {
 			if oc.Rejected {
@@ -82,21 +94,14 @@ func MeasureOptimizeJSON(quick bool, progress io.Writer) ([]OptimizeEntry, error
 			}
 			e.Rewrites += oc.Stats.Total
 		}
-		baseNs, baseSteps, err := optimize.Measure(mod, "main", runs)
+		stats, err := Sample(quick,
+			machineLeg("baseline", mod, "main", &e.BaselineSteps),
+			machineLeg("optimized", opt, "main", &e.OptimizedSteps))
 		if err != nil {
-			return nil, fmt.Errorf("%s: measure baseline: %w", p.Name, err)
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		optNs, optSteps, err := optimize.Measure(opt, "main", runs)
-		if err != nil {
-			return nil, fmt.Errorf("%s: measure optimized: %w", p.Name, err)
-		}
-		e.BaselineNs = baseNs.Nanoseconds()
-		e.OptimizedNs = optNs.Nanoseconds()
-		e.BaselineSteps = baseSteps
-		e.OptimizedSteps = optSteps
-		if e.OptimizedNs > 0 {
-			e.Speedup = float64(e.BaselineNs) / float64(e.OptimizedNs)
-		}
+		e.Baseline, e.Optimized = stats[0], stats[1]
+		e.Speedup = ratio(e.Baseline, e.Optimized)
 		if e.OptimizedSteps > 0 {
 			e.StepRatio = float64(e.BaselineSteps) / float64(e.OptimizedSteps)
 		}
@@ -109,12 +114,13 @@ func MeasureOptimizeJSON(quick bool, progress io.Writer) ([]OptimizeEntry, error
 // (benchtab -table optimize).
 func WriteOptimizeTable(w io.Writer, entries []OptimizeEntry) {
 	fmt.Fprintln(w, "Optimizer: machine-runtime speedup of main/0 (gated pipeline)")
+	fmt.Fprintln(w, "  "+hostLine())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\trewrites\tsteps before\tsteps after\tstep ratio\tns before\tns after\tspeedup")
+	fmt.Fprintln(tw, "benchmark\trewrites\tsteps before\tsteps after\tstep ratio\tus before\tus after\tspeedup")
 	for _, e := range entries {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.2f\t%d\t%d\t%.2f\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.2f\t%s\t%s\t%s\n",
 			e.Name, e.Rewrites, e.BaselineSteps, e.OptimizedSteps, e.StepRatio,
-			e.BaselineNs, e.OptimizedNs, e.Speedup)
+			e.Baseline.NsPerOp.format(1e3, 1), e.Optimized.NsPerOp.format(1e3, 1), e.Speedup.format(1, 2))
 	}
 	tw.Flush()
 }

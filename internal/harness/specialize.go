@@ -14,7 +14,7 @@ import (
 )
 
 // This file backs `benchtab -table specialize` and the Specialize
-// section of the JSON report: the ablation of the per-SCC specialized
+// section of the report: the ablation of the per-SCC specialized
 // transfer streams (internal/specialize) isolating what each layer
 // buys. The legs are cumulative by construction:
 //
@@ -62,81 +62,57 @@ func buildSpecProgram(mod *wam.Module, prof *specialize.Profile, opts specialize
 type SpecializeEntry struct {
 	// Name is the workload, Config the engine ("worklist"),
 	// Leg the specializer configuration ("flatten", "fuse", "full").
-	Name        string `json:"name"`
-	Config      string `json:"config"`
-	Leg         string `json:"leg"`
-	Iters       int    `json:"iters"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
+	Name   string `json:"name"`
+	Config string `json:"config"`
+	Leg    string `json:"leg"`
+	Time   Stat   `json:"time"`
 	// Steps is the abstract instruction count — identical across legs by
 	// the byte-identity contract.
 	Steps int64 `json:"steps"`
 	// FusedOps is the number of fused superinstructions executed in one
 	// run (zero for flatten).
 	FusedOps int64 `json:"fused_ops"`
-	// SpeedupVsFlatten is flatten-ns / this-leg-ns for the same (Name,
-	// Config).
-	SpeedupVsFlatten float64 `json:"speedup_vs_flatten"`
+	// SpeedupVsFlatten is flatten time over this leg's time for the same
+	// (Name, Config), sample by sample.
+	SpeedupVsFlatten Dist `json:"speedup_vs_flatten"`
 	// Identical records the per-cell byte-identity check against the
 	// plain stream's Marshal output.
 	Identical bool `json:"identical"`
 }
 
-// specLegs are the ablation legs.
-var specLegs = []struct {
+// specLeg is one ablation leg.
+type specLeg struct {
 	name string
 	opts specialize.Options
-}{
+}
+
+// specLegs are the ablation legs.
+var specLegs = []specLeg{
 	{"flatten", specialize.Options{}},
 	{"fuse", specialize.Options{Fuse: true}},
 	{"full", specialize.Options{Fuse: true, PreIntern: true}},
 }
 
-// measureSpecCell measures one (workload, config, leg) cell: an untimed
-// verification run for Marshal identity, Steps and fused-op counts,
-// then the shared timing loop.
-func measureSpecCell(name, config, leg string, mod *wam.Module, cfg core.Config, wantMarshal string, quick bool) (SpecializeEntry, error) {
-	e := SpecializeEntry{Name: name, Config: config, Leg: leg}
-	res, err := core.NewWith(mod, cfg).AnalyzeMain()
-	if err != nil {
-		return e, fmt.Errorf("%s/%s/%s: %w", name, config, leg, err)
-	}
-	e.Steps = res.Steps
-	e.Identical = res.Marshal() == wantMarshal
-	if res.Metrics != nil {
-		for _, n := range res.Metrics.FusedOps {
-			e.FusedOps += n
-		}
-	}
-	be, err := measureJSON(name, config, mod, cfg, quick)
-	if err != nil {
-		return e, err
-	}
-	e.Iters = be.Iters
-	e.NsPerOp = be.NsPerOp
-	e.BytesPerOp = be.BytesPerOp
-	e.AllocsPerOp = be.AllocsPerOp
-	return e, nil
+// worklistConfig is the engine configuration the ablation measures.
+func worklistConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Strategy = core.StrategyWorklist
+	return cfg
 }
 
 // MeasureSpecialize produces the specialization ablation, all under the
 // worklist: the wide scaling workloads across all three legs, plus the
-// Table 1 suite at flatten/full.
-// Fusion is guided by a measured profile of one plain-stream worklist
-// run per workload. progress, when non-nil, receives one line per cell.
+// Table 1 suite at flatten/full. The legs of one workload are measured
+// together; Steps, fused-op counts and Marshal identity come from each
+// leg's last run. Fusion is guided by a measured profile of one
+// plain-stream worklist run per workload. progress, when non-nil,
+// receives one line per workload.
 func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error) {
-	say := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, format, args...)
-		}
-	}
 	var out []SpecializeEntry
-
-	measure := func(p bench.Program, legs []struct {
-		name string
-		opts specialize.Options
-	}) error {
+	measure := func(p bench.Program, legs []specLeg) error {
+		if progress != nil {
+			fmt.Fprintf(progress, "  specialize %s/worklist...\n", p.Name)
+		}
 		mod, err := compileBench(p)
 		if err != nil {
 			return err
@@ -148,21 +124,32 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 			return fmt.Errorf("%s: profile run: %w", p.Name, err)
 		}
 		prof := SpecProfile(ref.Metrics)
-		want := ref.Marshal()
-		var flat int64
-		for _, leg := range legs {
+		results := make([]*core.Result, len(legs))
+		sampled := make([]Leg, len(legs))
+		for i, leg := range legs {
 			cfg := worklistConfig()
 			cfg.Spec = buildSpecProgram(mod, prof, leg.opts)
-			say("  specialize %s/worklist/%s...\n", p.Name, leg.name)
-			e, err := measureSpecCell(p.Name, "worklist", leg.name, mod, cfg, want, quick)
-			if err != nil {
+			sampled[i] = Leg{Name: leg.name, Run: func() (err error) {
+				results[i], err = core.NewWith(mod, cfg).AnalyzeMain()
 				return err
+			}}
+		}
+		stats, err := Sample(quick, sampled...)
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.Name, err)
+		}
+		want := ref.Marshal()
+		for i, leg := range legs {
+			e := SpecializeEntry{
+				Name: p.Name, Config: "worklist", Leg: leg.name, Time: stats[i],
+				Steps:            results[i].Steps,
+				SpeedupVsFlatten: ratio(stats[0], stats[i]),
+				Identical:        results[i].Marshal() == want,
 			}
-			if leg.name == "flatten" {
-				flat = e.NsPerOp
-			}
-			if flat > 0 && e.NsPerOp > 0 {
-				e.SpeedupVsFlatten = float64(flat) / float64(e.NsPerOp)
+			if m := results[i].Metrics; m != nil {
+				for _, n := range m.FusedOps {
+					e.FusedOps += n
+				}
 			}
 			out = append(out, e)
 		}
@@ -174,12 +161,8 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 			return nil, err
 		}
 	}
-	flatFull := []struct {
-		name string
-		opts specialize.Options
-	}{specLegs[0], specLegs[2]}
 	for _, p := range bench.Programs {
-		if err := measure(p, flatFull); err != nil {
+		if err := measure(p, []specLeg{specLegs[0], specLegs[2]}); err != nil {
 			return nil, err
 		}
 	}
@@ -189,11 +172,12 @@ func MeasureSpecialize(quick bool, progress io.Writer) ([]SpecializeEntry, error
 // WriteSpecializeTable renders the ablation as text.
 func WriteSpecializeTable(w io.Writer, entries []SpecializeEntry) {
 	fmt.Fprintln(w, "Specialized transfer streams: ablation (speedup vs flatten)")
+	fmt.Fprintln(w, "  "+hostLine())
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tconfig\tleg\tns/op\tspeedup\tfused/run\tidentical")
+	fmt.Fprintln(tw, "workload\tconfig\tleg\tms\tspeedup\tfused/run\tidentical")
 	for _, e := range entries {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%.2fx\t%d\t%v\n",
-			e.Name, e.Config, e.Leg, e.NsPerOp, e.SpeedupVsFlatten, e.FusedOps, e.Identical)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%sx\t%d\t%v\n",
+			e.Name, e.Config, e.Leg, e.Time.NsPerOp.format(1e6, 3), e.SpeedupVsFlatten.format(1, 2), e.FusedOps, e.Identical)
 	}
 	tw.Flush()
 }

@@ -13,6 +13,7 @@
 package machine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -82,6 +83,9 @@ type Machine struct {
 	Steps int64
 	// MaxSteps bounds execution; 0 means the default.
 	MaxSteps int64
+	// Ctx, when non-nil, stops execution with its error once it is
+	// done. It is checked every 4096 steps.
+	Ctx context.Context
 	// Out receives write/1 and nl/0 output; nil discards it.
 	Out io.Writer
 	// Trace, when non-nil, receives one line per executed instruction
@@ -164,6 +168,11 @@ func (m *Machine) run() (bool, error) {
 		}
 		if m.Steps >= m.MaxSteps {
 			return false, ErrStepLimit
+		}
+		if m.Ctx != nil && m.Steps&4095 == 0 {
+			if err := m.Ctx.Err(); err != nil {
+				return false, err
+			}
 		}
 		m.Steps++
 		ins := m.Mod.Code[m.p]

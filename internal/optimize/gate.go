@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -24,6 +25,9 @@ type Gate struct {
 	MaxSolutions int
 	// MaxSteps bounds each side's machine per goal; 0 means 20 million.
 	MaxSteps int64
+	// Ctx, when non-nil, stops every goal run once it is done, and the
+	// pipeline with it.
+	Ctx context.Context
 }
 
 const (
@@ -63,6 +67,7 @@ func (g *Gate) runGoal(mod *wam.Module, goal string) goalRun {
 	r := goalRun{goal: goal, status: "ok"}
 	m := machine.New(mod.Clone())
 	m.MaxSteps = maxSteps
+	m.Ctx = g.Ctx
 	sol, err := m.Solve(goal)
 	for n := 0; ; n++ {
 		if err != nil {
@@ -137,6 +142,14 @@ func (g *Gate) compare(base, opt []goalRun) *GateError {
 		}
 	}
 	return nil
+}
+
+// canceled returns the error of the gate's context once it is done.
+func (g *Gate) canceled() error {
+	if g.Ctx == nil {
+		return nil
+	}
+	return g.Ctx.Err()
 }
 
 // Check runs the gate goals on both modules and reports the first

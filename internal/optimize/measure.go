@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"time"
 
 	"awam/internal/machine"
@@ -10,12 +11,14 @@ import (
 // Measure runs goal on mod runs times (each on a fresh machine and a
 // fresh module copy, since query compilation appends to the module) and
 // returns the fastest wall time with that run's executed-instruction
-// count. Goal failure is still a measurement; only machine errors abort.
-func Measure(mod *wam.Module, goal string, runs int) (time.Duration, int64, error) {
+// count. Goal failure is still a measurement; only machine errors abort,
+// among them ctx's error once it is done.
+func Measure(ctx context.Context, mod *wam.Module, goal string, runs int) (time.Duration, int64, error) {
 	best := time.Duration(-1)
 	var steps int64
 	for i := 0; i < runs; i++ {
 		m := machine.New(mod.Clone())
+		m.Ctx = ctx
 		start := time.Now()
 		sol, err := m.Solve(goal)
 		d := time.Since(start)

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"testing"
 
 	"awam/internal/bench"
@@ -49,11 +50,11 @@ func TestMeasuredStepSpeedups(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		_, baseSteps, err := Measure(mod, "main", 1)
+		_, baseSteps, err := Measure(context.Background(), mod, "main", 1)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		_, optSteps, err := Measure(opt, "main", 1)
+		_, optSteps, err := Measure(context.Background(), opt, "main", 1)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

@@ -150,7 +150,8 @@ type Pipeline struct {
 // apply, or the first *GateError when any pass was rejected. Even with
 // a GateError the returned module is valid — it contains every accepted
 // pass — so callers can choose between failing hard and shipping the
-// surviving pipeline; both wrap ErrOptimize.
+// surviving pipeline; both wrap ErrOptimize. Once the gate's Ctx is
+// done, Run stops with its error.
 func (pl *Pipeline) Run(mod *wam.Module, res *core.Result) (*wam.Module, []PassOutcome, error) {
 	passes := pl.Passes
 	if passes == nil {
@@ -159,6 +160,9 @@ func (pl *Pipeline) Run(mod *wam.Module, res *core.Result) (*wam.Module, []PassO
 	var base []goalRun
 	if pl.Gate != nil {
 		base = pl.Gate.run(mod)
+		if err := pl.Gate.canceled(); err != nil {
+			return mod, nil, err
+		}
 	}
 	cur := mod
 	var outcomes []PassOutcome
@@ -170,7 +174,11 @@ func (pl *Pipeline) Run(mod *wam.Module, res *core.Result) (*wam.Module, []PassO
 		}
 		oc := PassOutcome{Name: p.Name(), Stats: stats}
 		if pl.Gate != nil {
-			if gerr := pl.Gate.compare(base, pl.Gate.run(next)); gerr != nil {
+			runs := pl.Gate.run(next)
+			if err := pl.Gate.canceled(); err != nil {
+				return cur, outcomes, err
+			}
+			if gerr := pl.Gate.compare(base, runs); gerr != nil {
 				gerr.Pass = p.Name()
 				oc.Rejected = true
 				oc.RejectReason = gerr.Error()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"awam/api"
 )
@@ -112,6 +113,7 @@ func TestOptimizeEndpointErrors(t *testing.T) {
 		{"parse error", `{"source":"p(a"}`, http.StatusUnprocessableEntity, "parse_error"},
 		{"missing source", `{}`, http.StatusBadRequest, "bad_request"},
 		{"negative runs", `{"source":"p(a).","measure_runs":-1}`, http.StatusBadRequest, "bad_request"},
+		{"too many runs", `{"source":"p(a).","measure_runs":101}`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(tc.body))
@@ -127,5 +129,27 @@ func TestOptimizeEndpointErrors(t *testing.T) {
 		if got := errCode(t, data); got != tc.code {
 			t.Errorf("%s: code = %q, want %q", tc.name, got, tc.code)
 		}
+	}
+}
+
+// TestOptimizeDeadline: the gate and the speedup measurement run the
+// program concretely, and they stop at the request's deadline. A
+// program whose main/0 never ends gets a typed deadline_exceeded, not a
+// 200 after billions of machine steps.
+func TestOptimizeDeadline(t *testing.T) {
+	ts := newTestServer(t, Config{MaxTimeout: 300 * time.Millisecond})
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json",
+		strings.NewReader(`{"source":"main :- loop. loop :- loop.","measure_runs":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout || errCode(t, data) != "deadline_exceeded" {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Fatalf("answered after %v under a 300ms deadline", d)
 	}
 }

@@ -348,6 +348,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "bad_request", "negative limits")
 		return
 	}
+	if req.MeasureRuns > api.MaxMeasureRuns {
+		s.fail(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("measure_runs exceeds %d", api.MaxMeasureRuns))
+		return
+	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -384,7 +389,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if req.MeasureRuns > 0 {
 		opts = append(opts, awam.WithMeasureRuns(req.MeasureRuns))
 	}
-	opt, report, err := a.System().Optimize(a, opts...)
+	opt, report, err := a.System().OptimizeContext(ctx, a, opts...)
 	if err != nil {
 		s.failErr(w, err)
 		return

@@ -1,6 +1,7 @@
 package awam
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -139,6 +140,13 @@ type OptimizeReport struct {
 // runtime speedup. On gate rejection the report is still returned
 // alongside the error so callers can see which pass failed and why.
 func (s *System) Optimize(a *Analysis, opts ...OptimizeOption) (*System, *OptimizeReport, error) {
+	return s.OptimizeContext(context.Background(), a, opts...)
+}
+
+// OptimizeContext is Optimize honoring ctx: the gate's and the
+// measurement's concrete runs stop once ctx is done, and the error
+// wraps ErrCanceled.
+func (s *System) OptimizeContext(ctx context.Context, a *Analysis, opts ...OptimizeOption) (*System, *OptimizeReport, error) {
 	// The analysis must come from this system or one derived from it
 	// (Specialize/StripUnreachable chains share the symbol table).
 	if a == nil || a.sys == nil || a.sys.tab != s.tab {
@@ -165,7 +173,7 @@ func (s *System) Optimize(a *Analysis, opts ...OptimizeOption) (*System, *Optimi
 	if s.mod.Proc(s.tab.Func("main", 0)) != nil {
 		goals = append([]string{"main"}, goals...)
 	}
-	pl := optimize.Pipeline{Passes: passes, Gate: &optimize.Gate{Goals: goals}}
+	pl := optimize.Pipeline{Passes: passes, Gate: &optimize.Gate{Goals: goals, Ctx: ctx}}
 	mod, outcomes, err := pl.Run(s.mod, a.res)
 	report := &OptimizeReport{
 		CodeBefore: s.mod.Size(),
@@ -184,14 +192,20 @@ func (s *System) Optimize(a *Analysis, opts ...OptimizeOption) (*System, *Optimi
 			RejectReason: oc.RejectReason,
 		})
 	}
+	if ctx.Err() != nil {
+		return nil, report, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
+	}
 	if err != nil {
 		return nil, report, fmt.Errorf("%w: %w", ErrOptimize, err)
 	}
 	if cfg.measureRuns > 0 && len(goals) > 0 {
 		report.MeasureGoal = goals[0]
 		report.MeasureRuns = cfg.measureRuns
-		baseNS, baseSteps, berr := optimize.Measure(s.mod, goals[0], cfg.measureRuns)
-		optNS, optSteps, oerr := optimize.Measure(mod, goals[0], cfg.measureRuns)
+		baseNS, baseSteps, berr := optimize.Measure(ctx, s.mod, goals[0], cfg.measureRuns)
+		optNS, optSteps, oerr := optimize.Measure(ctx, mod, goals[0], cfg.measureRuns)
+		if ctx.Err() != nil {
+			return nil, report, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
+		}
 		if berr == nil && oerr == nil {
 			report.Measured = true
 			report.BaselineNS = baseNS.Nanoseconds()
