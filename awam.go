@@ -74,12 +74,17 @@ var (
 // System is a loaded, compiled logic program. It is safe for concurrent
 // use: its code is never modified after Load, its lazily built
 // condensation, specialized program and private backward engine are
-// each built once, and its symbol table is synchronized. The analysis
+// each built once, each component's transfer stream is translated once,
+// and its symbol table is synchronized. The analysis
 // daemon shares one System across all requests for the same source.
 type System struct {
 	tab  *term.Tab
 	prog *term.Program
 	mod  *wam.Module
+	// exp is prog after control-construct expansion, the clause-level
+	// view mod implements; Load keeps the compiler's expansion so that
+	// backward queries never expand the program again.
+	exp *term.Program
 
 	// cond is the module's SCC condensation, built once on first use and
 	// shared by the specializer, the store-backed forward engine and the
@@ -91,7 +96,8 @@ type System struct {
 	// spec is the per-SCC specialized transfer program, built lazily on
 	// the first specialized Analyze and shared by all later analyses of
 	// this System (it depends only on the compiled code, not on analysis
-	// options).
+	// options). A component's stream is translated when an analysis
+	// first executes it.
 	specOnce sync.Once
 	spec     *specialize.Program
 
@@ -109,10 +115,11 @@ func (s *System) condensation() *inc.Condensation {
 	return s.cond
 }
 
-// specProgram builds (once) the specialized abstract transfer streams
+// specProgram builds (once) the specialized abstract transfer program
 // for this System's code: the shared condensation supplies the SCC
 // components, a static opcode profile picks the fusion set, and
-// pre-interning is enabled.
+// pre-interning is enabled. The streams themselves are translated per
+// component as analyses reach them.
 func (s *System) specProgram() *specialize.Program {
 	s.specOnce.Do(func() {
 		sccs := s.condensation().SCCs
@@ -135,11 +142,11 @@ func Load(source string) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrParse, err)
 	}
-	mod, err := compiler.Compile(tab, prog)
+	mod, exp, err := compiler.CompileExpanded(tab, prog, compiler.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCompile, err)
 	}
-	return &System{tab: tab, prog: prog, mod: mod}, nil
+	return &System{tab: tab, prog: prog, mod: mod, exp: exp}, nil
 }
 
 // LoadFile loads a program from a file.
@@ -586,7 +593,7 @@ func (s *System) StripUnreachable(a *Analysis) (*System, []string, error) {
 	for i, fn := range removed {
 		names[i] = s.tab.FuncString(fn)
 	}
-	return &System{tab: s.tab, prog: s.prog, mod: stripped}, names, nil
+	return &System{tab: s.tab, prog: s.prog, mod: stripped, exp: s.exp}, names, nil
 }
 
 // HostedResult is the outcome of the Prolog-hosted analysis.

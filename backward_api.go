@@ -165,7 +165,7 @@ func (s *System) AnalyzeBackwardContext(ctx context.Context, opts ...BackwardOpt
 	t0 := time.Now()
 	cond := s.condensation()
 	condDur := time.Since(t0)
-	res, err := s.backwardEngine(c.store).Analyze(ctx, cond, s.prog, cfg)
+	res, err := s.backwardEngine(c.store).Analyze(ctx, cond, s.exp, cfg)
 	if err != nil {
 		if errors.Is(err, backward.ErrUnknownGoal) {
 			return nil, fmt.Errorf("%w: %w", ErrBadOption, err)

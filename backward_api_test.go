@@ -193,3 +193,30 @@ func TestBackwardOptionsAreValueOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestBackwardReusesExpansion: Load keeps the compiler's
+// control-construct expansion on the System, and every backward query
+// computes its demands over that one program instead of expanding the
+// source again.
+func TestBackwardReusesExpansion(t *testing.T) {
+	sys, err := Load(`
+main :- p(a, X), use(X).
+p(X, Y) :- ( X == a -> Y = b ; Y = c ).
+use(_).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.exp == sys.prog {
+		t.Fatal("the program has control constructs, yet its expansion is the source program")
+	}
+	for _, goal := range []string{"main/0", "p/2"} {
+		b, err := sys.AnalyzeBackward(WithGoal(goal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.res.Program != sys.exp {
+			t.Fatalf("query %s computed its demands over a fresh expansion", goal)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"awam/internal/bench"
 )
 
 const cacheProg = `
@@ -247,5 +249,125 @@ func TestSummaryJSONEnums(t *testing.T) {
 	}
 	if strings.Contains(js, `"Mode":1`) {
 		t.Errorf("summary JSON leaked enum ordinals:\n%s", js)
+	}
+}
+
+// TestSummaryCacheAddedPredicate: adding a predicate dirties only the
+// components whose cone reaches an added or edited predicate. Every
+// other component keeps its fingerprint, because a specialized run
+// salts each component with its own stream generation, not with a hash
+// of the whole program, and is served from the store.
+func TestSummaryCacheAddedPredicate(t *testing.T) {
+	base := bench.WideProgramSeeded(64, 1).Source
+	for _, tc := range []struct {
+		name, edit string
+		changed    []string
+	}{
+		{"unrelated", "zz_new_pred(a).\n", []string{"zz_new_pred/1"}},
+		{"new callee", "p3_use(X) :- zz_helper(X).\nzz_helper(_).\n", []string{"p3_use/1", "zz_helper/1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := NewStore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := Load(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Analyze(WithSummaryCache(sc)); err != nil {
+				t.Fatal(err)
+			}
+			edited, err := Load(base + tc.edit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := edited.Analyze(WithStrategy(Worklist))
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := edited.Analyze(WithSummaryCache(sc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Marshal() != ref.Marshal() {
+				t.Fatal("incremental analysis of the edited program differs from scratch")
+			}
+			// A component is dirty when it holds a changed predicate or
+			// calls a dirty one; components come callees first.
+			plan := warm.inc.Plan
+			changed := make(map[int]bool)
+			for _, pred := range tc.changed {
+				fn, err := parseIndicator(edited.tab, pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				changed[plan.PredSCC[fn]] = true
+			}
+			dirty := make([]bool, len(plan.SCCs))
+			clean := 0
+			for i, scc := range plan.SCCs {
+				dirty[i] = changed[i]
+				for _, j := range scc.Callees {
+					dirty[i] = dirty[i] || dirty[j]
+				}
+				if !dirty[i] {
+					clean++
+				}
+			}
+			if warm.inc.WarmSCCs != clean {
+				t.Fatalf("served %d/%d components, want every one of the %d clean ones",
+					warm.inc.WarmSCCs, len(plan.SCCs), clean)
+			}
+		})
+	}
+}
+
+// TestSummaryCacheTranslatesOnlyExploredCone: a warm one-edit analysis
+// translates the transfer streams of the components it explores and
+// leaves the rest of the program untranslated.
+func TestSummaryCacheTranslatesOnlyExploredCone(t *testing.T) {
+	base := bench.WideProgramSeeded(64, 1).Source
+	sc, err := NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Load(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Analyze(WithSummaryCache(sc)); err != nil {
+		t.Fatal(err)
+	}
+	edited, err := Load(base + "p3_use(mutant_1).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := edited.Analyze(WithSummaryCache(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := a.inc.Plan
+	explored := 0
+	for _, scc := range plan.SCCs {
+		for _, fn := range scc.Members {
+			if a.res.Metrics.PredRuns[fn] > 0 {
+				explored++
+				break
+			}
+		}
+	}
+	translated := 0
+	for _, cs := range edited.specProgram().Comps {
+		if cs.Clauses != nil {
+			translated++
+		}
+	}
+	t.Logf("translated %d of %d components, explored %d", translated, len(plan.SCCs), explored)
+	if explored == 0 || translated == 0 || translated > explored {
+		t.Fatalf("translated %d components, explored %d", translated, explored)
+	}
+	if 10*translated > len(plan.SCCs) {
+		t.Fatalf("a one-edit warm run translated %d of %d components", translated, len(plan.SCCs))
 	}
 }

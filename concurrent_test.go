@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"awam/internal/bench"
 )
 
 // concurrentProg exercises every run-time writer of the symbol table:
@@ -151,6 +153,67 @@ func TestSystemConcurrentUse(t *testing.T) {
 		if g != want[i] {
 			t.Errorf("%s (round %d): shared System result differs from a private one\nshared:\n%s\nprivate:\n%s",
 				tasks[i].name, slot/len(tasks), g, want[i])
+		}
+	}
+}
+
+// TestSystemConcurrentLazyStreams analyzes one freshly loaded System
+// from several goroutines at once, while none of its transfer streams
+// is translated yet: cold specialized runs, warm runs through one shared
+// store, and plain-stream runs. Every Marshal must equal a private
+// System's. Run it under -race: the goroutines race to translate the
+// same components.
+func TestSystemConcurrentLazyStreams(t *testing.T) {
+	src := bench.WideProgramSeeded(16, 1).Source
+	ref, err := Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Analyze(WithStrategy(Worklist))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prime the shared store from another System, so the warm runs are
+	// warm while the shared System's streams are still untranslated.
+	st, err := NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Analyze(WithSummaryCache(st)); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs := [][]AnalyzeOption{
+		{WithStrategy(Worklist)},
+		{},
+		{WithSummaryCache(st)},
+		{WithSpecializedTransfer(false)},
+	}
+	const rounds = 2
+	got := make([]string, rounds*len(legs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for slot := range got {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			<-start
+			a, err := shared.Analyze(legs[slot%len(legs)]...)
+			if err != nil {
+				got[slot] = "error: " + err.Error()
+				return
+			}
+			got[slot] = a.Marshal()
+		}(slot)
+	}
+	close(start)
+	wg.Wait()
+	for slot, g := range got {
+		if g != want.Marshal() {
+			t.Errorf("leg %d (round %d): shared System result differs from a private one", slot%len(legs), slot/len(legs))
 		}
 	}
 }

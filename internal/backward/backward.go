@@ -44,6 +44,9 @@ type Result struct {
 	// Plan is the shared condensation with the demanded cone (and the
 	// components it calls) fingerprinted under the demand record salt.
 	Plan *inc.Plan
+	// Program is the control-expanded program the demands were
+	// computed over: Analyze's exp argument, never a fresh expansion.
+	Program *term.Program
 	// Demands maps every predicate of the visited cone — goal
 	// predicates, their transitive demand callees, and undefined
 	// pseudo-components — to its weakest inferred call pattern; nil is

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"awam/internal/cache"
-	"awam/internal/compiler"
 	"awam/internal/core"
 	"awam/internal/domain"
 	"awam/internal/inc"
@@ -88,13 +87,15 @@ type flusher interface {
 }
 
 // Analyze infers demands for cfg.Goals over the condensed module c.Mod
-// and its source program prog. prog must be the program c.Mod was
-// compiled from: demands are computed over its control-expanded
-// clauses, whose auxiliary predicates line up with the compiled
-// module's by construction. The condensation is only read, so one can
-// be shared with the forward engine and the specializer; only the
-// demanded cone is fingerprinted.
-func (e *Engine) Analyze(ctx context.Context, c *inc.Condensation, prog *term.Program, cfg Config) (*Result, error) {
+// and its clause-level program exp. exp is the control-expanded form of
+// the program c.Mod was compiled from (compiler.ExpandedProgram, or the
+// expansion compiler.CompileExpanded returns with the module): demands
+// are computed over its clauses, whose auxiliary predicates line up with
+// the compiled module's by construction. Both are only read, so one
+// condensation and one expansion serve every query on a module, and the
+// condensation can be shared with the forward engine and the
+// specializer; only the demanded cone is fingerprinted.
+func (e *Engine) Analyze(ctx context.Context, c *inc.Condensation, exp *term.Program, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Depth < 0 {
 		return nil, fmt.Errorf("backward: negative depth %d", cfg.Depth)
@@ -104,10 +105,6 @@ func (e *Engine) Analyze(ctx context.Context, c *inc.Condensation, prog *term.Pr
 	}
 	mod := c.Mod
 	tab := mod.Tab
-	exp, err := compiler.ExpandedProgram(tab, prog)
-	if err != nil {
-		return nil, err
-	}
 	builtins := wam.Builtins(tab)
 
 	t0 := time.Now()
@@ -121,11 +118,12 @@ func (e *Engine) Analyze(ctx context.Context, c *inc.Condensation, prog *term.Pr
 		}
 	}
 	visited := demandCone(tab, c, exp, builtins, goals)
-	plan := c.Fingerprint(fpFormat, planContext(cfg.Depth), visited)
+	plan := c.Fingerprint(fpFormat, planContext(cfg.Depth), nil, visited)
 
 	res := &Result{
 		Tab:         tab,
 		Plan:        plan,
+		Program:     exp,
 		Demands:     make(map[term.Functor]*domain.Pattern),
 		Visited:     visited,
 		VisitedSCCs: len(visited),

@@ -24,11 +24,11 @@ func build(t *testing.T, src string) (*term.Tab, *wam.Module, *term.Program) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	mod, err := compiler.Compile(tab, prog)
+	mod, exp, err := compiler.CompileExpanded(tab, prog, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return tab, mod, prog
+	return tab, mod, exp
 }
 
 func analyzeBwd(t *testing.T, src string, goals ...string) (*term.Tab, *Result) {
@@ -290,7 +290,7 @@ func TestDemandCone(t *testing.T) {
 
 	// Only the cone is hashed, and its addresses are the whole-program
 	// ones: the fingerprinted set is closed under callees.
-	full := res.Plan.Condensation.Fingerprint(fpFormat, planContext(4), nil)
+	full := res.Plan.Condensation.Fingerprint(fpFormat, planContext(4), nil, nil)
 	hashed := 0
 	for i, fp := range res.Plan.Fingerprints {
 		if fp == "" {

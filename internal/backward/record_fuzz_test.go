@@ -38,12 +38,12 @@ func fuzzCorpus() ([]fuzzProgram, error) {
 				fuzzErr = err
 				return
 			}
-			mod, err := compiler.Compile(tab, prog)
+			mod, exp, err := compiler.CompileExpanded(tab, prog, compiler.DefaultOptions())
 			if err != nil {
 				fuzzErr = err
 				return
 			}
-			res, err := NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), prog, Config{})
+			res, err := NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), exp, Config{})
 			if err != nil {
 				fuzzErr = err
 				return

@@ -68,9 +68,17 @@ func Compile(tab *term.Tab, prog *term.Program) (*wam.Module, error) {
 
 // CompileWith is Compile with explicit options.
 func CompileWith(tab *term.Tab, prog *term.Program, opts Options) (*wam.Module, error) {
-	prog, err := expandProgram(tab, prog)
+	mod, _, err := CompileExpanded(tab, prog, opts)
+	return mod, err
+}
+
+// CompileExpanded is CompileWith that also returns the control-expanded
+// program the module was compiled from (ExpandedProgram(tab, prog)), so
+// a caller that needs the clause-level view too does not expand again.
+func CompileExpanded(tab *term.Tab, prog *term.Program, opts Options) (*wam.Module, *term.Program, error) {
+	prog, err := ExpandedProgram(tab, prog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c := &Compiler{
 		tab:      tab,
@@ -84,24 +92,14 @@ func CompileWith(tab *term.Tab, prog *term.Program, opts Options) (*wam.Module, 
 	}
 	for _, f := range prog.Order {
 		if _, isBI := c.builtins[f]; isBI {
-			return nil, fmt.Errorf("compiler: cannot redefine builtin %s", tab.FuncString(f))
+			return nil, nil, fmt.Errorf("compiler: cannot redefine builtin %s", tab.FuncString(f))
 		}
 		if err := c.compileProc(f, prog.ClausesOf(f)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	c.resolveFixups()
-	return c.mod, nil
-}
-
-// expandProgram expands ';'/'->'/'\+' into auxiliary predicates; prog
-// is returned unchanged when it has none.
-func expandProgram(tab *term.Tab, prog *term.Program) (*term.Program, error) {
-	expanded := expandControl(tab, prog.Clauses)
-	if len(expanded) == len(prog.Clauses) {
-		return prog, nil
-	}
-	return term.NewProgram(expanded)
+	return c.mod, prog, nil
 }
 
 // codeBound returns an upper bound on the number of instructions

@@ -140,9 +140,10 @@ type Analyzer struct {
 
 	// Stream-engine state (exec.go). spec is cfg.Spec or, when that is
 	// nil, the plain stream; staticCalls caches the calling patterns of
-	// its static call sites.
+	// its static call sites, one row per component, each allocated when
+	// the component first reaches one.
 	spec        *specialize.Program
-	staticCalls []staticPat
+	staticCalls [][]staticPat
 	envPool     [][]rt.Cell
 	argPool     [][]int
 	absScratch  *abstractor

@@ -38,14 +38,15 @@ const (
 )
 
 // run executes one clause abstractly through its transfer stream and
-// returns the clause's abstract success.
+// returns the clause's abstract success. The clause's component is
+// translated on its first execution (specialize.Program.Comp).
 func (a *Analyzer) run(clauseAddr int) bool {
 	loc := a.spec.Loc(clauseAddr)
 	if loc.Comp < 0 {
 		a.fail(fmt.Errorf("core: clause at %d lies outside the transfer program's components", clauseAddr))
 		return false
 	}
-	return a.runStream(a.spec.Comps[loc.Comp], loc.Clause)
+	return a.runStream(a.spec.Comp(int(loc.Comp)), loc.Clause)
 }
 
 // charge performs the per-instruction accounting for one base opcode;
@@ -367,9 +368,14 @@ func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
 	var id domain.PatternID
 	if cr.Static >= 0 {
 		if a.staticCalls == nil {
-			a.staticCalls = make([]staticPat, a.spec.StaticSites)
+			a.staticCalls = make([][]staticPat, len(a.spec.Comps))
 		}
-		sc := &a.staticCalls[cr.Static]
+		row := a.staticCalls[cs.Index]
+		if row == nil {
+			row = make([]staticPat, cs.StaticSites)
+			a.staticCalls[cs.Index] = row
+		}
+		sc := &row[cr.Static]
 		if !sc.ok {
 			sc.cp = a.abstractArgs(fn, argAddrs)
 			sc.id = a.intern(sc.cp)

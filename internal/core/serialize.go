@@ -30,13 +30,13 @@ import (
 func (r *Result) Marshal() string {
 	var b strings.Builder
 	b.WriteString("awam-analysis 1\n")
+	texts := domain.NewPatternTexts(r.Tab)
 	for _, e := range r.Entries {
-		fmt.Fprintf(&b, "call %s\n", domain.PatternText(r.Tab, e.CP))
-		if e.Succ == nil {
-			b.WriteString("succ bottom\n")
-		} else {
-			fmt.Fprintf(&b, "succ %s\n", domain.PatternText(r.Tab, e.Succ))
-		}
+		b.WriteString("call ")
+		b.WriteString(texts.Text(e.CP))
+		b.WriteString("\nsucc ")
+		b.WriteString(texts.Text(e.Succ))
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -411,7 +411,9 @@ type gpair struct{ a, b *gnode }
 // LubPattern computes the least upper bound of two patterns of the same
 // predicate, preserving sharing that is common to both (definite
 // aliasing) and soundly widening var nodes whose one-sided sharing had
-// to be dropped.
+// to be dropped. Patterns without share groups — most of them — take a
+// plain tree recursion that builds exactly the pattern the graph lub
+// would; the graph lub runs only when either side shares.
 func LubPattern(tab *term.Tab, p, q *Pattern) *Pattern {
 	if p == nil {
 		if q == nil {
@@ -425,6 +427,58 @@ func LubPattern(tab *term.Tab, p, q *Pattern) *Pattern {
 	if p.Fn != q.Fn {
 		panic("domain: lub of patterns of different predicates")
 	}
+	if !patternShares(p) && !patternShares(q) {
+		return lubShareFree(tab, p, q)
+	}
+	return lubGraph(tab, p, q)
+}
+
+// patternShares reports whether any argument of p carries a share group.
+func patternShares(p *Pattern) bool {
+	for _, a := range p.Args {
+		if hasAnyShare(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// lubShareFree is lubGraph on two patterns without share groups. Their
+// graphs are trees, no node is reached twice and nothing is devarified,
+// so the graph lub reduces to a tree recursion over the arguments.
+func lubShareFree(tab *term.Tab, p, q *Pattern) *Pattern {
+	args := make([]*Term, len(p.Args))
+	for i := range p.Args {
+		args[i] = lubTree(tab, p.Args[i], q.Args[i])
+	}
+	return &Pattern{Fn: p.Fn, Args: args}
+}
+
+// lubTree mirrors lubGraph's node cases on share-free trees: structures
+// with one functor join pointwise, lists elementwise, equal leaf kinds
+// give a fresh leaf of that kind (with a zero Fn, as a graph node
+// carries none), and any other pair is a fresh copy of the type-level
+// Lub.
+func lubTree(tab *term.Tab, a, b *Term) *Term {
+	switch {
+	case a.Kind == Struct && b.Kind == Struct && a.Fn == b.Fn:
+		args := make([]*Term, len(a.Args))
+		for i := range a.Args {
+			args[i] = lubTree(tab, a.Args[i], b.Args[i])
+		}
+		return &Term{Kind: Struct, Fn: a.Fn, Args: args}
+	case a.Kind == List && b.Kind == List:
+		return &Term{Kind: List, Elem: lubTree(tab, a.Elem, b.Elem)}
+	case a.Kind == b.Kind && a.Kind != Struct && a.Kind != List:
+		return &Term{Kind: a.Kind}
+	}
+	return Copy(Lub(tab, a, b))
+}
+
+// lubGraph is the sharing-aware lub: both patterns become pointer-shared
+// graphs, are joined node pair by node pair, and the result is turned
+// back into share-group trees.
+func lubGraph(tab *term.Tab, p, q *Pattern) *Pattern {
 	ga := graphify(p)
 	gb := graphify(q)
 	memo := make(map[gpair]*gnode)

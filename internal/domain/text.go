@@ -31,6 +31,31 @@ func PatternText(tab *term.Tab, p *Pattern) string {
 	return b.String()
 }
 
+// PatternTexts renders patterns with PatternText, once per distinct
+// pattern node: a serializer that writes the same interned pattern many
+// times (a success equal to its call, a callee pattern in every
+// caller's trace) formats it once. The zero value is not usable; make
+// one with NewPatternTexts per serialization.
+type PatternTexts struct {
+	tab  *term.Tab
+	memo map[*Pattern]string
+}
+
+// NewPatternTexts returns an empty rendering memo over tab.
+func NewPatternTexts(tab *term.Tab) *PatternTexts {
+	return &PatternTexts{tab: tab, memo: make(map[*Pattern]string)}
+}
+
+// Text returns PatternText(tab, p).
+func (pt *PatternTexts) Text(p *Pattern) string {
+	s, ok := pt.memo[p]
+	if !ok {
+		s = PatternText(pt.tab, p)
+		pt.memo[p] = s
+	}
+	return s
+}
+
 func writeText(b *strings.Builder, tab *term.Tab, t *Term) {
 	if t.Share != 0 {
 		fmt.Fprintf(b, "sh(%d, ", t.Share)

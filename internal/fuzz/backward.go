@@ -32,11 +32,11 @@ func CheckBackward(c Case, opt Options) (*Violation, Stats, error) {
 	if err != nil {
 		return nil, st, fmt.Errorf("fuzz: parse: %w", err)
 	}
-	mod, err := compiler.Compile(tab, prog)
+	mod, exp, err := compiler.CompileExpanded(tab, prog, compiler.DefaultOptions())
 	if err != nil {
 		return nil, st, fmt.Errorf("fuzz: compile: %w", err)
 	}
-	bres, err := backward.NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), prog,
+	bres, err := backward.NewEngine(nil).Analyze(context.Background(), inc.NewCondensation(mod), exp,
 		backward.Config{Depth: opt.Depth, MaxSteps: opt.AbstractSteps})
 	if errors.Is(err, core.ErrStepLimit) {
 		st.Skipped++

@@ -51,19 +51,19 @@ type BackwardEntry struct {
 	EditExecuted int  `json:"edit_executed"`
 }
 
-// compileBackward parses and compiles p, keeping the source program —
-// the backward engine computes demands over the expanded clauses.
+// compileBackward parses and compiles p, keeping the control-expanded
+// program the backward engine computes demands over.
 func compileBackward(p bench.Program) (*term.Tab, *term.Program, *wam.Module, error) {
 	tab := term.NewTab()
 	prog, err := parser.ParseProgram(tab, p.Source)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("%s: parse: %w", p.Name, err)
 	}
-	mod, err := compiler.Compile(tab, prog)
+	mod, exp, err := compiler.CompileExpanded(tab, prog, compiler.DefaultOptions())
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("%s: compile: %w", p.Name, err)
 	}
-	return tab, prog, mod, nil
+	return tab, exp, mod, nil
 }
 
 // MeasureBackward produces the backward-engine entry for the wide

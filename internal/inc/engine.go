@@ -78,14 +78,26 @@ func configContext(cfg core.Config) string {
 	ctx := fmt.Sprintf("depth=%d indexing=%t", depth, cfg.Indexing)
 	if cfg.Spec != nil {
 		// Specialized runs are salted with the specialization version and
-		// the per-component fusion-set hash: results are byte-identical to
-		// plain-stream runs (Spec nil) by construction, but a record
-		// produced by one engine generation must never satisfy a lookup
-		// from another — a specializer bug would otherwise be masked by
-		// cached summaries from before (or after) the bug.
+		// options here, and with each component's fusion set by
+		// specSalt: results are byte-identical to plain-stream runs (Spec
+		// nil) by construction, but a record produced by one engine
+		// generation must never satisfy a lookup from another — a
+		// specializer bug would otherwise be masked by cached summaries
+		// from before (or after) the bug.
 		ctx += " " + cfg.Spec.Salt()
 	}
 	return ctx
+}
+
+// specSalt is the per-component part of a specialized run's salt: the
+// component's own stream generation, never a whole-program value, so
+// adding a predicate leaves every unrelated component's address alone.
+// Plain-stream runs have none.
+func specSalt(cfg core.Config) func(*SCC) string {
+	if cfg.Spec == nil {
+		return nil
+	}
+	return func(scc *SCC) string { return cfg.Spec.CompSalt(scc.Members) }
 }
 
 // AnalyzeAll analyzes mod the way core's AnalyzeAll does (main/0 when
@@ -106,7 +118,7 @@ func (e *Engine) AnalyzeAll(ctx context.Context, mod *wam.Module, cfg core.Confi
 func (e *Engine) AnalyzeCondensed(ctx context.Context, c *Condensation, cfg core.Config) (*Result, error) {
 	cfg.Strategy = core.StrategyWorklist
 	mod := c.Mod
-	plan := c.Fingerprint(fpFormat, configContext(cfg), nil)
+	plan := c.Fingerprint(fpFormat, configContext(cfg), specSalt(cfg), nil)
 	before := e.store.Stats()
 	warm, cached := e.loadWarm(mod.Tab, plan)
 	cfg.Warm = nil
@@ -322,5 +334,5 @@ func explored(scc *SCC, runs map[term.Functor]int64) bool {
 // for mod under cfg's effective configuration. Callers that need only
 // the components use NewCondensation, which skips the hashing.
 func Condense(mod *wam.Module, cfg core.Config) *Plan {
-	return NewPlan(mod, configContext(cfg))
+	return NewCondensation(mod).Fingerprint(fpFormat, configContext(cfg), specSalt(cfg), nil)
 }

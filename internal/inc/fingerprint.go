@@ -30,9 +30,13 @@ const fpFormat = "awam-scc-fp 3"
 // for forward summaries; the backward engine keys its demand records
 // under its own, so the two record universes can never satisfy each
 // other's probes, even through a shared store) and context the analysis
-// configuration. A fingerprint covers:
+// configuration. compSalt, when non-nil, adds a per-component salt —
+// the forward engine's specialized-stream generation of that component
+// (specialize.Program.CompSalt) — so a salt that varies by component
+// never dirties the components it does not describe. A fingerprint
+// covers:
 //
-//   - the schema name and the configuration,
+//   - the schema name, the configuration and the component's salt,
 //   - each member's compiled code, encoded position-independently
 //     (addresses relative to the procedure entry, callee identity by
 //     name — see relInstr),
@@ -50,7 +54,7 @@ const fpFormat = "awam-scc-fp 3"
 // and the components they reach through Callees are: that set is closed
 // under callees, so each of its fingerprints is identical to the
 // whole-program one, and the rest of the plan stays "".
-func (c *Condensation) Fingerprint(format, context string, roots []int) *Plan {
+func (c *Condensation) Fingerprint(format, context string, compSalt func(*SCC) string, roots []int) *Plan {
 	p := &Plan{Condensation: c, Fingerprints: make([]string, len(c.SCCs))}
 	var need []bool
 	if roots != nil {
@@ -75,6 +79,9 @@ func (c *Condensation) Fingerprint(format, context string, roots []int) *Plan {
 		bw.buf = bw.buf[:0]
 		bw.str(format)
 		bw.str(context)
+		if compSalt != nil {
+			bw.str(compSalt(scc))
+		}
 		for _, fn := range scc.Members {
 			if scc.Undefined {
 				bw.str("undefined")

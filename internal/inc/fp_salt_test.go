@@ -43,7 +43,7 @@ func TestFormatSaltIsolation(t *testing.T) {
 	// Direction 1: current-format records must not satisfy a lookup
 	// keyed under the previous format.
 	_, mod3 := mustCompile(t, prog.Source)
-	oldPlan := NewCondensation(mod3).Fingerprint(oldFormat, configContext(cfg), nil)
+	oldPlan := NewCondensation(mod3).Fingerprint(oldFormat, configContext(cfg), nil, nil)
 	if _, cached := e.loadWarm(mod3.Tab, oldPlan); len(cached) != 0 {
 		t.Fatalf("old-format lookup served %d components from current-format records", len(cached))
 	}

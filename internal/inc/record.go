@@ -57,10 +57,13 @@ func EncodeRecord(tab *term.Tab, entries []*core.Entry) []byte {
 	b.WriteString(recordHeader)
 	b.WriteByte('\n')
 	b.WriteString(res.Marshal())
+	texts := domain.NewPatternTexts(tab)
 	for i, e := range entries {
 		fmt.Fprintf(&b, "trace %d %d\n", i, len(e.Consults))
 		for _, dep := range e.Consults {
-			fmt.Fprintf(&b, "dep %s\n", domain.PatternText(tab, dep))
+			b.WriteString("dep ")
+			b.WriteString(texts.Text(dep))
+			b.WriteByte('\n')
 		}
 	}
 	return []byte(b.String())

@@ -92,7 +92,7 @@ func NewCondensation(mod *wam.Module) *Condensation {
 // parameters must not be confused, so it is hashed into every
 // fingerprint.
 func NewPlan(mod *wam.Module, context string) *Plan {
-	return NewCondensation(mod).Fingerprint(fpFormat, context, nil)
+	return NewCondensation(mod).Fingerprint(fpFormat, context, nil, nil)
 }
 
 // procSpans computes each defined predicate's code range. Procedures

@@ -68,21 +68,22 @@ func (s *Server) handleBackward(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// backwardFlightKey addresses identical demand queries: same source,
-// same goals, same result-affecting options. The timeout is excluded —
-// it bounds the wait, not the answer.
-func backwardFlightKey(req *backwardRequest) string {
+// backwardFlightKey addresses identical demand queries: same source (by
+// its digest), same goals, same result-affecting options. The timeout
+// is excluded — it bounds the wait, not the answer.
+func backwardFlightKey(req *backwardRequest, src source) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "bwd steps=%d depth=%d goals=%s\n",
 		req.MaxSteps, req.Depth, strings.Join(req.Goals, ","))
-	h.Write([]byte(req.Source))
+	h.Write(src.digest[:])
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // backward coalesces identical concurrent queries onto one analysis and
 // runs the winner under the worker semaphore.
 func (s *Server) backward(ctx context.Context, req *backwardRequest) (*backwardResponse, error) {
-	key := backwardFlightKey(req)
+	src := newSource(req.Source)
+	key := backwardFlightKey(req, src)
 	s.mu.Lock()
 	if f, ok := s.bwdFlights[key]; ok {
 		s.mu.Unlock()
@@ -103,7 +104,7 @@ func (s *Server) backward(ctx context.Context, req *backwardRequest) (*backwardR
 	s.bwdFlights[key] = f
 	s.mu.Unlock()
 
-	f.resp, f.err = s.runBackward(ctx, req)
+	f.resp, f.err = s.runBackward(ctx, req, src)
 	s.mu.Lock()
 	delete(s.bwdFlights, key)
 	s.mu.Unlock()
@@ -111,7 +112,7 @@ func (s *Server) backward(ctx context.Context, req *backwardRequest) (*backwardR
 	return f.resp, f.err
 }
 
-func (s *Server) runBackward(ctx context.Context, req *backwardRequest) (*backwardResponse, error) {
+func (s *Server) runBackward(ctx context.Context, req *backwardRequest, src source) (*backwardResponse, error) {
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
@@ -132,7 +133,7 @@ func (s *Server) runBackward(ctx context.Context, req *backwardRequest) (*backwa
 		opts = append(opts, awam.WithBackwardDepth(req.Depth))
 	}
 	start := time.Now()
-	b, err := s.doBackward(ctx, req.Source, opts...)
+	b, err := s.doBackward(ctx, src, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +167,11 @@ func (s *Server) runBackward(ctx context.Context, req *backwardRequest) (*backwa
 	return resp, nil
 }
 
-func (s *Server) doBackward(ctx context.Context, source string, opts ...awam.BackwardOption) (*awam.BackwardAnalysis, error) {
+func (s *Server) doBackward(ctx context.Context, src source, opts ...awam.BackwardOption) (*awam.BackwardAnalysis, error) {
 	if s.cfg.Backward != nil {
-		return s.cfg.Backward(ctx, source, opts...)
+		return s.cfg.Backward(ctx, src.text, opts...)
 	}
-	sys, err := s.programs.load(ctx, source)
+	sys, err := s.programs.load(ctx, src)
 	if err != nil {
 		return nil, err
 	}

@@ -59,11 +59,23 @@ func newProgramCache(limit int) *programCache {
 	}
 }
 
-// load returns the System for source: the resident one on a hit, else
-// the result of (a shared) awam.Load. A hit is any request served
-// without parsing, a miss one that parsed.
-func (c *programCache) load(ctx context.Context, source string) (*awam.System, error) {
-	key := sha256.Sum256([]byte(source))
+// source is a request's program text with its SHA-256, hashed once per
+// request: the program cache and the request's flight key both address
+// the program by the digest.
+type source struct {
+	text   string
+	digest [sha256.Size]byte
+}
+
+func newSource(text string) source {
+	return source{text: text, digest: sha256.Sum256([]byte(text))}
+}
+
+// load returns the System for src: the resident one on a hit, else the
+// result of (a shared) awam.Load. A hit is any request served without
+// parsing, a miss one that parsed.
+func (c *programCache) load(ctx context.Context, src source) (*awam.System, error) {
+	key := src.digest
 	c.mu.Lock()
 	if sys, ok := c.resident.get(key); ok {
 		c.mu.Unlock()
@@ -87,7 +99,7 @@ func (c *programCache) load(ctx context.Context, source string) (*awam.System, e
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	l.sys, l.err = c.parse(source)
+	l.sys, l.err = c.parse(src.text)
 
 	c.mu.Lock()
 	delete(c.loading, key)

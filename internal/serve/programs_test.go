@@ -122,7 +122,7 @@ func TestProgramCacheCoalescesLoads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sys, err := c.load(context.Background(), testProg)
+			sys, err := c.load(context.Background(), newSource(testProg))
 			if err != nil {
 				t.Error(err)
 			}

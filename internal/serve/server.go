@@ -232,20 +232,21 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// flightKey addresses identical analyses: same source under the same
-// result-affecting options. The timeout is excluded — it bounds the
-// wait, not the answer.
-func flightKey(req *analyzeRequest) string {
+// flightKey addresses identical analyses: same source (by its digest)
+// under the same result-affecting options. The timeout is excluded — it
+// bounds the wait, not the answer.
+func flightKey(req *analyzeRequest, src source) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "steps=%d depth=%d\n", req.MaxSteps, req.Depth)
-	h.Write([]byte(req.Source))
+	h.Write(src.digest[:])
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // analyze coalesces identical concurrent requests onto one analysis and
 // runs the winner under the worker semaphore.
 func (s *Server) analyze(ctx context.Context, req *analyzeRequest) (*analyzeResponse, error) {
-	key := flightKey(req)
+	src := newSource(req.Source)
+	key := flightKey(req, src)
 	s.mu.Lock()
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
@@ -266,7 +267,7 @@ func (s *Server) analyze(ctx context.Context, req *analyzeRequest) (*analyzeResp
 	s.flights[key] = f
 	s.mu.Unlock()
 
-	f.resp, f.err = s.runAnalysis(ctx, req)
+	f.resp, f.err = s.runAnalysis(ctx, req, src)
 	s.mu.Lock()
 	delete(s.flights, key)
 	s.mu.Unlock()
@@ -274,7 +275,7 @@ func (s *Server) analyze(ctx context.Context, req *analyzeRequest) (*analyzeResp
 	return f.resp, f.err
 }
 
-func (s *Server) runAnalysis(ctx context.Context, req *analyzeRequest) (*analyzeResponse, error) {
+func (s *Server) runAnalysis(ctx context.Context, req *analyzeRequest, src source) (*analyzeResponse, error) {
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
@@ -292,7 +293,7 @@ func (s *Server) runAnalysis(ctx context.Context, req *analyzeRequest) (*analyze
 		opts = append(opts, awam.WithDepth(req.Depth))
 	}
 	start := time.Now()
-	a, err := s.doAnalyze(ctx, req.Source, opts...)
+	a, err := s.doAnalyze(ctx, src, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +375,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 
 	start := time.Now()
-	a, err := s.doAnalyze(ctx, req.Source, awam.WithSummaryCache(s.cache))
+	a, err := s.doAnalyze(ctx, newSource(req.Source), awam.WithSummaryCache(s.cache))
 	if err != nil {
 		s.failErr(w, err)
 		return
@@ -403,11 +404,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) doAnalyze(ctx context.Context, source string, opts ...awam.AnalyzeOption) (*awam.Analysis, error) {
+func (s *Server) doAnalyze(ctx context.Context, src source, opts ...awam.AnalyzeOption) (*awam.Analysis, error) {
 	if s.cfg.Analyze != nil {
-		return s.cfg.Analyze(ctx, source, opts...)
+		return s.cfg.Analyze(ctx, src.text, opts...)
 	}
-	sys, err := s.programs.load(ctx, source)
+	sys, err := s.programs.load(ctx, src)
 	if err != nil {
 		return nil, err
 	}

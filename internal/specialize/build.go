@@ -16,6 +16,16 @@ const maxTrackRegs = 128
 // component per predicate in definition order. prof drives fusion
 // selection (StaticProfile(mod) when no measured histogram exists).
 //
+// Build itself does only the cheap whole-program work: component
+// membership, the clause-address → Loc map with each component's
+// clause numbering, and each component's fusion mask. A component's
+// clauses are translated, and its call sites resolved, when the
+// component is first executed (Program.Comp), so an analysis that
+// explores a small cone of a large program — a warm incremental run —
+// translates only that cone. Translation is deterministic and per
+// component, so the streams do not depend on which analysis, or which
+// of several concurrent ones, translates first.
+//
 // Build is total: every clause of every listed predicate gets a
 // stream. Code the translator cannot prove straight-line (a choice or
 // indexing opcode in a clause body, a register operand above 16 bits,
@@ -30,21 +40,21 @@ func Build(mod *wam.Module, comps [][]term.Functor, prof *Profile, opts Options)
 			comps = append(comps, []term.Functor{fn})
 		}
 	}
-	b := &builder{mod: mod, prof: prof, opts: opts}
 	prog := &Program{
-		Opts: opts,
-		locs: make([]Loc, len(mod.Code)),
+		Opts:   opts,
+		Comps:  make([]*CompStream, len(comps)),
+		mod:    mod,
+		compOf: make(map[term.Functor]int32, len(mod.Order)),
+		locs:   make([]Loc, len(mod.Code)),
 	}
 	for i := range prog.locs {
 		prog.locs[i] = Loc{Comp: -1, Clause: -1}
 	}
-	compOf := make(map[term.Functor]int32, len(mod.Order))
 	for ci, members := range comps {
 		for _, fn := range members {
-			compOf[fn] = int32(ci)
+			prog.compOf[fn] = int32(ci)
 		}
 	}
-	b.compOf = compOf
 	var total int64
 	if prof != nil {
 		total = prof.totalPredSteps()
@@ -55,57 +65,66 @@ func Build(mod *wam.Module, comps [][]term.Functor, prof *Profile, opts Options)
 			Members:    members,
 			FusionMask: enabledMask(prof, total, members, opts),
 		}
-		b.cs = cs
-		b.cellIdx = make(map[rt.Cell]int32)
-		b.fnIdx = make(map[term.Functor]int32)
 		for _, fn := range members {
 			proc := mod.Proc(fn)
 			if proc == nil {
 				continue
 			}
 			for _, addr := range proc.Clauses {
-				if ci2 := prog.locs[addr]; ci2.Comp >= 0 {
-					continue // shared clause address already specialized
+				if prog.locs[addr].Comp >= 0 {
+					continue // shared clause address already numbered
 				}
-				info := b.translateClause(fn, addr)
-				prog.locs[addr] = Loc{Comp: int32(ci), Clause: int32(len(cs.Clauses))}
-				cs.Clauses = append(cs.Clauses, info)
+				prog.locs[addr] = Loc{Comp: int32(ci), Clause: int32(len(cs.pending))}
+				cs.pending = append(cs.pending, clauseRef{fn: fn, addr: addr})
 			}
 		}
-		prog.Comps = append(prog.Comps, cs)
+		prog.Comps[ci] = cs
 	}
-	// Second pass: resolve call sites now that every callee's stream
-	// location is known.
-	for _, cs := range prog.Comps {
-		for i := range cs.Calls {
-			cr := &cs.Calls[i]
-			cr.Comp = -1
-			cr.Clause0 = -1
-			if ci, ok := compOf[cr.Fn]; ok {
-				cr.Comp = ci
-				if proc := mod.Proc(cr.Fn); proc != nil && len(proc.Clauses) > 0 {
-					if loc := prog.Loc(proc.Clauses[0]); loc.Comp == ci {
-						cr.Clause0 = loc.Clause
-					}
-				}
-			}
-		}
-	}
-	prog.StaticSites = b.staticSites
-	prog.Hash = hashProgram(mod.Tab, prog.Comps, opts)
 	return prog
 }
 
-type builder struct {
-	mod    *wam.Module
-	prof   *Profile
-	opts   Options
-	compOf map[term.Functor]int32
+// clauseRef names one clause a component has yet to translate.
+type clauseRef struct {
+	fn   term.Functor
+	addr int
+}
 
-	cs          *CompStream
-	cellIdx     map[rt.Cell]int32
-	fnIdx       map[term.Functor]int32
-	staticSites int
+// translate fills cs's stream, pools and clause table from its pending
+// clauses, resolving each call site against the program's eagerly built
+// membership and clause numbering.
+func (p *Program) translate(cs *CompStream) {
+	b := &builder{
+		mod:     p.mod,
+		opts:    p.Opts,
+		cs:      cs,
+		cellIdx: make(map[rt.Cell]int32),
+		fnIdx:   make(map[term.Functor]int32),
+	}
+	cs.Clauses = make([]ClauseInfo, 0, len(cs.pending))
+	for _, c := range cs.pending {
+		cs.Clauses = append(cs.Clauses, b.translateClause(c.fn, c.addr))
+	}
+	cs.pending = nil
+	for i := range cs.Calls {
+		cr := &cs.Calls[i]
+		if ci, ok := p.compOf[cr.Fn]; ok {
+			cr.Comp = ci
+			if proc := p.mod.Proc(cr.Fn); proc != nil && len(proc.Clauses) > 0 {
+				if loc := p.Loc(proc.Clauses[0]); loc.Comp == ci {
+					cr.Clause0 = loc.Clause
+				}
+			}
+		}
+	}
+}
+
+type builder struct {
+	mod  *wam.Module
+	opts Options
+
+	cs      *CompStream
+	cellIdx map[rt.Cell]int32
+	fnIdx   map[term.Functor]int32
 }
 
 func (b *builder) cell(c rt.Cell) int32 {
@@ -297,8 +316,8 @@ func (b *builder) translateClause(fn term.Functor, addr int) ClauseInfo {
 			}
 			cr := CallRef{Fn: ins.Fn, Comp: -1, Clause0: -1, Static: -1}
 			if b.opts.PreIntern && b.allArgsStatic(ins.Fn.Arity, &static, trackOK) {
-				cr.Static = int32(b.staticSites)
-				b.staticSites++
+				cr.Static = int32(b.cs.StaticSites)
+				b.cs.StaticSites++
 			}
 			k := int32(len(b.cs.Calls))
 			b.cs.Calls = append(b.cs.Calls, cr)

@@ -258,10 +258,11 @@ func diffProgram(t *testing.T, key, src string) {
 
 // checkNoTraps asserts the compiler's output translates completely:
 // trap words exist for hand-assembled code, never for compiled clauses.
+// Every component is translated for the check, explored or not.
 func checkNoTraps(t *testing.T, leg string, spec *specialize.Program) {
 	t.Helper()
-	for _, cs := range spec.Comps {
-		for _, ins := range cs.Code {
+	for i := range spec.Comps {
+		for _, ins := range spec.Comp(i).Code {
 			if ins.Op == specialize.STrap {
 				t.Fatalf("%s: compiled code produced a trap word %+v", leg, ins)
 			}

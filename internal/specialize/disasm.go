@@ -17,7 +17,8 @@ func Disasm(tab *term.Tab, p *Program) string {
 	comps, clauses, fused, static := p.Stats()
 	fmt.Fprintf(&b, "%% specialize v%d fuse=%t pre=%t: %d components, %d clauses, %d fused, %d static sites\n",
 		Version, p.Opts.Fuse, p.Opts.PreIntern, comps, clauses, fused, static)
-	for _, cs := range p.Comps {
+	for i := range p.Comps {
+		cs := p.Comp(i)
 		names := make([]string, len(cs.Members))
 		for i, fn := range cs.Members {
 			names[i] = tab.FuncString(fn)

@@ -2,8 +2,6 @@ package specialize
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
 
 	"awam/internal/term"
 	"awam/internal/wam"
@@ -96,10 +94,10 @@ func slotCount(prof *Profile) int64 {
 // the profile's step weight clears 1/hotShareDen), and the rule's
 // anchor and slot opcodes must actually occur in the profile. The
 // decision is per component and per rule — the mask is recorded on the
-// stream and folded into the program hash, so the incremental cache
-// distinguishes runs with different fusion sets. total is
-// prof.totalPredSteps(), computed once per Build by the caller so that
-// selection costs O(members) per component, not O(predicates).
+// stream and salts that component's fingerprints (Program.CompSalt), so
+// the incremental cache distinguishes runs with different fusion sets.
+// total is prof.totalPredSteps(), computed once per Build by the caller
+// so that selection costs O(members) per component, not O(predicates).
 func enabledMask(prof *Profile, total int64, members []term.Functor, opts Options) uint32 {
 	if !opts.Fuse || prof == nil {
 		return 0
@@ -123,26 +121,4 @@ func enabledMask(prof *Profile, total int64, members []term.Functor, opts Option
 		}
 	}
 	return mask
-}
-
-// hashProgram fingerprints the specialization decisions over stable
-// names (never interned atom ids, which vary across processes): the
-// format version, the options, and each component's member list and
-// fusion mask in component order. The result salts incremental-cache
-// fingerprints via Program.Salt.
-func hashProgram(tab *term.Tab, comps []*CompStream, opts Options) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "awam/specialize v%d fuse=%t pre=%t", Version, opts.Fuse, opts.PreIntern)
-	for _, c := range comps {
-		names := make([]string, len(c.Members))
-		for i, fn := range c.Members {
-			names[i] = tab.FuncString(fn)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(h, "|comp %d mask=%d", c.Index, c.FusionMask)
-		for _, n := range names {
-			fmt.Fprintf(h, " %s", n)
-		}
-	}
-	return h.Sum64()
 }

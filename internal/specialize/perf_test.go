@@ -51,8 +51,9 @@ func TestPerfSmoke(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild measures specialize.Build alone — static profile and
-// fusion selection included, condensation excluded — on growing wide
+// BenchmarkBuild measures specialize.Build alone — static profile,
+// clause numbering and fusion selection included, condensation and the
+// streams' translation on first use excluded — on growing wide
 // programs, so its scaling can be read off ns/op and allocs/op:
 //
 //	go test -run NONE -bench BenchmarkBuild -benchmem ./internal/specialize

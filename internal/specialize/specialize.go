@@ -39,6 +39,8 @@ package specialize
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"awam/internal/rt"
 	"awam/internal/term"
@@ -48,8 +50,9 @@ import (
 // Version is the specialization format/semantics version. It salts the
 // incremental engine's component fingerprints (via Program.Salt), so
 // cached summaries produced by one specializer generation are never
-// served to another.
-const Version = 1
+// served to another. v2 salts each component with its own fusion mask
+// instead of a hash over the whole program's components.
+const Version = 2
 
 // SOp enumerates the specialized stream operations. The set mirrors the
 // clause-body subset of wam.Op with operands pre-resolved, plus the
@@ -153,10 +156,11 @@ type CallRef struct {
 	// Clause0 is the callee's first ClauseInfo index within Comp's
 	// stream (-1 when the callee has no specialized clauses).
 	Clause0 int32
-	// Static is the site's index into the analysis' static-pattern
-	// cache when the builder proved the call's argument registers are
-	// rebuilt from constants and fresh variables on every execution
-	// (the calling pattern is context-independent); -1 otherwise.
+	// Static is the site's index into its component's static-pattern
+	// cache (numbered per component, below CompStream.StaticSites) when
+	// the builder proved the call's argument registers are rebuilt from
+	// constants and fresh variables on every execution (the calling
+	// pattern is context-independent); -1 otherwise.
 	Static int32
 }
 
@@ -176,7 +180,10 @@ type ClauseInfo struct {
 }
 
 // CompStream is one condensation component compiled to a contiguous
-// specialized stream with its operand pools.
+// specialized stream with its operand pools. Index, Members and
+// FusionMask are set by Build; the stream, its pools, its clause table
+// and StaticSites are filled when the component is first obtained
+// through Program.Comp (Clauses stays nil until then).
 type CompStream struct {
 	Index   int
 	Members []term.Functor
@@ -185,9 +192,17 @@ type CompStream struct {
 	Fns     []term.Functor
 	Calls   []CallRef
 	Clauses []ClauseInfo
+	// StaticSites is the number of static call sites in this component;
+	// the engine sizes the component's static-pattern cache by it.
+	StaticSites int
 	// FusionMask is the enabled fusion-rule bitmask chosen for this
 	// component by the profile policy (fusion.go).
 	FusionMask uint32
+
+	// once guards the translation of pending, the component's clauses
+	// in ClauseInfo order; a Program is shared by concurrent analyses.
+	once    sync.Once
+	pending []clauseRef
 }
 
 // Loc addresses one specialized clause: the component and its
@@ -212,20 +227,24 @@ type Options struct {
 	PreIntern bool
 }
 
-// Program is a module's specialized transfer streams.
+// Program is a module's specialized transfer streams. It is safe for
+// concurrent use: each component is translated once, on first use.
 type Program struct {
-	Opts  Options
+	Opts Options
+	// Comps lists the components in Build's order. Read a component's
+	// stream through Comp, which translates it first.
 	Comps []*CompStream
-	// StaticSites is the number of static call sites across all
-	// components; the engine sizes its per-analysis pattern cache by it.
-	StaticSites int
-	// Hash fingerprints the specialization: version, options and the
-	// per-component fusion-rule selection (over stable member names, so
-	// it is identical across processes). It salts incremental-cache
-	// fingerprints via Salt.
-	Hash uint64
 
-	locs []Loc
+	mod    *wam.Module
+	compOf map[term.Functor]int32
+	locs   []Loc
+}
+
+// Comp returns component i with its stream translated.
+func (p *Program) Comp(i int) *CompStream {
+	cs := p.Comps[i]
+	cs.once.Do(func() { p.translate(cs) })
+	return cs
 }
 
 // Loc returns the specialized location of the clause at the given wam
@@ -238,22 +257,47 @@ func (p *Program) Loc(addr int) Loc {
 	return p.locs[addr]
 }
 
-// Salt is the fingerprint-salt component recorded by the incremental
-// engine: cached summaries from a plain-stream run (no Config.Spec) and
-// from specialized runs with different fusion sets live at different
-// store addresses.
+// Salt is the part of the incremental engine's fingerprint salt that
+// every component shares: the specializer version and options, so
+// cached summaries from a plain-stream run (no Config.Spec) and from
+// specialized runs of different generations live at different store
+// addresses. CompSalt adds each component's own fusion set.
 func (p *Program) Salt() string {
-	return fmt.Sprintf("spec=v%d:%016x:fuse=%t:pre=%t", Version, p.Hash, p.Opts.Fuse, p.Opts.PreIntern)
+	return fmt.Sprintf("spec=v%d:fuse=%t:pre=%t", Version, p.Opts.Fuse, p.Opts.PreIntern)
 }
 
-// Stats summarizes the program for logs and tests.
+// CompSalt is the per-component part of the fingerprint salt: the
+// fusion masks of the streams that hold the given predicates (0 for a
+// predicate outside every component). It changes only when those
+// components' fusion sets change, so adding or editing an unrelated
+// predicate leaves the salt — and the stored records — of every other
+// component alone, unless the edit moves a component across the
+// profile's hotness threshold (enabledMask).
+func (p *Program) CompSalt(members []term.Functor) string {
+	buf := make([]byte, 0, 8+4*len(members))
+	buf = append(buf, "mask"...)
+	for _, fn := range members {
+		var mask uint32
+		if ci, ok := p.compOf[fn]; ok {
+			mask = p.Comps[ci].FusionMask
+		}
+		buf = append(buf, ' ')
+		buf = strconv.AppendUint(buf, uint64(mask), 10)
+	}
+	return string(buf)
+}
+
+// Stats summarizes the program for logs and tests, translating every
+// component first.
 func (p *Program) Stats() (comps, clauses, fused, static int) {
-	for _, c := range p.Comps {
+	for i := range p.Comps {
+		c := p.Comp(i)
 		comps++
 		clauses += len(c.Clauses)
 		for _, ci := range c.Clauses {
 			fused += int(ci.Fused)
 		}
+		static += c.StaticSites
 	}
-	return comps, clauses, fused, p.StaticSites
+	return comps, clauses, fused, static
 }

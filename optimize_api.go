@@ -220,5 +220,5 @@ func (s *System) OptimizeContext(ctx context.Context, a *Analysis, opts ...Optim
 			}
 		}
 	}
-	return &System{tab: s.tab, prog: s.prog, mod: mod}, report, nil
+	return &System{tab: s.tab, prog: s.prog, mod: mod, exp: s.exp}, report, nil
 }
