@@ -146,7 +146,8 @@ type OptimizeRequest struct {
 	// registered pass in canonical order.
 	Passes []string `json:"passes,omitempty"`
 	// GateGoals adds goals to the differential gate (main/0 is gated
-	// automatically when the program defines it).
+	// automatically when the program defines it). More than
+	// MaxGateGoals fail with a bad_request ErrorBody.
 	GateGoals []string `json:"gate_goals,omitempty"`
 	// TimeoutMS bounds the analysis wall time, as in AnalyzeRequest.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -162,6 +163,11 @@ type OptimizeRequest struct {
 // MaxMeasureRuns caps OptimizeRequest.MeasureRuns: the measurement
 // runs the program concretely that many times on each machine.
 const MaxMeasureRuns = 100
+
+// MaxGateGoals caps OptimizeRequest.GateGoals: the gate runs each goal
+// concretely on the original and the optimized machine, up to its
+// concrete step budget per side.
+const MaxGateGoals = 32
 
 // OptimizeResponse is the POST /v1/optimize success body.
 type OptimizeResponse struct {

@@ -180,6 +180,10 @@ func NewStore(budget int64, dir string) (*Store, error) {
 	return New(WithMemoryBudget(budget), WithDir(dir))
 }
 
+// MemoryBudget reports the memory tier's byte budget. The incremental
+// engine bounds the records it keeps decoded by it too.
+func (s *Store) MemoryBudget() int64 { return s.mem.budget }
+
 // Get returns the record stored under fp, or ok=false, probing memory,
 // then disk, then the fabric peer; far-tier hits promote the record
 // into the nearer tiers.

@@ -54,22 +54,24 @@ type Config struct {
 // entire transitive callee cone) is unchanged since the caching run.
 // Seeded entries are inserted into the extension table as already
 // converged — never explored, never enqueued — so an analysis touches
-// only the dirty cone of an edit. Implementations must be safe for
-// concurrent use when shared across analyses (the engine itself calls
-// sequentially under StrategyWorklist).
+// only the dirty cone of an edit.
+//
+// Patterns are named by their IDs in the analyzer's interner
+// (Analyzer.Interner): the caller interns the cached patterns into it
+// after NewWith and before the analysis runs. The engine calls
+// sequentially under StrategyWorklist.
 type WarmStart interface {
 	// Seed returns the converged success pattern for the calling pattern
-	// of fn with the given canonical key (domain.Pattern.Key). ok=false
-	// means the pattern is not cached and must be explored normally; a
-	// nil succ with ok=true seeds a converged bottom (the call can never
-	// succeed).
-	Seed(fn term.Functor, key string) (succ *domain.Pattern, ok bool)
+	// id. ok=false means the pattern is not cached and must be explored
+	// normally; succ domain.BottomID with ok=true seeds a converged
+	// bottom (the call can never succeed).
+	Seed(id domain.PatternID) (succ domain.PatternID, ok bool)
 	// Trace returns the finalize-phase consultation list recorded for
-	// the cached calling pattern: the callee calling patterns first
+	// the cached calling pattern id: the callee calling patterns first
 	// consulted by the entry's clauses, in discovery order. The finalize
 	// pass replays it so the presentation table is rebuilt byte-identically
 	// without re-executing the entry's clauses.
-	Trace(fn term.Functor, key string) []*domain.Pattern
+	Trace(id domain.PatternID) []domain.PatternID
 }
 
 // DefaultConfig matches the paper's prototype: k = 4, indexing-aware
@@ -196,6 +198,11 @@ func NewWith(mod *wam.Module, cfg Config) *Analyzer {
 	a.memo = domain.NewMemo()
 	return a
 }
+
+// Interner returns the analyzer's hash-conser, whose IDs name patterns
+// to a WarmStart. Interning into it before the analysis runs changes no
+// result.
+func (a *Analyzer) Interner() *domain.Interner { return a.in }
 
 // intern resolves cp to its hash-consed ID, counting interner traffic.
 func (a *Analyzer) intern(cp *domain.Pattern) domain.PatternID {

@@ -305,8 +305,7 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.P
 	// trace-replayed callee patterns were never consulted during the
 	// warm fixpoint phase, so the converged table has no record of them.
 	if a.cfg.Warm != nil {
-		if sp, ok := a.cfg.Warm.Seed(cp.Fn, e.CP.Key()); ok {
-			spID := a.intern(sp)
+		if spID, ok := a.cfg.Warm.Seed(id); ok {
 			e.Succ = a.in.Pattern(spID)
 			e.succID = spID
 			e.warm = true
@@ -314,8 +313,8 @@ func (a *Analyzer) solveFinID(cp *domain.Pattern, id domain.PatternID) *domain.P
 			a.fin.order = append(a.fin.order, e)
 			prev := a.fin.cur
 			a.fin.cur = e
-			for _, dep := range a.cfg.Warm.Trace(cp.Fn, e.CP.Key()) {
-				a.solve(dep)
+			for _, dep := range a.cfg.Warm.Trace(id) {
+				a.solveID(a.in.Pattern(dep), dep)
 				if a.err != nil {
 					break
 				}

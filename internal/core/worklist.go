@@ -152,8 +152,7 @@ func (a *Analyzer) solveWLID(cp *domain.Pattern, id domain.PatternID) *domain.Pa
 		// It can never grow — its value depends only on its cone — so no
 		// dependent ever needs re-enqueueing on its account.
 		if a.cfg.Warm != nil {
-			if sp, ok := a.cfg.Warm.Seed(cp.Fn, e.CP.Key()); ok {
-				spID := a.intern(sp)
+			if spID, ok := a.cfg.Warm.Seed(id); ok {
 				e.Succ = a.in.Pattern(spID)
 				e.succID = spID
 				e.warm = true

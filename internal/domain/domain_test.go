@@ -106,7 +106,21 @@ func TestLubTable(t *testing.T) {
 }
 
 // genAbs generates a random abstract type for property tests.
-func genAbs(r *rand.Rand, tab *term.Tab, depth int) *Term {
+func genAbs(r *rand.Rand, tab *term.Tab, depth int) *Term { return genShapes(r, tab, depth, 3) }
+
+// genAbsChains is genAbs that also builds nil-terminated cons chains of
+// one to three elements at any depth: lists of an exact length, which
+// genAbs's "." structures almost never are, and which the uniform-list
+// normalization must leave alone. The lub tests draw from it. The merge
+// law tests (laws_test.go) keep genAbs: with these chains they fail
+// (merge is not monotone next to a cons with a non-list tail, e.g.
+// [g|list(g)] ⊑ [g|g], but merged with [var|[]] they give
+// [any|list(any)] and [any|g]).
+func genAbsChains(r *rand.Rand, tab *term.Tab, depth int) *Term { return genShapes(r, tab, depth, 4) }
+
+// genShapes picks a node among shapes alternatives above the depth
+// cut: structure, list type, leaf and, with 4, a nil-terminated chain.
+func genShapes(r *rand.Rand, tab *term.Tab, depth, shapes int) *Term {
 	leaves := []Kind{Empty, Var, Nil, Atom, Intg, Const, Ground, NV, Any}
 	// Private nodes, not MkLeaf: some consumers decorate the generated
 	// tree with Share in place, which must not touch the shared leaf
@@ -114,21 +128,27 @@ func genAbs(r *rand.Rand, tab *term.Tab, depth int) *Term {
 	if depth <= 0 || r.Intn(3) == 0 {
 		return &Term{Kind: leaves[r.Intn(len(leaves))]}
 	}
-	switch r.Intn(3) {
+	switch r.Intn(shapes) {
 	case 0:
 		n := r.Intn(2) + 1
 		args := make([]*Term, n)
 		for i := range args {
-			args[i] = genAbs(r, tab, depth-1)
+			args[i] = genShapes(r, tab, depth-1, shapes)
 		}
 		name := []string{"f", "h", "."}[r.Intn(3)]
 		if name == "." {
 			n = 2
-			args = []*Term{genAbs(r, tab, depth-1), genAbs(r, tab, depth-1)}
+			args = []*Term{genShapes(r, tab, depth-1, shapes), genShapes(r, tab, depth-1, shapes)}
 		}
 		return MkStructT(tab.Func(name, n), args...)
 	case 1:
-		return MkListT(genAbs(r, tab, depth-1))
+		return MkListT(genShapes(r, tab, depth-1, shapes))
+	case 3:
+		t := &Term{Kind: Nil}
+		for n := r.Intn(3) + 1; n > 0; n-- {
+			t = MkStructT(tab.ConsFunctor(), genShapes(r, tab, depth-1, shapes), t)
+		}
+		return t
 	default:
 		return &Term{Kind: leaves[r.Intn(len(leaves))]}
 	}

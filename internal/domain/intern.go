@@ -88,11 +88,20 @@ func NewInterner() *Interner {
 	}
 }
 
-// internScratch is the per-walk state: the share renumbering map and a
-// child-ID stack.
+// internScratch is the per-walk state: the share renumbering map, a
+// child-ID stack and, for InternMapped, the atom map.
 type internScratch struct {
 	renum map[int]int
 	ids   []TermID
+	atoms []term.Atom
+}
+
+// fn is f with its name translated through the walk's atom map.
+func (sc *internScratch) fn(f term.Functor) term.Functor {
+	if sc.atoms != nil {
+		f.Name = sc.atoms[f.Name]
+	}
+	return f
 }
 
 func (sc *internScratch) reset() {
@@ -113,7 +122,7 @@ func (in *Interner) Intern(p *Pattern) (PatternID, bool) {
 	h := hashPattern(p, sc)
 	for _, pid := range in.fast[h] {
 		clear(sc.renum)
-		if eqCanonical(p, in.pats[pid].rep, sc.renum) {
+		if eqCanonical(p, in.pats[pid].rep, sc) {
 			return pid, true
 		}
 	}
@@ -123,11 +132,25 @@ func (in *Interner) Intern(p *Pattern) (PatternID, bool) {
 	return id, hit
 }
 
+// InternMapped is Intern of p with every functor name a (the pattern's
+// and each structure's) replaced by atoms[a]: p's names belong to
+// another symbol table, and atoms translates them into the one this
+// interner's patterns use. It hashes and walks p directly, building no
+// translated copy, and returns what Intern of that copy would return.
+// atoms must cover every name p uses.
+func (in *Interner) InternMapped(p *Pattern, atoms []term.Atom) (PatternID, bool) {
+	in.sc.atoms = atoms
+	id, hit := in.Intern(p)
+	in.sc.atoms = nil
+	return id, hit
+}
+
 // hashPattern computes a whole-tree structural hash of p under the same
 // equivalence walkPattern quotients by: share groups renumbered in
 // first-occurrence preorder through sc.renum.
 func hashPattern(p *Pattern, sc *internScratch) uint64 {
-	h := mix(mix(fnvOffset, uint64(uint32(p.Fn.Name))), uint64(uint32(p.Fn.Arity)))
+	fn := sc.fn(p.Fn)
+	h := mix(mix(fnvOffset, uint64(uint32(fn.Name))), uint64(uint32(fn.Arity)))
 	for _, a := range p.Args {
 		h = hashTermTree(a, sc, h)
 	}
@@ -144,8 +167,12 @@ func hashTermTree(t *Term, sc *internScratch, h uint64) uint64 {
 		}
 		share = int32(g)
 	}
+	fn := t.Fn
+	if t.Kind == Struct {
+		fn = sc.fn(fn)
+	}
 	h = mix(h, uint64(t.Kind)<<32|uint64(uint32(share)))
-	h = mix(h, uint64(uint32(t.Fn.Name))<<16|uint64(uint32(t.Fn.Arity)))
+	h = mix(h, uint64(uint32(fn.Name))<<16|uint64(uint32(fn.Arity)))
 	switch t.Kind {
 	case Struct:
 		h = mix(h, uint64(len(t.Args)))
@@ -160,32 +187,37 @@ func hashTermTree(t *Term, sc *internScratch, h uint64) uint64 {
 
 // eqCanonical reports whether p is walkPattern-equivalent to the
 // canonical rep: structurally equal with p's share groups mapping to
-// rep's canonical first-occurrence numbering through renum (empty on
-// entry; the caller clears it between candidates). Positional
-// comparison makes the mapping bijective: a rep share that disagrees
-// with p's renumbered value rejects immediately.
-func eqCanonical(p *Pattern, rep *Pattern, renum map[int]int) bool {
-	if p.Fn != rep.Fn || len(p.Args) != len(rep.Args) {
+// rep's canonical first-occurrence numbering through sc.renum (empty on
+// entry; the caller clears it between candidates), and p's names
+// through sc's atom map. Positional comparison makes the mapping
+// bijective: a rep share that disagrees with p's renumbered value
+// rejects immediately.
+func eqCanonical(p *Pattern, rep *Pattern, sc *internScratch) bool {
+	if sc.fn(p.Fn) != rep.Fn || len(p.Args) != len(rep.Args) {
 		return false
 	}
 	for i := range p.Args {
-		if !eqCanonicalTerm(p.Args[i], rep.Args[i], renum) {
+		if !eqCanonicalTerm(p.Args[i], rep.Args[i], sc) {
 			return false
 		}
 	}
 	return true
 }
 
-func eqCanonicalTerm(t, rep *Term, renum map[int]int) bool {
-	if t.Kind != rep.Kind || t.Fn != rep.Fn {
+func eqCanonicalTerm(t, rep *Term, sc *internScratch) bool {
+	fn := t.Fn
+	if t.Kind == Struct {
+		fn = sc.fn(fn)
+	}
+	if t.Kind != rep.Kind || fn != rep.Fn {
 		return false
 	}
 	want := 0
 	if t.Share != 0 {
-		g, ok := renum[t.Share]
+		g, ok := sc.renum[t.Share]
 		if !ok {
-			g = len(renum) + 1
-			renum[t.Share] = g
+			g = len(sc.renum) + 1
+			sc.renum[t.Share] = g
 		}
 		want = g
 	}
@@ -198,12 +230,12 @@ func eqCanonicalTerm(t, rep *Term, renum map[int]int) bool {
 			return false
 		}
 		for i := range t.Args {
-			if !eqCanonicalTerm(t.Args[i], rep.Args[i], renum) {
+			if !eqCanonicalTerm(t.Args[i], rep.Args[i], sc) {
 				return false
 			}
 		}
 	case List:
-		return eqCanonicalTerm(t.Elem, rep.Elem, renum)
+		return eqCanonicalTerm(t.Elem, rep.Elem, sc)
 	}
 	return true
 }
@@ -242,13 +274,14 @@ func (in *Interner) walkPattern(p *Pattern, sc *internScratch) (PatternID, bool)
 		sc.ids = append(sc.ids, in.walkTerm(a, sc))
 	}
 	args := sc.ids[base:]
-	h := mix(mix(fnvOffset, uint64(uint32(p.Fn.Name))), uint64(uint32(p.Fn.Arity)))
+	fn := sc.fn(p.Fn)
+	h := mix(mix(fnvOffset, uint64(uint32(fn.Name))), uint64(uint32(fn.Arity)))
 	for _, id := range args {
 		h = mix(h, uint64(id))
 	}
 	for _, pid := range in.pbuck[h] {
 		n := &in.pats[pid]
-		if n.fn == p.Fn && eqIDs(n.args, args) {
+		if n.fn == fn && eqIDs(n.args, args) {
 			return pid, true
 		}
 	}
@@ -259,10 +292,10 @@ func (in *Interner) walkPattern(p *Pattern, sc *internScratch) (PatternID, bool)
 			reps[i] = in.terms[id].rep
 		}
 	}
-	rep := &Pattern{Fn: p.Fn, Args: reps}
+	rep := &Pattern{Fn: fn, Args: reps}
 	rep.Key() // precompute: reps are shared read-only
 	pid := PatternID(len(in.pats))
-	in.pats = append(in.pats, pnode{fn: p.Fn, args: append([]TermID(nil), args...), rep: rep})
+	in.pats = append(in.pats, pnode{fn: fn, args: append([]TermID(nil), args...), rep: rep})
 	in.pbuck[h] = append(in.pbuck[h], pid)
 	return pid, false
 }
@@ -286,7 +319,7 @@ func (in *Interner) walkTerm(t *Term, sc *internScratch) TermID {
 	base := len(sc.ids)
 	switch t.Kind {
 	case Struct:
-		fn = t.Fn
+		fn = sc.fn(t.Fn)
 		for _, a := range t.Args {
 			sc.ids = append(sc.ids, in.walkTerm(a, sc))
 		}

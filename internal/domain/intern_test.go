@@ -174,3 +174,65 @@ func TestInternOrderContract(t *testing.T) {
 		}
 	}
 }
+
+// TestInternMappedMatchesIntern: interning a pattern through an atom map
+// into another symbol table gives the ID and hit flag, in lockstep, that
+// Intern of the translated copy gives, and the same canonical rep; and
+// within one interner the two paths name one pattern alike.
+func TestInternMappedMatchesIntern(t *testing.T) {
+	from, to := term.NewTab(), term.NewTab()
+	for _, name := range []string{"zz", "h", "q", "p", "f"} {
+		to.Intern(name) // numbering unlike from's
+	}
+	r := rand.New(rand.NewSource(5))
+	var atoms []term.Atom
+	translate := func(a term.Atom) term.Atom {
+		for int(a) >= len(atoms) {
+			atoms = append(atoms, 0)
+		}
+		if atoms[a] == 0 {
+			atoms[a] = to.Intern(from.Name(a))
+		}
+		return atoms[a]
+	}
+	var copyTerm func(t *Term) *Term
+	copyTerm = func(t *Term) *Term {
+		c := *t
+		switch c.Kind {
+		case Struct:
+			c.Fn.Name = translate(c.Fn.Name)
+			c.Args = make([]*Term, len(t.Args))
+			for i, a := range t.Args {
+				c.Args[i] = copyTerm(a)
+			}
+		case List:
+			c.Elem = copyTerm(t.Elem)
+		}
+		return &c
+	}
+	mapped, direct := NewInterner(), NewInterner()
+	for i := 0; i < 3000; i++ {
+		var p *Pattern
+		if i%2 == 0 {
+			p = genSharedPat(r, from)
+		} else {
+			p = NewPattern(from.Func("q", 2), []*Term{genAbsChains(r, from, 3), genAbsChains(r, from, 3)}).Canonical()
+		}
+		cp := &Pattern{Fn: p.Fn, Args: make([]*Term, len(p.Args))}
+		cp.Fn.Name = translate(p.Fn.Name)
+		for j, a := range p.Args {
+			cp.Args[j] = copyTerm(a)
+		}
+		id1, hit1 := mapped.InternMapped(p, atoms)
+		id2, hit2 := direct.Intern(cp)
+		if id1 != id2 || hit1 != hit2 {
+			t.Fatalf("%s: InternMapped (%d, %t), Intern of the copy (%d, %t)", cp.String(to), id1, hit1, id2, hit2)
+		}
+		if mapped.Pattern(id1).Key() != cp.Key() {
+			t.Fatalf("%s: InternMapped's rep has key %q", cp.String(to), mapped.Pattern(id1).Key())
+		}
+		if id, hit := mapped.Intern(cp); id != id1 || !hit {
+			t.Fatalf("%s: Intern after InternMapped gives (%d, %t), want (%d, true)", cp.String(to), id, hit, id1)
+		}
+	}
+}

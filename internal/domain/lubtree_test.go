@@ -30,7 +30,7 @@ func TestLubShareFreeMatchesGraph(t *testing.T) {
 	gen := func() *Pattern {
 		args := make([]*Term, fn.Arity)
 		for i := range args {
-			args[i] = genAbs(r, tab, 4)
+			args[i] = genAbsChains(r, tab, 4)
 		}
 		p := &Pattern{Fn: fn, Args: args}
 		if r.Intn(2) == 0 {
@@ -41,9 +41,40 @@ func TestLubShareFreeMatchesGraph(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		checkLubPaths(t, tab, gen(), gen())
 	}
+	// Independent draws rarely put one functor at one position on both
+	// sides, so pair each draw with a variant of itself too: the
+	// pointwise struct and list joins, where nil-terminated chains of
+	// different lengths meet, are what the share-free path re-implements.
+	for i := 0; i < 3000; i++ {
+		p := gen()
+		args := make([]*Term, len(p.Args))
+		for j, a := range p.Args {
+			args[j] = genNear(r, tab, a)
+		}
+		checkLubPaths(t, tab, p, &Pattern{Fn: p.Fn, Args: args})
+	}
 	for i := 0; i < 500; i++ {
 		checkLubPaths(t, tab, genSharedPat(r, tab), genSharedPat(r, tab))
 	}
+}
+
+// genNear returns a term with t's skeleton in which each subterm is
+// redrawn by genAbsChains with probability 1/3.
+func genNear(r *rand.Rand, tab *term.Tab, t *Term) *Term {
+	if r.Intn(3) == 0 {
+		return genAbsChains(r, tab, 2)
+	}
+	switch t.Kind {
+	case Struct:
+		args := make([]*Term, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = genNear(r, tab, a)
+		}
+		return MkStructT(t.Fn, args...)
+	case List:
+		return MkListT(genNear(r, tab, t.Elem))
+	}
+	return &Term{Kind: t.Kind}
 }
 
 // FuzzLubPattern holds LubPattern to the graph lub on arbitrary pairs

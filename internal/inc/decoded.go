@@ -1,0 +1,268 @@
+package inc
+
+import (
+	"bytes"
+	"sync"
+
+	"awam/internal/cache"
+	"awam/internal/domain"
+	"awam/internal/term"
+)
+
+// recordCache keeps the entries decoded from each record the engine
+// served, keyed by fingerprint, together with the bytes they came from.
+// A warm analysis reuses them only when the store returns byte-identical
+// data, so what it sees is exactly decodeRecord of those bytes; other
+// data is decoded again and replaces them. A warm one-edit analysis
+// otherwise re-parsed every served record from text.
+//
+// Decoded patterns live over a private symbol table: the engine serves
+// every program it analyzes, and a request's table must not collect
+// other programs' names. Each analysis maps the private atoms it meets
+// into its own table (atomMap) and interns the patterns through that
+// map (domain.Interner.InternMapped).
+//
+// Concurrent analyses share the cache (the daemon runs several on one
+// engine): mu guards the map, the table and the byte count, decoding
+// runs outside it, and cached entries are never mutated. The cache is
+// bounded by the store's memory budget. Each record is charged its raw
+// size plus an estimate of its decoded nodes; a record that would push
+// the cache over drops the whole cache, and the private table with it,
+// so that neither grows without bound.
+type recordCache struct {
+	mu     sync.Mutex
+	tab    *term.Tab
+	recs   map[cache.Fingerprint]*decoded
+	bytes  int64
+	budget int64
+	// decodes counts records decoded from text (tests).
+	decodes int64
+}
+
+// decoded is one record's decoded form over the private table tab.
+type decoded struct {
+	raw     []byte
+	tab     *term.Tab
+	entries []RecordEntry
+	// atoms lists the distinct names the entries use.
+	atoms []term.Atom
+	cost  int64
+}
+
+// nodeBytes is the charge per decoded pattern or term node: the node
+// itself and its slot in the parent's argument slice.
+const nodeBytes = 72
+
+// budgeted is implemented by stores with a memory budget (cache.Store).
+type budgeted interface {
+	MemoryBudget() int64
+}
+
+func newRecordCache(store cache.ChunkStore) *recordCache {
+	budget := int64(cache.DefaultBudget)
+	if b, ok := store.(budgeted); ok {
+		budget = b.MemoryBudget()
+	}
+	return &recordCache{tab: term.NewTab(), recs: make(map[cache.Fingerprint]*decoded), budget: budget}
+}
+
+// decodeMemo shares dep patterns among the records one load decodes
+// (decodeRecord's memo); it is valid for one table only.
+type decodeMemo struct {
+	tab  *term.Tab
+	pats map[string]*domain.Pattern
+}
+
+// get returns the decoded form of data, the record stored under fp, or
+// nil when data is malformed.
+func (c *recordCache) get(fp cache.Fingerprint, data []byte, memo *decodeMemo) *decoded {
+	c.mu.Lock()
+	d, tab := c.recs[fp], c.tab
+	c.mu.Unlock()
+	if d != nil && bytes.Equal(d.raw, data) {
+		return d
+	}
+	if memo.tab != tab {
+		memo.tab, memo.pats = tab, make(map[string]*domain.Pattern)
+	}
+	entries, err := decodeRecord(tab, data, memo.pats)
+	if err != nil {
+		return nil
+	}
+	d = newDecoded(tab, data, entries)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.decodes++
+	if c.tab != tab {
+		return d // the cache was dropped meanwhile: d serves this load only
+	}
+	if old := c.recs[fp]; old != nil {
+		c.bytes -= old.cost
+		delete(c.recs, fp)
+	}
+	if c.bytes+d.cost > c.budget {
+		c.tab = term.NewTab()
+		clear(c.recs)
+		c.bytes = 0
+		return d
+	}
+	c.recs[fp] = d
+	c.bytes += d.cost
+	return d
+}
+
+// newDecoded indexes a decoded record's names and prices it.
+func newDecoded(tab *term.Tab, raw []byte, entries []RecordEntry) *decoded {
+	d := &decoded{raw: raw, tab: tab, entries: entries}
+	seen := make(map[term.Atom]bool)
+	nodes := 0
+	name := func(a term.Atom) {
+		if !seen[a] {
+			seen[a] = true
+			d.atoms = append(d.atoms, a)
+		}
+	}
+	var walk func(t *domain.Term)
+	walk = func(t *domain.Term) {
+		nodes++
+		switch t.Kind {
+		case domain.Struct:
+			name(t.Fn.Name)
+			for _, a := range t.Args {
+				walk(a)
+			}
+		case domain.List:
+			walk(t.Elem)
+		}
+	}
+	pattern := func(p *domain.Pattern) {
+		if p == nil {
+			return
+		}
+		nodes++
+		name(p.Fn.Name)
+		for _, a := range p.Args {
+			walk(a)
+		}
+	}
+	for _, re := range entries {
+		pattern(re.CP)
+		pattern(re.Succ)
+		for _, dep := range re.Deps {
+			pattern(dep)
+		}
+	}
+	d.cost = int64(len(raw)) + int64(nodes)*nodeBytes
+	return d
+}
+
+// atomMap translates the atoms of one private table into an analysis'
+// table, each filled by name on first use.
+type atomMap struct {
+	from, to *term.Tab
+	// atoms[a] is a's atom in to; 0 means not yet filled (only the
+	// empty name, atom 0 in every table, maps to 0).
+	atoms []term.Atom
+}
+
+// cover fills the map for every name in names.
+func (m *atomMap) cover(names []term.Atom) {
+	for _, a := range names {
+		for int(a) >= len(m.atoms) {
+			m.atoms = append(m.atoms, 0)
+		}
+		if a != 0 && m.atoms[a] == 0 {
+			m.atoms[a] = m.to.Intern(m.from.Name(a))
+		}
+	}
+}
+
+// servedSCC is one component a warm load serves: its decoded record and
+// the map from the record's table into the analysis' table.
+type servedSCC struct {
+	scc   int
+	rec   *decoded
+	atoms *atomMap
+}
+
+// warmEntry is one cached calling pattern as IDs in an analysis'
+// interner: its converged success pattern and finalize trace.
+type warmEntry struct {
+	cp, succ domain.PatternID
+	deps     []domain.PatternID
+}
+
+// warmTable implements core.WarmStart over the served records, indexed
+// by calling-pattern ID.
+type warmTable struct {
+	seeds []*warmEntry
+}
+
+func (w *warmTable) lookup(id domain.PatternID) *warmEntry {
+	if int(id) < len(w.seeds) {
+		return w.seeds[id]
+	}
+	return nil
+}
+
+func (w *warmTable) Seed(id domain.PatternID) (domain.PatternID, bool) {
+	if s := w.lookup(id); s != nil {
+		return s.succ, true
+	}
+	return domain.BottomID, false
+}
+
+func (w *warmTable) Trace(id domain.PatternID) []domain.PatternID {
+	if s := w.lookup(id); s != nil {
+		return s.deps
+	}
+	return nil
+}
+
+// cachedSCC retains a served record for the post-run merge: raw bytes
+// (to skip redundant Puts) and its entries as IDs (to keep calling
+// patterns this run never touched).
+type cachedSCC struct {
+	raw     []byte
+	entries []warmEntry
+}
+
+// seed interns every served entry into in, indexes the calling patterns,
+// and returns the served records by component.
+func (w *warmTable) seed(in *domain.Interner, served []servedSCC) map[int]*cachedSCC {
+	cached := make(map[int]*cachedSCC, len(served))
+	// A callee's calling pattern recurs as a dep in every caller's
+	// trace, and records decoded in one load share those nodes.
+	ids := make(map[*domain.Pattern]domain.PatternID)
+	intern := func(p *domain.Pattern, atoms []term.Atom) domain.PatternID {
+		if p == nil {
+			return domain.BottomID
+		}
+		id, ok := ids[p]
+		if !ok {
+			id, _ = in.InternMapped(p, atoms)
+			ids[p] = id
+		}
+		return id
+	}
+	for _, s := range served {
+		atoms := s.atoms.atoms
+		c := &cachedSCC{raw: s.rec.raw, entries: make([]warmEntry, len(s.rec.entries))}
+		for k, re := range s.rec.entries {
+			we := &c.entries[k]
+			we.cp = intern(re.CP, atoms)
+			we.succ = intern(re.Succ, atoms)
+			we.deps = make([]domain.PatternID, len(re.Deps))
+			for j, dep := range re.Deps {
+				we.deps[j] = intern(dep, atoms)
+			}
+			for int(we.cp) >= len(w.seeds) {
+				w.seeds = append(w.seeds, nil)
+			}
+			w.seeds[we.cp] = we
+		}
+		cached[s.scc] = c
+	}
+	return cached
+}

@@ -1,0 +1,180 @@
+package inc
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"awam/internal/bench"
+	"awam/internal/cache"
+	"awam/internal/core"
+	"awam/internal/domain"
+	"awam/internal/term"
+)
+
+// engineRun analyzes src through e on a freshly compiled module, as the
+// daemon does per request.
+func engineRun(t *testing.T, e *Engine, src string) *Result {
+	t.Helper()
+	_, mod := mustCompile(t, src)
+	res, err := e.AnalyzeAll(context.Background(), mod, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func (c *recordCache) decoded() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.decodes
+}
+
+// TestDecodedRecordsReused: a second warm analysis decodes no record
+// again; a record whose bytes changed is decoded again, and a malformed
+// one is a miss; every run is byte-identical to the cold one.
+func TestDecodedRecordsReused(t *testing.T) {
+	src := bench.WideProgramSeeded(8, 1).Source
+	e := NewEngine(nil)
+	cold := engineRun(t, e, src)
+	want := cold.Marshal()
+	n := int64(len(cold.Plan.SCCs))
+
+	check := func(label string, warmSCCs int, decodes int64) *Result {
+		t.Helper()
+		res := engineRun(t, e, src)
+		if res.Marshal() != want {
+			t.Fatalf("%s: result differs from the cold run", label)
+		}
+		if res.WarmSCCs != warmSCCs || e.recs.decoded() != decodes {
+			t.Fatalf("%s: %d warm components, %d records decoded; want %d and %d",
+				label, res.WarmSCCs, e.recs.decoded(), warmSCCs, decodes)
+		}
+		return res
+	}
+	check("first warm run", int(n), n)
+	res := check("second warm run", int(n), n)
+
+	// Same record, different bytes: a trailing blank line decodes to the
+	// same entries.
+	fp := cache.Fingerprint(res.Plan.Fingerprints[0])
+	data, _ := e.store.Get(fp)
+	e.store.Put(fp, append(append([]byte(nil), data...), '\n'))
+	check("changed record", int(n), n+1)
+	check("after the change", int(n), n+1)
+
+	// A malformed record is a miss (its callers' cones with it) and is
+	// rewritten by the run.
+	e.store.Put(fp, []byte("awam-scc 1\ngarbage\n"))
+	if res := engineRun(t, e, src); res.Marshal() != want || res.WarmSCCs == int(n) {
+		t.Fatalf("malformed record: %d/%d warm components", res.WarmSCCs, n)
+	}
+	check("after the rewrite", int(n), n+2)
+}
+
+// TestConcurrentWarmAnalyses runs warm and one-edit analyses of one
+// program concurrently through one engine (go test -race): once with
+// every record cached, and once with a budget so small that loads keep
+// dropping the cache and its symbol table under each other.
+func TestConcurrentWarmAnalyses(t *testing.T) {
+	base := bench.WideProgramSeeded(8, 1).Source
+	srcs := []string{base}
+	for i := 0; i < 3; i++ {
+		srcs = append(srcs, base+fmt.Sprintf("p%d_use(mutant_%d).\n", i, i))
+	}
+	want := make([]string, len(srcs))
+	for i, src := range srcs {
+		want[i] = engineRun(t, NewEngine(nil), src).Marshal()
+	}
+	for _, budget := range []int64{cache.DefaultBudget, 4 << 10} {
+		e := NewEngine(nil)
+		e.recs.budget = budget
+		engineRun(t, e, base)
+		var wg sync.WaitGroup
+		errs := make(chan string, 16)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < 3; k++ {
+					i := (g + k) % len(srcs)
+					_, mod := mustCompile(t, srcs[i])
+					res, err := e.AnalyzeAll(context.Background(), mod, core.DefaultConfig())
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if res.Marshal() != want[i] {
+						errs <- fmt.Sprintf("budget %d, source %d: result differs from a scratch engine's", budget, i)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for msg := range errs {
+			t.Error(msg)
+		}
+	}
+}
+
+// TestInternMappedOnRecords: interning a record decoded into another
+// symbol table through the atom map gives the IDs, hit flags and
+// canonical patterns that interning the same record decoded into the
+// analysis' own table gives.
+func TestInternMappedOnRecords(t *testing.T) {
+	src := bench.WideProgramSeeded(8, 1).Source
+	e := NewEngine(nil)
+	res := engineRun(t, e, src)
+	private := term.NewTab()
+	for i := 0; i < 50; i++ {
+		private.Intern(fmt.Sprintf("other_%d", i)) // numbering unlike the request's
+	}
+	tab, _ := mustCompile(t, src)
+	m := &atomMap{from: private, to: tab}
+	mapped, direct := domain.NewInterner(), domain.NewInterner()
+	seen := 0
+	for _, fp := range res.Plan.Fingerprints {
+		data, ok := e.store.Get(cache.Fingerprint(fp))
+		if !ok {
+			continue
+		}
+		pe, err := DecodeRecord(private, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := DecodeRecord(tab, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.cover(newDecoded(private, data, pe).atoms)
+		for k := range pe {
+			ps := append([]*domain.Pattern{pe[k].CP, pe[k].Succ}, pe[k].Deps...)
+			rs := append([]*domain.Pattern{re[k].CP, re[k].Succ}, re[k].Deps...)
+			for j := range ps {
+				if ps[j] == nil {
+					continue
+				}
+				id1, hit1 := mapped.InternMapped(ps[j], m.atoms)
+				id2, hit2 := direct.Intern(rs[j])
+				if id1 != id2 || hit1 != hit2 {
+					t.Fatalf("%s: mapped (%d, %t), direct (%d, %t)",
+						domain.PatternText(tab, rs[j]), id1, hit1, id2, hit2)
+				}
+				if got, want := domain.PatternText(tab, mapped.Pattern(id1)), domain.PatternText(tab, rs[j]); got != want {
+					t.Fatalf("mapped rep %s, want %s", got, want)
+				}
+				if id, hit := mapped.Intern(rs[j]); id != id1 || !hit {
+					t.Fatalf("%s: Intern after InternMapped gives (%d, %t), want (%d, true)",
+						domain.PatternText(tab, rs[j]), id, hit, id1)
+				}
+				seen++
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no record patterns compared")
+	}
+}

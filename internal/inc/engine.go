@@ -12,14 +12,15 @@ import (
 	"awam/internal/wam"
 )
 
-// Engine runs incremental analyses against a summary store. It is
-// stateless apart from the store, so one engine can serve many modules
-// (the daemon shares one across requests); the store is safe for
-// concurrent use. The engine sees only the composed cache.ChunkStore —
+// Engine runs incremental analyses against a summary store. Its state
+// is the store and the records it keeps decoded (recordCache), both
+// safe for concurrent use, so one engine can serve many modules (the
+// daemon shares one across requests). The engine sees only the composed cache.ChunkStore —
 // whether a record came from memory, disk or a fabric peer is the
 // store's business, and results are byte-identical regardless.
 type Engine struct {
 	store cache.ChunkStore
+	recs  *recordCache
 }
 
 // NewEngine returns an engine over store; a nil store gets a private
@@ -28,7 +29,7 @@ func NewEngine(store cache.ChunkStore) *Engine {
 	if store == nil {
 		store, _ = cache.New() // memory-only construction cannot fail
 	}
-	return &Engine{store: store}
+	return &Engine{store: store, recs: newRecordCache(store)}
 }
 
 // Store exposes the engine's summary store (for stats and tests).
@@ -120,18 +121,20 @@ func (e *Engine) AnalyzeCondensed(ctx context.Context, c *Condensation, cfg core
 	mod := c.Mod
 	plan := c.Fingerprint(fpFormat, configContext(cfg), specSalt(cfg), nil)
 	before := e.store.Stats()
-	warm, cached := e.loadWarm(mod.Tab, plan)
+	served := e.loadWarm(mod.Tab, plan)
+	warm := &warmTable{}
 	cfg.Warm = nil
-	if warm != nil { // assigning a typed nil would install a non-nil interface
+	if len(served) > 0 { // cold runs skip warm probes entirely
 		cfg.Warm = warm
 	}
 
 	an := core.NewWith(mod, cfg)
+	cached := warm.seed(an.Interner(), served)
 	res, err := an.AnalyzeAllContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	e.storeRecords(plan, mod.Tab, res, cached)
+	e.storeRecords(plan, mod.Tab, an.Interner(), res, cached)
 	if f, ok := e.store.(flusher); ok {
 		f.Flush()
 	}
@@ -151,64 +154,6 @@ func (e *Engine) AnalyzeCondensed(ctx context.Context, c *Condensation, cfg core
 	return &Result{Result: res, Plan: plan, WarmSCCs: len(cached), Store: after}, nil
 }
 
-// warmSeed is one cached converged pattern: success value plus the
-// finalize consultation trace that replays its presentation.
-type warmSeed struct {
-	succ *domain.Pattern
-	deps []*domain.Pattern
-}
-
-// warmTable implements core.WarmStart over the decoded records. Lookups
-// key on the canonical pattern key computed in the request's symbol
-// table (record patterns were re-parsed into it), which quotients
-// patterns exactly like the engine's interner.
-//
-// The last Seed result is memoized: the finalize replay always asks
-// Seed then Trace for the same (fn, key), and the worklist strategy
-// (the only one Warm is defined for) runs single-threaded, so a
-// one-entry memo halves the map traffic with no locking.
-type warmTable struct {
-	seeds map[term.Functor]map[string]*warmSeed
-
-	lastFn   term.Functor
-	lastKey  string
-	lastSeed *warmSeed
-}
-
-func (w *warmTable) lookup(fn term.Functor, key string) *warmSeed {
-	if w.lastSeed != nil && w.lastFn == fn && w.lastKey == key {
-		return w.lastSeed
-	}
-	s := w.seeds[fn][key]
-	if s != nil {
-		w.lastFn, w.lastKey, w.lastSeed = fn, key, s
-	}
-	return s
-}
-
-func (w *warmTable) Seed(fn term.Functor, key string) (*domain.Pattern, bool) {
-	s := w.lookup(fn, key)
-	if s == nil {
-		return nil, false
-	}
-	return s.succ, true
-}
-
-func (w *warmTable) Trace(fn term.Functor, key string) []*domain.Pattern {
-	if s := w.lookup(fn, key); s != nil {
-		return s.deps
-	}
-	return nil
-}
-
-// cachedSCC retains a served record for the post-run merge: raw bytes
-// (to skip redundant Puts) and decoded entries (to keep calling
-// patterns this run never touched).
-type cachedSCC struct {
-	raw     []byte
-	entries []RecordEntry
-}
-
 // loadWarm probes the store for every component, bottom-up. A component
 // is served only when its record is present and well-formed AND all its
 // callee components are served too: a seeded entry's finalize trace
@@ -216,9 +161,9 @@ type cachedSCC struct {
 // fixpoint table, so their values must come from seeds as well — seeding
 // above a missing cone would present under-approximate summaries.
 // (Fingerprint matching already guarantees the cone is *unchanged*;
-// this gate guarantees it is *available*.) Returns nil when nothing is
-// served, so cold runs skip warm probes entirely.
-func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) (*warmTable, map[int]*cachedSCC) {
+// this gate guarantees it is *available*.) Returns the served
+// components in plan order.
+func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) []servedSCC {
 	if p, ok := e.store.(prefetcher); ok {
 		fps := make([]cache.Fingerprint, len(plan.Fingerprints))
 		for i, fp := range plan.Fingerprints {
@@ -226,10 +171,12 @@ func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) (*warmTable, map[int]*cache
 		}
 		p.Prefetch(fps)
 	}
-	cached := make(map[int]*cachedSCC)
-	w := &warmTable{seeds: make(map[term.Functor]map[string]*warmSeed)}
+	var out []servedSCC
 	served := make([]bool, len(plan.SCCs))
-	depMemo := make(map[string]*domain.Pattern)
+	memo := &decodeMemo{}
+	// One atom map per private table the load meets: one, unless the
+	// record cache is dropped while the load runs.
+	var maps []*atomMap
 	for i, scc := range plan.SCCs {
 		coneOK := true
 		for _, j := range scc.Callees {
@@ -241,17 +188,31 @@ func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) (*warmTable, map[int]*cache
 		if !coneOK {
 			continue
 		}
-		data, ok := e.store.Get(cache.Fingerprint(plan.Fingerprints[i]))
+		fp := cache.Fingerprint(plan.Fingerprints[i])
+		data, ok := e.store.Get(fp)
 		if !ok {
 			continue
 		}
-		entries, err := decodeRecord(tab, data, depMemo)
-		if err != nil {
-			continue // treated as a miss; the record is rewritten after the run
+		d := e.recs.get(fp, data, memo)
+		if d == nil {
+			continue // malformed: treated as a miss; the record is rewritten after the run
 		}
+		var m *atomMap
+		for _, am := range maps {
+			if am.from == d.tab {
+				m = am
+			}
+		}
+		if m == nil {
+			m = &atomMap{from: d.tab, to: tab}
+			maps = append(maps, m)
+		}
+		m.cover(d.atoms)
 		valid := true
-		for _, re := range entries {
-			if j, ok := plan.PredSCC[re.CP.Fn]; !ok || j != i {
+		for _, re := range d.entries {
+			fn := re.CP.Fn
+			fn.Name = m.atoms[fn.Name]
+			if j, ok := plan.PredSCC[fn]; !ok || j != i {
 				valid = false // foreign predicate: corruption or a hash collision
 				break
 			}
@@ -260,20 +221,9 @@ func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) (*warmTable, map[int]*cache
 			continue
 		}
 		served[i] = true
-		cached[i] = &cachedSCC{raw: data, entries: entries}
-		for _, re := range entries {
-			m := w.seeds[re.CP.Fn]
-			if m == nil {
-				m = make(map[string]*warmSeed)
-				w.seeds[re.CP.Fn] = m
-			}
-			m[re.CP.Key()] = &warmSeed{succ: re.Succ, deps: re.Deps}
-		}
+		out = append(out, servedSCC{scc: i, rec: d, atoms: m})
 	}
-	if len(cached) == 0 {
-		return nil, cached
-	}
-	return w, cached
+	return out
 }
 
 // storeRecords writes this run's converged summaries back, one record
@@ -281,7 +231,7 @@ func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) (*warmTable, map[int]*cache
 // carried but this run never consulted are merged in, so a record never
 // forgets summaries just because the current callers take other paths.
 // Byte-identical records are not re-Put.
-func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, res *core.Result, cached map[int]*cachedSCC) {
+func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, in *domain.Interner, res *core.Result, cached map[int]*cachedSCC) {
 	groups := make([][]*core.Entry, len(plan.SCCs))
 	for _, en := range res.Entries {
 		if i, ok := plan.PredSCC[en.CP.Fn]; ok {
@@ -302,14 +252,19 @@ func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, res *core.Result, cache
 			continue
 		}
 		if c != nil {
-			seen := make(map[string]bool, len(ents))
+			seen := make(map[domain.PatternID]bool, len(ents))
 			for _, en := range ents {
-				seen[en.CP.Key()] = true
+				seen[en.ID] = true
 			}
-			for _, re := range c.entries {
-				if !seen[re.CP.Key()] {
-					ents = append(ents, &core.Entry{CP: re.CP, Succ: re.Succ, Consults: re.Deps})
+			for _, we := range c.entries {
+				if seen[we.cp] {
+					continue
 				}
+				deps := make([]*domain.Pattern, len(we.deps))
+				for j, dep := range we.deps {
+					deps[j] = in.Pattern(dep)
+				}
+				ents = append(ents, &core.Entry{CP: in.Pattern(we.cp), Succ: in.Pattern(we.succ), Consults: deps})
 			}
 		}
 		data := EncodeRecord(tab, ents)

@@ -44,8 +44,8 @@ func TestFormatSaltIsolation(t *testing.T) {
 	// keyed under the previous format.
 	_, mod3 := mustCompile(t, prog.Source)
 	oldPlan := NewCondensation(mod3).Fingerprint(oldFormat, configContext(cfg), nil, nil)
-	if _, cached := e.loadWarm(mod3.Tab, oldPlan); len(cached) != 0 {
-		t.Fatalf("old-format lookup served %d components from current-format records", len(cached))
+	if served := e.loadWarm(mod3.Tab, oldPlan); len(served) != 0 {
+		t.Fatalf("old-format lookup served %d components from current-format records", len(served))
 	}
 
 	// Direction 2: a store holding only old-format records must not
@@ -57,12 +57,11 @@ func TestFormatSaltIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2.storeRecords(oldPlan, mod3.Tab, res, map[int]*cachedSCC{})
-	_, cachedOld := e2.loadWarm(mod3.Tab, oldPlan)
-	if len(cachedOld) == 0 {
+	e2.storeRecords(oldPlan, mod3.Tab, nil, res, nil)
+	if len(e2.loadWarm(mod3.Tab, oldPlan)) == 0 {
 		t.Fatal("old-format store does not even serve its own generation")
 	}
-	if _, cachedCur := e2.loadWarm(mod3.Tab, NewPlan(mod3, configContext(cfg))); len(cachedCur) != 0 {
-		t.Fatalf("current lookup served %d components from old-format records", len(cachedCur))
+	if served := e2.loadWarm(mod3.Tab, NewPlan(mod3, configContext(cfg))); len(served) != 0 {
+		t.Fatalf("current lookup served %d components from old-format records", len(served))
 	}
 }

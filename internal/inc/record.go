@@ -26,9 +26,11 @@ import (
 //	dep r(list(g), var)
 //
 // "trace i n" attaches the following n "dep" lines to the i-th call of
-// the summary block. Patterns are stored as text (domain.PatternText)
-// and re-parsed into the consuming analysis' symbol table — canonical
-// keys embed interned atom numbers and never cross a table boundary.
+// the summary block. Patterns are stored as text (domain.PatternText):
+// canonical keys embed interned atom numbers and never cross a table
+// boundary. The engine parses a record into its private symbol table
+// and keeps it decoded while the stored bytes stay the same
+// (decoded.go).
 
 // ErrBadRecord reports a malformed cache record. Decode failures wrap
 // it (and, for the summary block, core.ErrBadSummary too); the engine

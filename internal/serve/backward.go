@@ -4,8 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -26,16 +24,8 @@ type (
 // identical concurrent queries — and runs against the daemon's shared
 // summary store, so a clean repeat query re-executes nothing.
 func (s *Server) handleBackward(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req backwardRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
+	if !s.readRequest(w, r, func(data []byte) error { return decodeBackward(data, &req) }) {
 		return
 	}
 	if req.Source == "" {

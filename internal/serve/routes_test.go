@@ -114,6 +114,7 @@ func TestOptimizeEndpointErrors(t *testing.T) {
 		{"missing source", `{}`, http.StatusBadRequest, "bad_request"},
 		{"negative runs", `{"source":"p(a).","measure_runs":-1}`, http.StatusBadRequest, "bad_request"},
 		{"too many runs", `{"source":"p(a).","measure_runs":101}`, http.StatusBadRequest, "bad_request"},
+		{"too many gate goals", gateGoalsBody(t, api.MaxGateGoals+1), http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(tc.body))
@@ -151,5 +152,42 @@ func TestOptimizeDeadline(t *testing.T) {
 	}
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("answered after %v under a 300ms deadline", d)
+	}
+}
+
+// gateGoalsBody is an /v1/optimize body gating n copies of one goal.
+func gateGoalsBody(t *testing.T, n int) string {
+	t.Helper()
+	goals := make([]string, n)
+	for i := range goals {
+		goals[i] = "p(a)"
+	}
+	b, err := json.Marshal(api.OptimizeRequest{Source: "p(a).", GateGoals: goals, MeasureRuns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestOptimizeGateGoalsCap: a request naming api.MaxGateGoals gate goals
+// is served; one more is a bad_request before any analysis runs.
+func TestOptimizeGateGoalsCap(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		n      int
+		status int
+	}{{api.MaxGateGoals, http.StatusOK}, {api.MaxGateGoals + 1, http.StatusBadRequest}} {
+		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(gateGoalsBody(t, tc.n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%d gate goals: status = %d, want %d (%s)", tc.n, resp.StatusCode, tc.status, data)
+		}
+		if tc.status != http.StatusOK && !strings.Contains(string(data), "gate_goals exceeds") {
+			t.Fatalf("%d gate goals: %s", tc.n, data)
+		}
 	}
 }

@@ -190,16 +190,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req analyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
+	if !s.readRequest(w, r, func(data []byte) error { return decodeAnalyze(data, &req) }) {
 		return
 	}
 	if req.Source == "" {
@@ -329,16 +321,8 @@ func (s *Server) runAnalysis(ctx context.Context, req *analyzeRequest, src sourc
 // requests are not coalesced: the report carries timing measurements
 // that should reflect each request's own run).
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req optimizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
+	if !s.readRequest(w, r, func(data []byte) error { return decodeJSON(data, &req) }) {
 		return
 	}
 	if req.Source == "" {
@@ -352,6 +336,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if req.MeasureRuns > api.MaxMeasureRuns {
 		s.fail(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("measure_runs exceeds %d", api.MaxMeasureRuns))
+		return
+	}
+	if len(req.GateGoals) > api.MaxGateGoals {
+		s.fail(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("gate_goals exceeds %d", api.MaxGateGoals))
 		return
 	}
 	timeout := s.cfg.DefaultTimeout
@@ -458,9 +447,7 @@ func boolGauge(b bool) int64 {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the connection is gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection is gone; nothing to do
 }
 
 // handleMetrics writes the Prometheus text exposition.
