@@ -37,7 +37,6 @@ import (
 	"awam/internal/inc"
 	"awam/internal/machine"
 	"awam/internal/optimize"
-	"awam/internal/parser"
 	"awam/internal/plmeta"
 	"awam/internal/specialize"
 	"awam/internal/term"
@@ -85,6 +84,10 @@ type System struct {
 	// view mod implements; Load keeps the compiler's expansion so that
 	// backward queries never expand the program again.
 	exp *term.Program
+	// src is what Derive reuses (derive.go): the source text, its
+	// clauses and the module compiled from them. Systems made from this
+	// one by StripUnreachable or Optimize share it.
+	src *loadedSource
 
 	// cond is the module's SCC condensation, built once on first use and
 	// shared by the specializer, the store-backed forward engine and the
@@ -135,19 +138,9 @@ func (s *System) specProgram() *specialize.Program {
 
 // Load parses and compiles Prolog source text. Unreadable source fails
 // with an error wrapping ErrParse; source that parses but cannot be
-// compiled fails with one wrapping ErrCompile.
-func Load(source string) (*System, error) {
-	tab := term.NewTab()
-	prog, err := parser.ParseProgram(tab, source)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrParse, err)
-	}
-	mod, exp, err := compiler.CompileExpanded(tab, prog, compiler.DefaultOptions())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCompile, err)
-	}
-	return &System{tab: tab, prog: prog, mod: mod, exp: exp}, nil
-}
+// compiled fails with one wrapping ErrCompile. It is Derive from an
+// empty System with a symbol table of its own.
+func Load(source string) (*System, error) { return empty().Derive(source) }
 
 // LoadFile loads a program from a file.
 func LoadFile(path string) (*System, error) {
@@ -585,7 +578,7 @@ func (a *Analysis) AliasPairs(pred string) [][2]int {
 // name/arity strings. An analysis from a different System fails with an
 // error wrapping ErrOptimize.
 func (s *System) StripUnreachable(a *Analysis) (*System, []string, error) {
-	if a == nil || a.sys == nil || a.sys.tab != s.tab {
+	if a == nil || a.sys == nil || a.sys.prog != s.prog {
 		return nil, nil, fmt.Errorf("%w: analysis does not belong to this system", ErrOptimize)
 	}
 	stripped, removed := optimize.StripUnreachable(s.mod, a.res)
@@ -593,7 +586,7 @@ func (s *System) StripUnreachable(a *Analysis) (*System, []string, error) {
 	for i, fn := range removed {
 		names[i] = s.tab.FuncString(fn)
 	}
-	return &System{tab: s.tab, prog: s.prog, mod: stripped, exp: s.exp}, names, nil
+	return &System{tab: s.tab, prog: s.prog, mod: stripped, exp: s.exp, src: s.src}, names, nil
 }
 
 // HostedResult is the outcome of the Prolog-hosted analysis.

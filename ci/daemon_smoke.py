@@ -6,7 +6,10 @@ source to /v1/backward and assert the demands equal a batch
 `awam backward` run — and that an immediately repeated demand query is
 served warm from the daemon's store (zero components re-executed). A
 third demand query must find the program resident: /v1/metrics reports
-a program-cache hit.
+a program-cache hit. Finally a one-clause edit of the source must be
+derived from the loaded program (awamd_program_derivations_total rises)
+and answer with the summaries of a batch `awam analyze -worklist` run
+on the edited source.
 
 Usage: daemon_smoke.py http://127.0.0.1:8347
 Run from the repository root (invokes `go run ./cmd/awam`).
@@ -30,9 +33,15 @@ partition([], _, [], []).
 main :- qsort([3,1,2], _, []).
 """
 
+# One clause edited: main also sorts a list of atoms.
+QSORT_EDIT = QSORT.replace(
+    "main :- qsort([3,1,2], _, []).",
+    "main :- qsort([3,1,2], _, []), qsort([b,a], _, []).",
+)
 
-def daemon_modes(base):
-    body = json.dumps({"source": QSORT, "timeout_ms": 5000}).encode()
+
+def daemon_modes(base, source=QSORT):
+    body = json.dumps({"source": source, "timeout_ms": 5000}).encode()
     req = urllib.request.Request(
         base + "/v1/analyze", data=body, headers={"Content-Type": "application/json"}
     )
@@ -51,9 +60,9 @@ def daemon_modes(base):
     return modes
 
 
-def batch_modes():
+def batch_modes(source=QSORT):
     with tempfile.NamedTemporaryFile("w", suffix=".pl", delete=False) as f:
-        f.write(QSORT)
+        f.write(source)
         path = f.name
     text = subprocess.run(
         ["go", "run", "./cmd/awam", "analyze", "-worklist", path],
@@ -141,20 +150,20 @@ def check_backward(base):
     print(f"repeat queries served from the resident program ({hits} hits): OK")
 
 
-def program_hits(base):
+def metric(base, pattern):
     with urllib.request.urlopen(base + "/v1/metrics", timeout=10) as resp:
         text = resp.read().decode()
-    m = re.search(r'^awamd_program_loads_total\{result="hit"\} (\d+)$', text, re.M)
+    m = re.search("^" + pattern + r" (\d+)$", text, re.M)
     if not m:
-        sys.exit(f"/v1/metrics has no program-load hit counter:\n{text}")
+        sys.exit(f"/v1/metrics has no {pattern} counter:\n{text}")
     return int(m.group(1))
 
 
-def main():
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    got = daemon_modes(sys.argv[1])
-    want = batch_modes()
+def program_hits(base):
+    return metric(base, r'awamd_program_loads_total\{result="hit"\}')
+
+
+def compare_modes(got, want):
     missing = {"qsort/3", "partition/4"} - set(want)
     if missing:
         sys.exit(f"batch analyze output missing expected predicates: {missing}")
@@ -165,8 +174,30 @@ def main():
             sys.exit(f"{pred}: daemon mode {got[pred]!r} != batch {mode!r}")
     if "main/0" not in got:
         sys.exit(f"daemon response missing main/0; has {sorted(got)}")
+
+
+def check_edit(base):
+    before = metric(base, "awamd_program_derivations_total")
+    got = daemon_modes(base, QSORT_EDIT)
+    after = metric(base, "awamd_program_derivations_total")
+    if after <= before:
+        sys.exit(f"edited source was not derived from the loaded program "
+                 f"(derivations {before} -> {after})")
+    want = batch_modes(QSORT_EDIT)
+    compare_modes(got, want)
+    print(f"one-clause edit derived ({before} -> {after} derivations), "
+          f"modes match batch analyze for {len(want)} predicates: OK")
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    got = daemon_modes(sys.argv[1])
+    want = batch_modes()
+    compare_modes(got, want)
     print(f"daemon modes match batch analyze for {len(want)} predicates: OK")
     check_backward(sys.argv[1])
+    check_edit(sys.argv[1])
 
 
 if __name__ == "__main__":

@@ -80,66 +80,59 @@ func CompileExpanded(tab *term.Tab, prog *term.Program, opts Options) (*wam.Modu
 	if err != nil {
 		return nil, nil, err
 	}
-	c := &Compiler{
-		tab:      tab,
-		opts:     opts,
-		builtins: wam.Builtins(tab),
-		mod: &wam.Module{
-			Tab:   tab,
-			Code:  make([]wam.Instr, 0, codeBound(prog)),
-			Procs: make(map[term.Functor]*wam.Proc, len(prog.Order)),
-		},
+	mod, err := Link(tab, prog, Base{}, opts)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, f := range prog.Order {
-		if _, isBI := c.builtins[f]; isBI {
-			return nil, nil, fmt.Errorf("compiler: cannot redefine builtin %s", tab.FuncString(f))
-		}
-		if err := c.compileProc(f, prog.ClausesOf(f)); err != nil {
-			return nil, nil, err
-		}
-	}
-	c.resolveFixups()
-	return c.mod, prog, nil
+	return mod, prog, nil
 }
 
-// codeBound returns an upper bound on the number of instructions
-// CompileWith emits for prog, so that the code array is allocated once.
-// Per clause it counts one choice instruction, the head and body
-// argument sequences (argWords), one call, builtin or cut per goal,
-// allocate, get_level and deallocate when the body has two or more
-// goals, and the closing proceed. An indexed predicate adds its
+// procBound returns an upper bound on the number of instructions
+// compileProc emits for predicate f of prog, so that the code array is
+// allocated once. Per clause it counts one choice instruction, the head
+// and body argument sequences (argWords), one call, builtin or cut per
+// goal, allocate, get_level and deallocate when the body has two or
+// more goals, and the closing proceed. An indexed predicate adds its
 // switch_on_term, one constant and one structure table, and
 // try/retry/trust blocks that name each clause at most once.
-func codeBound(prog *term.Program) int {
+func procBound(prog *term.Program, f term.Functor) int {
+	idx := prog.Preds[f]
 	n := 0
-	for _, f := range prog.Order {
-		idx := prog.Preds[f]
-		if len(idx) >= 2 {
-			n += len(idx)
-			if f.Arity >= 1 {
-				n += 3 + len(idx)
+	if len(idx) >= 2 {
+		n += len(idx)
+		if f.Arity >= 1 {
+			n += 3 + len(idx)
+		}
+	}
+	for _, j := range idx {
+		cl := &prog.Clauses[j]
+		n++
+		if cl.Head.Kind == term.KStruct {
+			for _, a := range cl.Head.Args {
+				n += argWords(a)
 			}
 		}
-		for _, j := range idx {
-			cl := &prog.Clauses[j]
+		if len(cl.Body) >= 2 {
+			n += 3
+		}
+		for _, g := range cl.Body {
 			n++
-			if cl.Head.Kind == term.KStruct {
-				for _, a := range cl.Head.Args {
+			if g.Kind == term.KStruct {
+				for _, a := range g.Args {
 					n += argWords(a)
 				}
 			}
-			if len(cl.Body) >= 2 {
-				n += 3
-			}
-			for _, g := range cl.Body {
-				n++
-				if g.Kind == term.KStruct {
-					for _, a := range g.Args {
-						n += argWords(a)
-					}
-				}
-			}
 		}
+	}
+	return n
+}
+
+// codeBound is procBound summed over prog's predicates: the capacity
+// CompileWith allocates for prog.
+func codeBound(prog *term.Program) int {
+	n := 0
+	for _, f := range prog.Order {
+		n += procBound(prog, f)
 	}
 	return n
 }

@@ -27,7 +27,7 @@ import (
 // becomes local to its branch (transparent cut is not supported — the
 // benchmark suite never relies on it).
 func expandControl(tab *term.Tab, clauses []term.Clause) []term.Clause {
-	e := &expander{tab: tab}
+	e := &expander{tab: tab, out: make([]term.Clause, 0, len(clauses))}
 	for _, c := range clauses {
 		e.clause(c)
 	}
@@ -53,10 +53,20 @@ type expander struct {
 	next int
 }
 
+// clause expands one clause. A clause without control constructs is
+// passed through as the same clause object, so a predicate's expanded
+// clauses stay the parsed ones (Link compares them by identity).
 func (e *expander) clause(c term.Clause) {
-	var body []*term.Term
-	for _, g := range c.Body {
-		body = append(body, e.goal(g))
+	body := c.Body
+	for i, g := range c.Body {
+		ng := e.goal(g)
+		if ng == g {
+			continue
+		}
+		if &body[0] == &c.Body[0] {
+			body = append([]*term.Term(nil), c.Body...)
+		}
+		body[i] = ng
 	}
 	e.out = append(e.out, term.Clause{Head: c.Head, Body: body})
 }

@@ -204,6 +204,13 @@ func NewWith(mod *wam.Module, cfg Config) *Analyzer {
 // result.
 func (a *Analyzer) Interner() *domain.Interner { return a.in }
 
+// StartFrom makes the analyzer intern into in instead of an empty
+// interner: a clone (domain.Interner.Clone) of an earlier analysis'
+// interner over the same symbol table, whose IDs a WarmStart may
+// already use. Like interning before the analysis runs, it changes no
+// result. Call it before the analysis runs.
+func (a *Analyzer) StartFrom(in *domain.Interner) { a.in = in }
+
 // intern resolves cp to its hash-consed ID, counting interner traffic.
 func (a *Analyzer) intern(cp *domain.Pattern) domain.PatternID {
 	id, hit := a.in.Intern(cp)

@@ -1,6 +1,10 @@
 package domain
 
-import "awam/internal/term"
+import (
+	"maps"
+
+	"awam/internal/term"
+)
 
 // This file implements hash-consing for the abstract domain: an
 // Interner that maps every canonical Pattern (and, recursively, every abstract Term occurring in one) to a dense integer
@@ -86,6 +90,34 @@ func NewInterner() *Interner {
 		fast:  make(map[uint64][]PatternID, 64),
 		sc:    internScratch{renum: make(map[int]int, 8), ids: make([]TermID, 0, 16)},
 	}
+}
+
+// Clone returns an interner that holds every pattern in holds, under
+// the same IDs, and interns new ones above them. The clone shares in's
+// nodes, which are never modified, and clips every shared slice it may
+// append to, so its appends copy instead of writing into in: any number
+// of clones of one interner can be used concurrently, one goroutine
+// each, while in itself is no longer changed.
+func (in *Interner) Clone() *Interner {
+	return &Interner{
+		terms: in.terms[:len(in.terms):len(in.terms)],
+		tbuck: clipped(in.tbuck),
+		pats:  in.pats[:len(in.pats):len(in.pats)],
+		pbuck: clipped(in.pbuck),
+		fast:  clipped(in.fast),
+		sc:    internScratch{renum: make(map[int]int, 8), ids: make([]TermID, 0, 16)},
+	}
+}
+
+// clipped copies a bucket map with every value clipped to its length.
+func clipped[K comparable, V any](m map[K][]V) map[K][]V {
+	out := maps.Clone(m)
+	for k, v := range out {
+		if cap(v) > len(v) {
+			out[k] = v[:len(v):len(v)]
+		}
+	}
+	return out
 }
 
 // internScratch is the per-walk state: the share renumbering map, a

@@ -2,6 +2,7 @@ package domain
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"awam/internal/term"
@@ -233,6 +234,61 @@ func TestInternMappedMatchesIntern(t *testing.T) {
 		}
 		if id, hit := mapped.Intern(cp); id != id1 || !hit {
 			t.Fatalf("%s: Intern after InternMapped gives (%d, %t), want (%d, true)", cp.String(to), id, hit, id1)
+		}
+	}
+}
+
+// TestInternerClone: a clone holds every pattern of its source under
+// the same ID and interns new ones above them, by Key like any
+// interner. Clones of one interner used concurrently (go test -race)
+// never see each other's patterns, and the source is left unchanged.
+func TestInternerClone(t *testing.T) {
+	tab := term.NewTab()
+	r := rand.New(rand.NewSource(7))
+	src := NewInterner()
+	old := make([]*Pattern, 400)
+	oldIDs := make([]PatternID, len(old))
+	for i := range old {
+		old[i] = genSharedPat(r, tab)
+		oldIDs[i], _ = src.Intern(old[i])
+	}
+	pats, terms := src.Size()
+	// Fresh patterns for the clones, drawn up front: the generator
+	// interns atoms, and each clone gets its own.
+	fresh := make([][]*Pattern, 4)
+	for g := range fresh {
+		for i := 0; i < 400; i++ {
+			fresh[g] = append(fresh[g], genSharedPat(r, tab))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range fresh {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := src.Clone()
+			for _, p := range fresh[g] {
+				id, _ := c.Intern(p)
+				if c.Pattern(id).Key() != p.Key() {
+					t.Errorf("clone %d: %s interned as %s", g, p.String(tab), c.Pattern(id).String(tab))
+					return
+				}
+			}
+			for i, p := range old {
+				if id, hit := c.Intern(p); id != oldIDs[i] || !hit {
+					t.Errorf("clone %d: pattern %d is %d (hit %t), want %d", g, i, id, hit, oldIDs[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p, tm := src.Size(); p != pats || tm != terms {
+		t.Fatalf("source grew from %d/%d to %d/%d", pats, terms, p, tm)
+	}
+	for i, p := range old {
+		if id, hit := src.Intern(p); id != oldIDs[i] || !hit {
+			t.Fatalf("source pattern %d is %d (hit %t), want %d", i, id, hit, oldIDs[i])
 		}
 	}
 }

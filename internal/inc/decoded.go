@@ -33,10 +33,62 @@ type recordCache struct {
 	mu     sync.Mutex
 	tab    *term.Tab
 	recs   map[cache.Fingerprint]*decoded
+	snap   *snapshot
 	bytes  int64
 	budget int64
 	// decodes counts records decoded from text (tests).
 	decodes int64
+}
+
+// snapshot is the finished interner of the engine's last analysis,
+// with the warm entries, as IDs in it, of the records that analysis
+// served, by fingerprint. An analysis over the same symbol table starts
+// from a clone of the interner (domain.Interner.Clone), so the records
+// it serves again with the same bytes need no interning: consecutive
+// analyses of one program's versions (derived Systems share the table)
+// intern only the records of the dirty cone. The snapshot is never
+// changed; it is charged to the budget like the decoded records.
+type snapshot struct {
+	tab   *term.Tab
+	in    *domain.Interner
+	comps map[cache.Fingerprint]*cachedSCC
+	cost  int64
+}
+
+// start returns the interner an analysis over tab starts from, and the
+// served records whose IDs it keeps; nil and nil when there is no
+// snapshot over tab. A snapshot over another table is dropped: the
+// analysis will replace it, and its memory is free while it runs.
+func (c *recordCache) start(tab *term.Tab) (*domain.Interner, map[cache.Fingerprint]*cachedSCC) {
+	c.mu.Lock()
+	s := c.snap
+	if s != nil && s.tab != tab {
+		c.bytes -= s.cost
+		c.snap, s = nil, nil
+	}
+	c.mu.Unlock()
+	if s == nil {
+		return nil, nil
+	}
+	return s.in.Clone(), s.comps
+}
+
+// keep makes in, the interner of a finished analysis over tab, the
+// snapshot, with comps, the records it served. A snapshot that does
+// not fit the budget is not kept.
+func (c *recordCache) keep(tab *term.Tab, in *domain.Interner, comps map[cache.Fingerprint]*cachedSCC) {
+	pats, terms := in.Size()
+	s := &snapshot{tab: tab, in: in, comps: comps, cost: int64(pats+terms) * nodeBytes}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.snap != nil {
+		c.bytes -= c.snap.cost
+		c.snap = nil
+	}
+	if c.bytes+s.cost <= c.budget {
+		c.snap = s
+		c.bytes += s.cost
+	}
 }
 
 // decoded is one record's decoded form over the private table tab.
@@ -104,6 +156,7 @@ func (c *recordCache) get(fp cache.Fingerprint, data []byte, memo *decodeMemo) *
 	if c.bytes+d.cost > c.budget {
 		c.tab = term.NewTab()
 		clear(c.recs)
+		c.snap = nil
 		c.bytes = 0
 		return d
 	}
@@ -182,6 +235,7 @@ func (m *atomMap) cover(names []term.Atom) {
 // the map from the record's table into the analysis' table.
 type servedSCC struct {
 	scc   int
+	fp    cache.Fingerprint
 	rec   *decoded
 	atoms *atomMap
 }
@@ -222,15 +276,26 @@ func (w *warmTable) Trace(id domain.PatternID) []domain.PatternID {
 
 // cachedSCC retains a served record for the post-run merge: raw bytes
 // (to skip redundant Puts) and its entries as IDs (to keep calling
-// patterns this run never touched).
+// patterns this run never touched). It is never changed once built, so
+// a snapshot and the analyses that start from it share it.
 type cachedSCC struct {
 	raw     []byte
 	entries []warmEntry
 }
 
+// index makes we's calling pattern a seed.
+func (w *warmTable) index(we *warmEntry) {
+	for int(we.cp) >= len(w.seeds) {
+		w.seeds = append(w.seeds, nil)
+	}
+	w.seeds[we.cp] = we
+}
+
 // seed interns every served entry into in, indexes the calling patterns,
-// and returns the served records by component.
-func (w *warmTable) seed(in *domain.Interner, served []servedSCC) map[int]*cachedSCC {
+// and returns the served records by component. A record prev holds
+// under the same fingerprint with the same bytes is taken from prev
+// without interning: in is a clone of the interner prev's IDs belong to.
+func (w *warmTable) seed(in *domain.Interner, served []servedSCC, prev map[cache.Fingerprint]*cachedSCC) map[int]*cachedSCC {
 	cached := make(map[int]*cachedSCC, len(served))
 	// A callee's calling pattern recurs as a dep in every caller's
 	// trace, and records decoded in one load share those nodes.
@@ -247,6 +312,13 @@ func (w *warmTable) seed(in *domain.Interner, served []servedSCC) map[int]*cache
 		return id
 	}
 	for _, s := range served {
+		if c := prev[s.fp]; c != nil && bytes.Equal(c.raw, s.rec.raw) {
+			for k := range c.entries {
+				w.index(&c.entries[k])
+			}
+			cached[s.scc] = c
+			continue
+		}
 		atoms := s.atoms.atoms
 		c := &cachedSCC{raw: s.rec.raw, entries: make([]warmEntry, len(s.rec.entries))}
 		for k, re := range s.rec.entries {
@@ -257,10 +329,7 @@ func (w *warmTable) seed(in *domain.Interner, served []servedSCC) map[int]*cache
 			for j, dep := range re.Deps {
 				we.deps[j] = intern(dep, atoms)
 			}
-			for int(we.cp) >= len(w.seeds) {
-				w.seeds = append(w.seeds, nil)
-			}
-			w.seeds[we.cp] = we
+			w.index(we)
 		}
 		cached[s.scc] = c
 	}

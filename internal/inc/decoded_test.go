@@ -8,9 +8,12 @@ import (
 
 	"awam/internal/bench"
 	"awam/internal/cache"
+	"awam/internal/compiler"
 	"awam/internal/core"
 	"awam/internal/domain"
+	"awam/internal/parser"
 	"awam/internal/term"
+	"awam/internal/wam"
 )
 
 // engineRun analyzes src through e on a freshly compiled module, as the
@@ -176,5 +179,79 @@ func TestInternMappedOnRecords(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("no record patterns compared")
+	}
+}
+
+// compileOn compiles src onto tab, as a derived program shares its
+// base's symbol table.
+func compileOn(t *testing.T, tab *term.Tab, src string) *wam.Module {
+	t.Helper()
+	prog, err := parser.ParseProgram(tab, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := compiler.Compile(tab, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod
+}
+
+// TestInternerSnapshot: an analysis over the symbol table of the last
+// one starts from a clone of its interner and takes the records it
+// serves again with the same bytes from the snapshot, without interning
+// them; its result equals a fresh engine's. An analysis over another
+// table starts empty, and a snapshot over the budget is not kept.
+func TestInternerSnapshot(t *testing.T) {
+	src := bench.WideProgramSeeded(8, 1).Source
+	edited := src + "p3_use(mutant_1).\n"
+	want := engineRun(t, NewEngine(nil), edited).Marshal()
+
+	e := NewEngine(nil)
+	tab := term.NewTab()
+	run := func(mod *wam.Module) *Result {
+		res, err := e.AnalyzeAll(context.Background(), mod, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run(compileOn(t, tab, src))
+	run(compileOn(t, tab, src)) // warm: every record served
+	first := e.recs.snap
+	if first == nil || first.tab != tab || len(first.comps) == 0 {
+		t.Fatal("no snapshot of the warm run")
+	}
+	res := run(compileOn(t, tab, edited))
+	if res.Marshal() != want {
+		t.Fatal("analysis from the snapshot differs from a fresh engine's")
+	}
+	second := e.recs.snap
+	kept, clean := 0, 0
+	for _, fp := range res.Plan.Fingerprints {
+		c := first.comps[cache.Fingerprint(fp)]
+		if c == nil {
+			continue
+		}
+		clean++
+		if second.comps[cache.Fingerprint(fp)] == c {
+			kept++
+		}
+	}
+	if clean == 0 || kept != clean {
+		t.Fatalf("%d of %d clean served records taken from the snapshot, want all", kept, clean)
+	}
+	if in, _ := e.recs.start(term.NewTab()); in != nil || e.recs.snap != nil {
+		t.Fatal("an analysis over another table started from the snapshot, or kept it")
+	}
+
+	small := NewEngine(nil)
+	small.recs.budget = 1
+	_, mod := mustCompile(t, src)
+	if _, err := small.AnalyzeAll(context.Background(), mod, core.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if small.recs.snap != nil {
+		t.Fatal("a snapshot over the budget was kept")
 	}
 }

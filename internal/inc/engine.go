@@ -13,7 +13,8 @@ import (
 )
 
 // Engine runs incremental analyses against a summary store. Its state
-// is the store and the records it keeps decoded (recordCache), both
+// is the store and the records it keeps decoded, with the interner of
+// its last analysis (recordCache), both
 // safe for concurrent use, so one engine can serve many modules (the
 // daemon shares one across requests). The engine sees only the composed cache.ChunkStore —
 // whether a record came from memory, disk or a fabric peer is the
@@ -129,12 +130,21 @@ func (e *Engine) AnalyzeCondensed(ctx context.Context, c *Condensation, cfg core
 	}
 
 	an := core.NewWith(mod, cfg)
-	cached := warm.seed(an.Interner(), served)
+	in, prev := e.recs.start(mod.Tab)
+	if in != nil {
+		an.StartFrom(in)
+	}
+	cached := warm.seed(an.Interner(), served, prev)
 	res, err := an.AnalyzeAllContext(ctx)
 	if err != nil {
 		return nil, err
 	}
 	e.storeRecords(plan, mod.Tab, an.Interner(), res, cached)
+	comps := make(map[cache.Fingerprint]*cachedSCC, len(cached))
+	for i, c := range cached {
+		comps[cache.Fingerprint(plan.Fingerprints[i])] = c
+	}
+	e.recs.keep(mod.Tab, an.Interner(), comps)
 	if f, ok := e.store.(flusher); ok {
 		f.Flush()
 	}
@@ -221,7 +231,7 @@ func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) []servedSCC {
 			continue
 		}
 		served[i] = true
-		out = append(out, servedSCC{scc: i, rec: d, atoms: m})
+		out = append(out, servedSCC{scc: i, fp: fp, rec: d, atoms: m})
 	}
 	return out
 }

@@ -31,6 +31,7 @@ type token struct {
 	ival int64
 	line int
 	col  int
+	off  int // byte offset of the token's first character
 }
 
 func (tk token) String() string {
@@ -56,8 +57,16 @@ type lexer struct {
 	prevWasName bool
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+// newLexer returns a lexer over src positioned at byte offset pos,
+// with the line and column of that offset.
+func newLexer(src string, pos int) *lexer {
+	before := src[:pos]
+	return &lexer{
+		src:  src,
+		pos:  pos,
+		line: 1 + strings.Count(before, "\n"),
+		col:  pos - strings.LastIndexByte(before, '\n'),
+	}
 }
 
 // Error is a parse error with position information.
@@ -152,7 +161,7 @@ func (lx *lexer) next() (token, error) {
 	if err != nil {
 		return token{}, err
 	}
-	tk := token{line: lx.line, col: lx.col}
+	tk := token{line: lx.line, col: lx.col, off: lx.pos}
 	c, ok := lx.peekByte()
 	if !ok {
 		tk.kind = tokEOF

@@ -76,11 +76,19 @@ type Parser struct {
 	lx   *lexer
 	tok  token
 	vars map[string]*term.Term // per-clause variable scope
+	// end is the byte offset just past the last clause's period.
+	end int
 }
 
 // New returns a parser over src interning into tab.
 func New(tab *term.Tab, src string) (*Parser, error) {
-	p := &Parser{tab: tab, lx: newLexer(src)}
+	return newAt(tab, src, 0)
+}
+
+// newAt returns a parser over src that starts reading at byte offset
+// pos, which must be 0 or a clause boundary (see Chunk).
+func newAt(tab *term.Tab, src string, pos int) (*Parser, error) {
+	p := &Parser{tab: tab, lx: newLexer(src, pos)}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -115,6 +123,7 @@ func (p *Parser) ReadClause() (term.Clause, bool, error) {
 	if p.tok.kind != tokEnd {
 		return term.Clause{}, false, p.errorf("expected '.' after clause, got %s", p.tok)
 	}
+	p.end = p.tok.off + 1
 	if err := p.advance(); err != nil {
 		return term.Clause{}, false, err
 	}
@@ -428,26 +437,62 @@ func ParseProgram(tab *term.Tab, src string) (*term.Program, error) {
 
 // ParseClauses parses all clauses in src, dropping directives.
 func ParseClauses(tab *term.Tab, src string) ([]term.Clause, error) {
-	p, err := New(tab, src)
+	chunks, err := ReadChunks(tab, src, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]term.Clause, 0, len(chunks))
+	for _, ch := range chunks {
+		if !ch.Directive {
+			out = append(out, ch.Clause)
+		}
+	}
+	return out, nil
+}
+
+// Chunk is one clause of a source text as the reader found it.
+//
+// The offset just past a clause's terminating period is a clause
+// boundary: there the reader is in the state it starts a source in
+// (no lookahead context, a fresh variable scope), and the operator
+// table is fixed, so what it reads from a boundary depends only on the
+// bytes from there on. Reading can therefore start at any boundary of
+// a source, and a stretch of clauses whose bytes, and the byte after
+// their last period, did not change reads to the same clauses.
+type Chunk struct {
+	Clause term.Clause
+	// End is the byte offset just past the clause's period.
+	End int
+	// Directive marks a ':- Goal.' clause, which a program drops.
+	Directive bool
+}
+
+// ReadChunks reads the clauses of src from byte offset start, which
+// must be 0 or a clause boundary, in source order, to the end of src or
+// until stop (when not nil) returns true for a clause's End. Errors,
+// with their line:col positions, are those a read of the whole of src
+// would report first, provided none precedes start.
+func ReadChunks(tab *term.Tab, src string, start int, stop func(end int) bool) ([]Chunk, error) {
+	p, err := newAt(tab, src, start)
 	if err != nil {
 		return nil, err
 	}
 	directive := tab.Intern("$directive")
-	var out []term.Clause
+	var out []Chunk
 	for {
 		c, ok, err := p.ReadClause()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			break
+			return out, nil
 		}
-		if c.Head.Kind == term.KAtom && c.Head.Fn.Name == directive {
-			continue
+		dir := c.Head.Kind == term.KAtom && c.Head.Fn.Name == directive
+		out = append(out, Chunk{Clause: c, End: p.end, Directive: dir})
+		if stop != nil && stop(p.end) {
+			return out, nil
 		}
-		out = append(out, c)
 	}
-	return out, nil
 }
 
 // ParseTerm parses a single term (no trailing period required).

@@ -298,3 +298,46 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadChunksFromBoundary: reading from any clause boundary gives
+// the clauses a whole read gives from there, and a read that stops at
+// a boundary ends with the clause that ends there. Errors after the
+// boundary keep the positions of a whole read.
+func TestReadChunksFromBoundary(t *testing.T) {
+	src := "p(X) :- q(X, \"ab\").\n% note\nq(0'., [a|T]) :- r.\n:- dynamic(r/0).\n/* c */ r :- X = 'it''s', s(X).\ns(-1).\n"
+	tab := term.NewTab()
+	all, err := ReadChunks(tab, src, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 5 || !all[2].Directive || all[4].End != len(src)-1 {
+		t.Fatalf("chunks %+v", all)
+	}
+	for i := range all {
+		start := 0
+		if i > 0 {
+			start = all[i-1].End
+		}
+		got, err := ReadChunks(tab, src, start, nil)
+		if err != nil {
+			t.Fatalf("from %d: %v", start, err)
+		}
+		for j, ch := range got {
+			want := all[i+j]
+			if ch.End != want.End || tab.WriteClause(ch.Clause) != tab.WriteClause(want.Clause) {
+				t.Fatalf("from %d: chunk %d is %s ending %d, want %s ending %d", start, j,
+					tab.WriteClause(ch.Clause), ch.End, tab.WriteClause(want.Clause), want.End)
+			}
+		}
+		stopped, err := ReadChunks(tab, src, start, func(end int) bool { return end == all[i].End })
+		if err != nil || len(stopped) != 1 {
+			t.Fatalf("from %d: stop read %d chunks, %v", start, len(stopped), err)
+		}
+	}
+	bad := src + "t :- (a.\n"
+	_, whole := ReadChunks(tab, bad, 0, nil)
+	_, part := ReadChunks(tab, bad, all[2].End, nil)
+	if whole == nil || part == nil || whole.Error() != part.Error() {
+		t.Fatalf("whole read error %v, read from a boundary %v", whole, part)
+	}
+}

@@ -20,6 +20,12 @@ const recentDigests = 64
 // parse, compile, condensation and specialization: a System memoizes
 // the last two, and is safe for concurrent use.
 //
+// A miss derives the program from the last one loaded (awam's
+// Derive): an edited source reads and compiles again only what the edit
+// touched, and shares the last program's symbol table. The table only
+// grows, so once it has doubled since its lineage was loaded fresh, the
+// next miss loads fresh onto a new table.
+//
 // A program is admitted on second sight. Its first load only records
 // the digest among the recent ones; the System is kept when the same
 // source is loaded again, or when another request asked for it while
@@ -29,16 +35,27 @@ const recentDigests = 64
 // loads of one source share a single parse, and failed loads are never
 // kept: every repeat of a bad source fails the same way.
 type programCache struct {
-	// parse is awam.Load; tests replace it to hold a load open.
+	// parse is awam.Load, the fresh load; tests replace it to hold a
+	// load open.
 	parse func(source string) (*awam.System, error)
 
 	mu       sync.Mutex
 	resident *lru[*awam.System]
 	recent   *lru[struct{}]
 	loading  map[[sha256.Size]byte]*programLoad
+	// base is the System the last miss loaded; the next miss derives
+	// from it.
+	base *awam.System
 
-	hits, misses atomic.Int64
+	// misses counts every load that parsed, derivations those of them
+	// Derive served from a base.
+	hits, misses, derivations atomic.Int64
 }
+
+// rebaseFactor bounds a lineage's shared symbol table: a miss derives
+// from the base only while the table holds fewer than rebaseFactor
+// times the atoms it held at the lineage's fresh load.
+const rebaseFactor = 2
 
 // programLoad is one in-progress Load shared by concurrent requests.
 type programLoad struct {
@@ -72,7 +89,7 @@ func newSource(text string) source {
 }
 
 // load returns the System for src: the resident one on a hit, else the
-// result of (a shared) awam.Load. A hit is any request served without
+// result of a (shared) build. A hit is any request served without
 // parsing, a miss one that parsed.
 func (c *programCache) load(ctx context.Context, src source) (*awam.System, error) {
 	key := src.digest
@@ -99,10 +116,13 @@ func (c *programCache) load(ctx context.Context, src source) (*awam.System, erro
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	l.sys, l.err = c.parse(src.text)
+	l.sys, l.err = c.build(src.text)
 
 	c.mu.Lock()
 	delete(c.loading, key)
+	if l.err == nil {
+		c.base = l.sys
+	}
 	switch {
 	case l.err != nil:
 		// Not kept and not remembered: a repeat fails the same way.
@@ -115,6 +135,24 @@ func (c *programCache) load(ctx context.Context, src source) (*awam.System, erro
 	c.mu.Unlock()
 	close(l.done)
 	return l.sys, l.err
+}
+
+// build loads text on a miss: derived from the base while its table
+// is under the rebase bound, else fresh.
+func (c *programCache) build(text string) (*awam.System, error) {
+	c.mu.Lock()
+	base := c.base
+	c.mu.Unlock()
+	if base != nil {
+		if atoms, atLoad := base.TableSize(); atoms < rebaseFactor*atLoad {
+			sys, err := base.Derive(text)
+			if err == nil {
+				c.derivations.Add(1)
+			}
+			return sys, err
+		}
+	}
+	return c.parse(text)
 }
 
 // residentCount returns the number of programs held.

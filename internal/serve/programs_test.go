@@ -315,3 +315,150 @@ func BenchmarkServeBackward(b *testing.B) {
 		}
 	})
 }
+
+// TestProgramCacheDerives: a miss derives the edited source from the
+// last program loaded, counts the derivation on /v1/metrics, and
+// answers with the summaries a fresh daemon gives the edited source.
+func TestProgramCacheDerives(t *testing.T) {
+	s, ts := newCachedServer(t, Config{})
+	fresh := newTestServer(t, Config{})
+	src := bench.WideProgramSeeded(16, 1).Source
+	predicates := func(ts *httptest.Server, src string) string {
+		resp, data := postAnalyze(t, ts, reqBody(t, src))
+		mustOK(t)(resp, data)
+		var out api.AnalyzeResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(out.Predicates)
+		return string(b)
+	}
+	predicates(ts, src)
+	if n := s.programs.derivations.Load(); n != 0 {
+		t.Fatalf("first load counted %d derivations", n)
+	}
+	for i, edit := range []string{
+		"p3_use(mutant_1).\n",
+		"p3_use(mutant_1).\nextra(X) :- ( X = a -> true ; \\+ X = b ).\n",
+		"p5_use(1).\n",
+	} {
+		if got, want := predicates(ts, src+edit), predicates(fresh, src+edit); got != want {
+			t.Fatalf("edit %d: derived summaries differ:\n got %s\nwant %s", i, got, want)
+		}
+		if n := s.programs.derivations.Load(); n != int64(i+1) {
+			t.Fatalf("after edit %d: %d derivations, want %d", i, n, i+1)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE awamd_program_derivations_total counter",
+		"awamd_program_derivations_total 3",
+		`awamd_program_loads_total{result="miss"} 4`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestProgramCacheTableBounded: 2,000 one-clause edits, each naming a
+// fresh atom, through one daemon. Derived programs share one symbol
+// table, which the daemon replaces by loading fresh once it has doubled,
+// so it never holds more than twice its fresh size plus the atoms of
+// the one request that crossed the bound: its fresh atom and the names
+// an analysis interns at run time.
+func TestProgramCacheTableBounded(t *testing.T) {
+	post := func(s *Server, i int) *awam.System {
+		body := reqBody(t, testProg+fmt.Sprintf("tag(t%d).\n", i))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("edit %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
+		}
+		return s.programs.base
+	}
+	newServer := func() *Server {
+		s, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// One request on a fresh table: the atoms it adds after its load.
+	atoms, atLoad := post(newServer(), 0).TableSize()
+	bound, perRequest := rebaseFactor*atLoad, atoms-atLoad+1
+
+	s := newServer()
+	const edits = 2000
+	maxAtoms := 0
+	for i := 0; i < edits; i++ {
+		atoms, _ := post(s, i).TableSize()
+		maxAtoms = max(maxAtoms, atoms)
+	}
+	if maxAtoms > bound+perRequest {
+		t.Errorf("shared table reached %d atoms, bound %d (+%d for the crossing request)", maxAtoms, bound, perRequest)
+	}
+	misses, derived := s.programs.misses.Load(), s.programs.derivations.Load()
+	if misses != edits {
+		t.Fatalf("%d misses over %d distinct sources", misses, edits)
+	}
+	// Each fresh load after the first is a rebase; the rest derived.
+	if rebases := misses - derived - 1; rebases < 1 || derived < edits/2 {
+		t.Errorf("%d edits: %d derived, %d rebases", edits, derived, rebases)
+	}
+}
+
+// BenchmarkServeAnalyze times a one-edit /v1/analyze of wide_32 through
+// the daemon's handler, each request's source wide_32 plus a distinct
+// neutral fact, against a store primed with wide_32. derived runs with
+// a base present, so each request derives its program from the last
+// one; fresh empties the program cache first, so each request loads its
+// program fresh, as every edit did before derivation.
+func BenchmarkServeAnalyze(b *testing.B) {
+	src := bench.WideProgramSeeded(32, 1).Source
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	post := func(src string) {
+		body, _ := json.Marshal(api.AnalyzeRequest{Source: src})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	post(src)
+	n := 0
+	edit := func() string {
+		n++
+		return src + fmt.Sprintf("p%d_use(mutant_%d).\n", n%32, n)
+	}
+	b.Run("derived", func(b *testing.B) {
+		post(edit())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(edit())
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s.programs = newProgramCache(s.cfg.MaxConcurrent)
+			next := edit()
+			b.StartTimer()
+			post(next)
+		}
+	})
+}

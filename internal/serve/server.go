@@ -21,7 +21,9 @@
 //
 // Loaded programs stay in the daemon (programs.go): a repeat request on
 // an unchanged source reuses its compiled System, condensation and
-// specialized program instead of parsing and compiling it again.
+// specialized program instead of parsing and compiling it again, and an
+// edited source is derived from the last program loaded, reading and
+// compiling only what the edit touched.
 //
 // Robustness: request bodies are size-capped, each analysis runs under
 // a per-request deadline and optional abstract-step budget, a worker
@@ -472,6 +474,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"awamd_programs_resident", "Loaded programs kept for repeat requests.", "gauge", int64(s.programs.residentCount())},
 		{"awamd_program_loads_total{result=\"hit\"}", "Program loads by outcome: a hit reused a resident or in-flight program, a miss parsed the source.", "counter", s.programs.hits.Load()},
 		{"awamd_program_loads_total{result=\"miss\"}", "", "", s.programs.misses.Load()},
+		{"awamd_program_derivations_total", "Program loads that derived an edited source from the last program loaded, reading and compiling only what the edit touched.", "counter", s.programs.derivations.Load()},
 		{"awamd_cache_hits_total", "Summary-store record hits (any tier).", "counter", cs.Hits},
 		{"awamd_cache_misses_total", "Summary-store record misses.", "counter", cs.Misses},
 		{"awamd_cache_evictions_total", "Summary-store evictions.", "counter", cs.Evictions},

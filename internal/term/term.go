@@ -12,6 +12,7 @@ package term
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -77,6 +78,14 @@ func (t *Tab) Intern(name string) Atom {
 	return a
 }
 
+// Len returns the number of atoms interned so far. A table only grows,
+// so Len never decreases.
+func (t *Tab) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.names)
+}
+
 // Name returns the spelling of an interned atom.
 func (t *Tab) Name(a Atom) string {
 	t.mu.RLock()
@@ -94,7 +103,7 @@ func (t *Tab) Func(name string, arity int) Functor {
 
 // FuncString renders a functor as name/arity.
 func (t *Tab) FuncString(f Functor) string {
-	return fmt.Sprintf("%s/%d", t.Name(f.Name), f.Arity)
+	return t.Name(f.Name) + "/" + strconv.Itoa(f.Arity)
 }
 
 // ConsFunctor returns the list constructor './2'.

@@ -147,9 +147,10 @@ func (s *System) Optimize(a *Analysis, opts ...OptimizeOption) (*System, *Optimi
 // measurement's concrete runs stop once ctx is done, and the error
 // wraps ErrCanceled.
 func (s *System) OptimizeContext(ctx context.Context, a *Analysis, opts ...OptimizeOption) (*System, *OptimizeReport, error) {
-	// The analysis must come from this system or one derived from it
-	// (Specialize/StripUnreachable chains share the symbol table).
-	if a == nil || a.sys == nil || a.sys.tab != s.tab {
+	// The analysis must come from this system or one made from it by
+	// Optimize or StripUnreachable: those share the parsed program.
+	// (Derived Systems of edited sources share only the symbol table.)
+	if a == nil || a.sys == nil || a.sys.prog != s.prog {
 		return nil, nil, fmt.Errorf("%w: analysis does not belong to this system", ErrOptimize)
 	}
 	cfg := optimizeCfg{measureRuns: 3}
@@ -220,5 +221,5 @@ func (s *System) OptimizeContext(ctx context.Context, a *Analysis, opts ...Optim
 			}
 		}
 	}
-	return &System{tab: s.tab, prog: s.prog, mod: mod, exp: s.exp}, report, nil
+	return &System{tab: s.tab, prog: s.prog, mod: mod, exp: s.exp, src: s.src}, report, nil
 }
