@@ -264,6 +264,14 @@ type Incremental struct {
 	// summaries instead of being explored; ColdPatterns were probed but
 	// not cached.
 	WarmPatterns, ColdPatterns int64
+	// HashedFingerprints is the number of component fingerprints the
+	// analysis hashed; the others came from the System's memo, which a
+	// derived System starts from its base's (Derive).
+	HashedFingerprints int
+	// StoredSummaries and ComputedSummaries count the Summary calls so
+	// far that reused a summary kept with the store and those that
+	// computed one.
+	StoredSummaries, ComputedSummaries int64
 }
 
 // Incremental returns the cache accounting of this analysis, and ok =
@@ -273,10 +281,13 @@ func (a *Analysis) Incremental() (Incremental, bool) {
 		return Incremental{}, false
 	}
 	return Incremental{
-		SCCs:         len(a.inc.Plan.SCCs),
-		WarmSCCs:     a.inc.WarmSCCs,
-		WarmPatterns: a.inc.Metrics.WarmHits,
-		ColdPatterns: a.inc.Metrics.WarmMisses,
+		SCCs:               len(a.inc.Plan.SCCs),
+		WarmSCCs:           a.inc.WarmSCCs,
+		WarmPatterns:       a.inc.Metrics.WarmHits,
+		ColdPatterns:       a.inc.Metrics.WarmMisses,
+		HashedFingerprints: a.inc.Plan.Hashed,
+		StoredSummaries:    a.stored.Load(),
+		ComputedSummaries:  a.computed.Load(),
 	}, true
 }
 

@@ -6,10 +6,12 @@ source to /v1/backward and assert the demands equal a batch
 `awam backward` run — and that an immediately repeated demand query is
 served warm from the daemon's store (zero components re-executed). A
 third demand query must find the program resident: /v1/metrics reports
-a program-cache hit. Finally a one-clause edit of the source must be
-derived from the loaded program (awamd_program_derivations_total rises)
-and answer with the summaries of a batch `awam analyze -worklist` run
-on the edited source.
+a program-cache hit. Finally three successive one-clause edits of the
+source must each be derived from the program loaded before it
+(awamd_program_derivations_total rises) and answer with the summaries
+of a batch `awam analyze -worklist` run on the edited source. The
+second edit makes partition/4 call qsort/3 back, merging their
+components; the third deletes that call again.
 
 Usage: daemon_smoke.py http://127.0.0.1:8347
 Run from the repository root (invokes `go run ./cmd/awam`).
@@ -38,6 +40,16 @@ QSORT_EDIT = QSORT.replace(
     "main :- qsort([3,1,2], _, []).",
     "main :- qsort([3,1,2], _, []), qsort([b,a], _, []).",
 )
+
+# A clause of partition/4 that calls qsort/3, whose component it joins.
+BACK_CALL = "partition(L, _, L, []) :- qsort(L, _, []).\n"
+
+# Successive edits, each derived from the program before it.
+EDITS = [
+    ("main sorts atoms too", QSORT_EDIT),
+    ("partition calls qsort back", QSORT_EDIT + BACK_CALL),
+    ("the back-call deleted", QSORT_EDIT),
+]
 
 
 def daemon_modes(base, source=QSORT):
@@ -176,17 +188,18 @@ def compare_modes(got, want):
         sys.exit(f"daemon response missing main/0; has {sorted(got)}")
 
 
-def check_edit(base):
-    before = metric(base, "awamd_program_derivations_total")
-    got = daemon_modes(base, QSORT_EDIT)
-    after = metric(base, "awamd_program_derivations_total")
-    if after <= before:
-        sys.exit(f"edited source was not derived from the loaded program "
-                 f"(derivations {before} -> {after})")
-    want = batch_modes(QSORT_EDIT)
-    compare_modes(got, want)
-    print(f"one-clause edit derived ({before} -> {after} derivations), "
-          f"modes match batch analyze for {len(want)} predicates: OK")
+def check_edits(base):
+    for what, source in EDITS:
+        before = metric(base, "awamd_program_derivations_total")
+        got = daemon_modes(base, source)
+        after = metric(base, "awamd_program_derivations_total")
+        if after <= before:
+            sys.exit(f"edit ({what}) was not derived from the loaded program "
+                     f"(derivations {before} -> {after})")
+        want = batch_modes(source)
+        compare_modes(got, want)
+        print(f"edit ({what}) derived ({before} -> {after} derivations), "
+              f"modes match batch analyze for {len(want)} predicates: OK")
 
 
 def main():
@@ -197,7 +210,7 @@ def main():
     compare_modes(got, want)
     print(f"daemon modes match batch analyze for {len(want)} predicates: OK")
     check_backward(sys.argv[1])
-    check_edit(sys.argv[1])
+    check_edits(sys.argv[1])
 
 
 if __name__ == "__main__":

@@ -80,7 +80,7 @@ func CompileExpanded(tab *term.Tab, prog *term.Program, opts Options) (*wam.Modu
 	if err != nil {
 		return nil, nil, err
 	}
-	mod, err := Link(tab, prog, Base{}, opts)
+	mod, _, err := Link(tab, prog, Base{}, opts)
 	if err != nil {
 		return nil, nil, err
 	}

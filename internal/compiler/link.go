@@ -25,7 +25,9 @@ type Base struct {
 // never mutated, so the module equals a compilation of prog from
 // scratch; errors are those compilation reports first, in prog.Order.
 // base.Mod must have been compiled by Link with the same options.
-func Link(tab *term.Tab, prog *term.Program, base Base, opts Options) (*wam.Module, error) {
+// copied reports, indexed like the module's Order, which predicates
+// were copied from base.
+func Link(tab *term.Tab, prog *term.Program, base Base, opts Options) (mod *wam.Module, copied []bool, err error) {
 	c := &Compiler{
 		tab:      tab,
 		opts:     opts,
@@ -36,10 +38,11 @@ func Link(tab *term.Tab, prog *term.Program, base Base, opts Options) (*wam.Modu
 		},
 	}
 	reused := make([]*wam.Proc, len(prog.Order))
+	copied = make([]bool, len(prog.Order))
 	size := 0
 	for i, f := range prog.Order {
 		if bp := base.proc(prog, f); bp != nil {
-			reused[i] = bp
+			reused[i], copied[i] = bp, true
 			size += bp.Profile.Instructions
 		} else {
 			size += procBound(prog, f)
@@ -48,18 +51,18 @@ func Link(tab *term.Tab, prog *term.Program, base Base, opts Options) (*wam.Modu
 	c.mod.Code = make([]wam.Instr, 0, size)
 	for i, f := range prog.Order {
 		if _, isBI := c.builtins[f]; isBI {
-			return nil, fmt.Errorf("compiler: cannot redefine builtin %s", tab.FuncString(f))
+			return nil, nil, fmt.Errorf("compiler: cannot redefine builtin %s", tab.FuncString(f))
 		}
 		if bp := reused[i]; bp != nil {
 			c.copyProc(base.Mod, bp)
 			continue
 		}
 		if err := c.compileProc(f, prog.ClausesOf(f)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	c.resolveFixups()
-	return c.mod, nil
+	return c.mod, copied, nil
 }
 
 // proc returns base's procedure for f when prog gives f exactly the

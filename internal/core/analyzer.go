@@ -858,22 +858,57 @@ func (r *Result) CallFor(fn term.Functor) *domain.Pattern {
 	return acc
 }
 
-// Predicates lists the analyzed predicates in a stable order.
+// Predicates lists the analyzed predicates in a stable order: by name,
+// then arity.
 func (r *Result) Predicates() []term.Functor {
-	seen := make(map[term.Functor]bool)
-	var out []term.Functor
+	fns, _ := r.Grouped()
+	return fns
+}
+
+// Grouped returns the analyzed predicates in Predicates' order, and
+// each one's entries in table order.
+func (r *Result) Grouped() ([]term.Functor, [][]*Entry) {
+	// Keyed by name and arity packed in one word: a map of word keys is
+	// several times faster than one of Functor structs.
+	at := make(map[uint64]int)
+	g := byName{}
 	for _, e := range r.Entries {
-		if !seen[e.CP.Fn] {
-			seen[e.CP.Fn] = true
-			out = append(out, e.CP.Fn)
+		key := uint64(uint32(e.CP.Fn.Name))<<32 | uint64(uint32(e.CP.Fn.Arity))
+		i, seen := at[key]
+		if !seen {
+			i = len(g.fns)
+			at[key] = i
+			g.fns = append(g.fns, e.CP.Fn)
+			g.groups = append(g.groups, nil)
 		}
+		g.groups[i] = append(g.groups[i], e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ni, nj := r.Tab.Name(out[i].Name), r.Tab.Name(out[j].Name)
-		if ni != nj {
-			return ni < nj
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
+	// Each name is fetched once: Tab.Name takes the table's read lock.
+	g.names = make([]string, len(g.fns))
+	for i, fn := range g.fns {
+		g.names[i] = r.Tab.Name(fn.Name)
+	}
+	sort.Sort(g)
+	return g.fns, g.groups
+}
+
+// byName sorts predicates by name, then arity, over their prefetched
+// names, with their entry groups.
+type byName struct {
+	fns    []term.Functor
+	names  []string
+	groups [][]*Entry
+}
+
+func (b byName) Len() int { return len(b.fns) }
+func (b byName) Less(i, j int) bool {
+	if b.names[i] != b.names[j] {
+		return b.names[i] < b.names[j]
+	}
+	return b.fns[i].Arity < b.fns[j].Arity
+}
+func (b byName) Swap(i, j int) {
+	b.fns[i], b.fns[j] = b.fns[j], b.fns[i]
+	b.names[i], b.names[j] = b.names[j], b.names[i]
+	b.groups[i], b.groups[j] = b.groups[j], b.groups[i]
 }

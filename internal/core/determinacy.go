@@ -35,13 +35,19 @@ type DetEntry struct {
 func (d DetEntry) Det() bool { return d.Matching <= 1 }
 
 // Determinacy computes matching-clause counts for every table entry.
-// Call it on the analyzer that produced res (it reuses its heap).
+// It runs on the analyzer's heap: calls must not overlap.
 func (a *Analyzer) Determinacy(res *Result) []DetEntry {
+	return a.DeterminacyOf(res.Entries)
+}
+
+// DeterminacyOf computes matching-clause counts for the given entries,
+// such as one predicate's.
+func (a *Analyzer) DeterminacyOf(ents []*Entry) []DetEntry {
 	if a.h == nil {
 		a.h = rt.NewHeap()
 	}
-	out := make([]DetEntry, 0, len(res.Entries))
-	for _, e := range res.Entries {
+	out := make([]DetEntry, 0, len(ents))
+	for _, e := range ents {
 		proc := a.mod.Proc(e.CP.Fn)
 		if proc == nil {
 			out = append(out, DetEntry{CP: e})

@@ -2,9 +2,11 @@ package inc
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"sort"
 	"strings"
@@ -54,6 +56,17 @@ const fpFormat = "awam-scc-fp 3"
 // and the components they reach through Callees are: that set is closed
 // under callees, so each of its fingerprints is identical to the
 // whole-program one, and the rest of the plan stays "".
+//
+// The condensation memoizes, per format and context, each component's
+// salt, its own hash (the hash state after the schema, configuration,
+// salt and members' code) and its fingerprint. A fingerprint is reused
+// when the component's salt is the memo's and every callee's
+// fingerprint was reused too; otherwise the own hash is reused when the
+// salt is the memo's, and only the callee part is hashed again. A
+// derived condensation (Derive) starts from its base's memo, so a
+// one-edit program hashes only its dirty cone. Only whole-program calls
+// (roots nil) update the memo, which keeps every memoized fingerprint
+// the hash of its callees' memoized ones.
 func (c *Condensation) Fingerprint(format, context string, compSalt func(*SCC) string, roots []int) *Plan {
 	p := &Plan{Condensation: c, Fingerprints: make([]string, len(c.SCCs))}
 	var need []bool
@@ -70,27 +83,73 @@ func (c *Condensation) Fingerprint(format, context string, compSalt func(*SCC) s
 			stack = append(stack, c.SCCs[i].Callees...)
 		}
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := format + "\x00" + context
+	m := c.memo[key]
+	if m == nil {
+		m = &fpMemo{comps: make([]fpComp, len(c.SCCs))}
+		if roots == nil {
+			// A first whole-program pass hashes every component: size the
+			// own-hash store for all of them at once.
+			m.states = make([]byte, 0, len(c.SCCs)*stateSize)
+			if c.memo == nil {
+				c.memo = make(map[string]*fpMemo)
+			}
+			c.memo[key] = m
+		}
+	}
+	// A partial pass keeps the own hashes it computes to itself.
+	states := m
+	if roots != nil {
+		states = &fpMemo{}
+	}
+	reused := make([]bool, len(c.SCCs))
+	h := sha256.New()
 	var bw binWriter
 	var fps []string
+	var sum [sha256.Size]byte
 	for i, scc := range c.SCCs {
 		if need != nil && !need[i] {
 			continue
 		}
-		bw.buf = bw.buf[:0]
-		bw.str(format)
-		bw.str(context)
+		salt := fpComp{}
 		if compSalt != nil {
-			bw.str(compSalt(scc))
+			salt.salted, salt.salt = true, compSalt(scc)
 		}
-		for _, fn := range scc.Members {
-			if scc.Undefined {
-				bw.str("undefined")
-				bw.str(c.Mod.Tab.Name(fn.Name))
-				bw.uint(uint64(fn.Arity))
-				continue
+		mc := m.comps[i]
+		sameSalt := mc.own != nil && mc.salted == salt.salted && mc.salt == salt.salt
+		if sameSalt && mc.fp != "" && allReused(scc.Callees, reused) {
+			p.Fingerprints[i] = mc.fp
+			reused[i] = true
+			continue
+		}
+		p.Hashed++
+		if sameSalt {
+			if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(mc.own); err != nil {
+				panic(err) // a state this hash marshaled
 			}
-			sp := c.spans[fn]
-			writeProcBin(&bw, c.Mod, fn, sp[0], sp[1])
+		} else {
+			h.Reset()
+			bw.buf = bw.buf[:0]
+			bw.str(format)
+			bw.str(context)
+			if salt.salted {
+				bw.str(salt.salt)
+			}
+			for _, fn := range scc.Members {
+				if scc.Undefined {
+					bw.str("undefined")
+					bw.str(c.Mod.Tab.Name(fn.Name))
+					bw.uint(uint64(fn.Arity))
+					continue
+				}
+				sp, _ := c.span(fn)
+				writeProcBin(&bw, c.Mod, fn, sp[0], sp[1])
+			}
+			h.Write(bw.buf)
+			mc = salt
+			mc.own = states.appendState(h)
 		}
 		// Callee fingerprints sorted lexically: the set matters, not the
 		// call order (summaries are order-free), and sorting keeps the
@@ -100,13 +159,66 @@ func (c *Condensation) Fingerprint(format, context string, compSalt func(*SCC) s
 			fps = append(fps, p.Fingerprints[j])
 		}
 		sort.Strings(fps)
+		bw.buf = bw.buf[:0]
 		for _, fp := range fps {
 			bw.str(fp)
 		}
-		sum := sha256.Sum256(bw.buf)
-		p.Fingerprints[i] = hex.EncodeToString(sum[:])
+		h.Write(bw.buf)
+		mc.fp = hex.EncodeToString(h.Sum(sum[:0]))
+		p.Fingerprints[i] = mc.fp
+		if roots == nil {
+			m.comps[i] = mc
+		}
 	}
 	return p
+}
+
+// fpMemo is a condensation's fingerprint memo for one format and
+// context, indexed like SCCs.
+type fpMemo struct {
+	comps []fpComp
+	// states backs the own hashes this memo computed.
+	states []byte
+}
+
+// fpComp is one component's memo entry: the salt it was hashed under,
+// the hash state after its own part, and its fingerprint.
+type fpComp struct {
+	salted bool
+	salt   string
+	own    []byte
+	fp     string
+}
+
+// stateSize is the length of a marshaled SHA-256 state.
+var stateSize = func() int {
+	b, err := sha256.New().(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err)
+	}
+	return len(b)
+}()
+
+// appendState marshals h's state into the memo's backing store.
+func (m *fpMemo) appendState(h hash.Hash) []byte {
+	start := len(m.states)
+	var err error
+	m.states, err = h.(encoding.BinaryAppender).AppendBinary(m.states)
+	if err != nil {
+		panic(err) // sha256 state always marshals
+	}
+	return m.states[start:len(m.states):len(m.states)]
+}
+
+// allReused reports whether every callee's fingerprint came from the
+// memo.
+func allReused(callees []int, reused []bool) bool {
+	for _, j := range callees {
+		if !reused[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // binWriter builds the fingerprint's hash input: a flat byte string of
@@ -283,7 +395,7 @@ func relTable[K comparable](t map[K]int, rel func(int) int) map[K]int {
 // (the hash input itself is the binary form of writeProcBin). Exposed
 // for tests and the debug CLI; returns "" for undefined predicates.
 func (c *Condensation) ProcText(fn term.Functor) string {
-	sp, ok := c.spans[fn]
+	sp, ok := c.span(fn)
 	if !ok {
 		return ""
 	}

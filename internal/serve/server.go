@@ -119,6 +119,11 @@ type Server struct {
 	inflight                        atomic.Int64
 	storeHas, storeGet, storePut    atomic.Int64
 	recordsServed, recordsStored    atomic.Int64
+	// The /v1/analyze work a derived program reuses: component
+	// fingerprints taken from the memo or hashed, and predicate
+	// summaries kept with the store or computed.
+	fpReused, fpHashed       atomic.Int64
+	sumsStored, sumsComputed atomic.Int64
 }
 
 // flight is one in-progress analysis shared by coalesced requests.
@@ -306,6 +311,10 @@ func (s *Server) runAnalysis(ctx context.Context, req *analyzeRequest, src sourc
 			SCCs: inc.SCCs, WarmSCCs: inc.WarmSCCs,
 			WarmPatterns: inc.WarmPatterns, ColdPatterns: inc.ColdPatterns,
 		}
+		s.fpReused.Add(int64(inc.SCCs - inc.HashedFingerprints))
+		s.fpHashed.Add(int64(inc.HashedFingerprints))
+		s.sumsStored.Add(inc.StoredSummaries)
+		s.sumsComputed.Add(inc.ComputedSummaries)
 	}
 	cs := s.cache.Stats()
 	resp.Cache = api.Cache{
@@ -475,6 +484,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"awamd_program_loads_total{result=\"hit\"}", "Program loads by outcome: a hit reused a resident or in-flight program, a miss parsed the source.", "counter", s.programs.hits.Load()},
 		{"awamd_program_loads_total{result=\"miss\"}", "", "", s.programs.misses.Load()},
 		{"awamd_program_derivations_total", "Program loads that derived an edited source from the last program loaded, reading and compiling only what the edit touched.", "counter", s.programs.derivations.Load()},
+		{"awamd_fingerprints_total{result=\"reused\"}", "Component fingerprints of /v1/analyze programs, by outcome: reused from the program's memo, or hashed.", "counter", s.fpReused.Load()},
+		{"awamd_fingerprints_total{result=\"hashed\"}", "", "", s.fpHashed.Load()},
+		{"awamd_summaries_total{result=\"stored\"}", "Predicate summaries of /v1/analyze responses, by outcome: reused from those kept with the summary store, or computed.", "counter", s.sumsStored.Load()},
+		{"awamd_summaries_total{result=\"computed\"}", "", "", s.sumsComputed.Load()},
 		{"awamd_cache_hits_total", "Summary-store record hits (any tier).", "counter", cs.Hits},
 		{"awamd_cache_misses_total", "Summary-store record misses.", "counter", cs.Misses},
 		{"awamd_cache_evictions_total", "Summary-store evictions.", "counter", cs.Evictions},

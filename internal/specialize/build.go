@@ -34,6 +34,98 @@ const maxTrackRegs = 128
 // prof nil and zero Options, Build yields the plain stream: one word
 // per wam instruction.
 func Build(mod *wam.Module, comps [][]term.Functor, prof *Profile, opts Options) *Program {
+	var total int64
+	if prof != nil {
+		total = prof.totalPredSteps()
+	}
+	return build(mod, comps, nil, opts, func(members []term.Functor) uint32 {
+		return enabledMask(prof, total, members, opts)
+	})
+}
+
+// BuildStatic is Build over StaticProfile(mod), with comps given as a
+// condensation (inc.Condensation): its components' members, and
+// compOf, the index of each member's component, which the program
+// shares. The program remembers the profile's opcode histogram and
+// total weight, from which Derive works out the profile of a module
+// linked from mod.
+func BuildStatic(mod *wam.Module, comps [][]term.Functor, compOf map[term.Functor]int, opts Options) *Program {
+	prof := StaticProfile(mod)
+	total := prof.totalPredSteps()
+	p := build(mod, comps, compOf, opts, func(members []term.Functor) uint32 {
+		return enabledMask(prof, total, members, opts)
+	})
+	p.static = &staticTotals{opcodes: prof.Opcodes, total: total}
+	return p
+}
+
+// staticTotals is what BuildStatic keeps of the static profile.
+type staticTotals struct {
+	opcodes [wam.NumOps]int64
+	total   int64
+}
+
+// Derive returns BuildStatic(mod, comps, compOf, p.Opts) for a module
+// mod linked from p's module, where base maps each of comps to the
+// component of p with the same members and the same code, or -1 (an
+// inc.Condensation's Base). p must come from BuildStatic or Derive.
+//
+// Only the changed components are read: the static profile of mod is
+// p's with the opcodes and weights of p's components that no component
+// maps to taken out and those of the unmapped components of comps put
+// in. A component's fusion mask depends on the module's opcode
+// histogram and total weight, so a kept component gets the mask the
+// new totals give it, which is its old one unless the edit moved it
+// across the hotness threshold or changed which fusion kinds occur.
+func (p *Program) Derive(mod *wam.Module, comps [][]term.Functor, compOf map[term.Functor]int, base []int) *Program {
+	st := *p.static
+	mapped := make([]bool, len(p.Comps))
+	for _, k := range base {
+		if k >= 0 {
+			mapped[k] = true
+		}
+	}
+	for k, cs := range p.Comps {
+		if !mapped[k] {
+			st.add(p.mod, cs.Members, -1)
+		}
+	}
+	for i, members := range comps {
+		if base[i] < 0 {
+			st.add(mod, members, 1)
+		}
+	}
+	prof := &Profile{Opcodes: st.opcodes}
+	out := build(mod, comps, compOf, p.Opts, func(members []term.Functor) uint32 {
+		var mine int64
+		for _, fn := range members {
+			mine += staticWeight(mod.Proc(fn))
+		}
+		return fusionMask(prof, st.total, mine, p.Opts)
+	})
+	out.static = &st
+	return out
+}
+
+// add adds (sign 1) or takes out (sign -1) the static profile of the
+// given predicates of mod.
+func (st *staticTotals) add(mod *wam.Module, members []term.Functor, sign int64) {
+	for _, fn := range members {
+		proc := mod.Proc(fn)
+		if proc == nil {
+			continue
+		}
+		st.total += sign * staticWeight(proc)
+		for _, ins := range mod.Code[proc.Entry : proc.Entry+proc.Profile.Instructions] {
+			st.opcodes[ins.Op] += sign
+		}
+	}
+}
+
+// build lays out the program's components: membership (compOf, built
+// here when nil), the clause address map with each component's clause
+// numbering, and each component's fusion mask from mask.
+func build(mod *wam.Module, comps [][]term.Functor, compOf map[term.Functor]int, opts Options, mask func([]term.Functor) uint32) *Program {
 	if comps == nil {
 		comps = make([][]term.Functor, 0, len(mod.Order))
 		for _, fn := range mod.Order {
@@ -44,26 +136,25 @@ func Build(mod *wam.Module, comps [][]term.Functor, prof *Profile, opts Options)
 		Opts:   opts,
 		Comps:  make([]*CompStream, len(comps)),
 		mod:    mod,
-		compOf: make(map[term.Functor]int32, len(mod.Order)),
+		compOf: compOf,
 		locs:   make([]Loc, len(mod.Code)),
 	}
 	for i := range prog.locs {
 		prog.locs[i] = Loc{Comp: -1, Clause: -1}
 	}
-	for ci, members := range comps {
-		for _, fn := range members {
-			prog.compOf[fn] = int32(ci)
+	if compOf == nil {
+		prog.compOf = make(map[term.Functor]int, len(mod.Order))
+		for ci, members := range comps {
+			for _, fn := range members {
+				prog.compOf[fn] = ci
+			}
 		}
-	}
-	var total int64
-	if prof != nil {
-		total = prof.totalPredSteps()
 	}
 	for ci, members := range comps {
 		cs := &CompStream{
 			Index:      ci,
 			Members:    members,
-			FusionMask: enabledMask(prof, total, members, opts),
+			FusionMask: mask(members),
 		}
 		for _, fn := range members {
 			proc := mod.Proc(fn)
@@ -108,9 +199,9 @@ func (p *Program) translate(cs *CompStream) {
 	for i := range cs.Calls {
 		cr := &cs.Calls[i]
 		if ci, ok := p.compOf[cr.Fn]; ok {
-			cr.Comp = ci
+			cr.Comp = int32(ci)
 			if proc := p.mod.Proc(cr.Fn); proc != nil && len(proc.Clauses) > 0 {
-				if loc := p.Loc(proc.Clauses[0]); loc.Comp == ci {
+				if loc := p.Loc(proc.Clauses[0]); loc.Comp == int32(ci) {
 					cr.Clause0 = loc.Clause
 				}
 			}

@@ -99,17 +99,23 @@ func slotCount(prof *Profile) int64 {
 // total is prof.totalPredSteps(), computed once per Build by the caller
 // so that selection costs O(members) per component, not O(predicates).
 func enabledMask(prof *Profile, total int64, members []term.Functor, opts Options) uint32 {
+	if prof == nil {
+		return 0
+	}
+	var mine int64
+	for _, fn := range members {
+		mine += prof.PredSteps[fn]
+	}
+	return fusionMask(prof, total, mine, opts)
+}
+
+// fusionMask is enabledMask for a component of weight mine.
+func fusionMask(prof *Profile, total, mine int64, opts Options) uint32 {
 	if !opts.Fuse || prof == nil {
 		return 0
 	}
-	if total > 0 {
-		var mine int64
-		for _, fn := range members {
-			mine += prof.PredSteps[fn]
-		}
-		if mine*hotShareDen < total {
-			return 0
-		}
+	if total > 0 && mine*hotShareDen < total {
+		return 0
 	}
 	if slotCount(prof) == 0 {
 		return 0

@@ -36,13 +36,18 @@ func StaticProfile(mod *wam.Module) *Profile {
 		if proc == nil {
 			continue
 		}
-		w := int64(proc.Profile.Instructions)
-		if w <= 0 {
-			w = 1
-		}
-		p.PredSteps[fn] = w
+		p.PredSteps[fn] = staticWeight(proc)
 	}
 	return p
+}
+
+// staticWeight is a defined predicate's weight in the static profile:
+// its instruction count, at least 1; an undefined one weighs nothing.
+func staticWeight(proc *wam.Proc) int64 {
+	if proc == nil {
+		return 0
+	}
+	return max(int64(proc.Profile.Instructions), 1)
 }
 
 func (p *Profile) totalPredSteps() int64 {

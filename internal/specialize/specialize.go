@@ -236,8 +236,11 @@ type Program struct {
 	Comps []*CompStream
 
 	mod    *wam.Module
-	compOf map[term.Functor]int32
+	compOf map[term.Functor]int
 	locs   []Loc
+	// static holds the static profile's totals of a program from
+	// BuildStatic or Derive; nil otherwise.
+	static *staticTotals
 }
 
 // Comp returns component i with its stream translated.
