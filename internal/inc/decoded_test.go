@@ -255,3 +255,62 @@ func TestInternerSnapshot(t *testing.T) {
 		t.Fatal("a snapshot over the budget was kept")
 	}
 }
+
+// TestStoredSummaryCharges: a stored summary is charged its value's
+// size and its pattern slice to the budget, is found only under the
+// fingerprint and entries it was kept with, and replaces what its
+// predicate had stored under another fingerprint; one over the budget
+// drops the stored summaries, and so does dropping the snapshot they
+// belong to.
+func TestStoredSummaryCharges(t *testing.T) {
+	e := NewEngine(nil)
+	res := engineRun(t, e, bench.WideProgramSeeded(8, 1).Source)
+	fns, groups := res.Grouped()
+	fn, ents := fns[0], groups[0]
+	c := e.recs
+	bytes := func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.bytes
+	}
+
+	before := bytes()
+	res.KeepSummary(fn, ents, "summary", 1000)
+	pats := entryPatterns(ents)
+	want := int64(storedBytes+1000) + 8*int64(len(pats))
+	if got := bytes() - before; got != want {
+		t.Fatalf("stored summary charged %d bytes, want %d", got, want)
+	}
+	if v, ok := res.StoredSummary(fn, ents); !ok || v != "summary" {
+		t.Fatalf("stored summary not found: %v %t", v, ok)
+	}
+	if _, ok := res.StoredSummary(fn, ents[:len(ents)-1]); ok {
+		t.Fatal("stored summary found for other entries")
+	}
+
+	fp, _ := res.fingerprint(fn)
+	c.keepSummary(res.Tab, fp+"x", fn, pats, "other", 10)
+	if _, ok := res.StoredSummary(fn, ents); ok {
+		t.Fatal("summary under the old fingerprint still found after a new one was stored")
+	}
+	if got, want := bytes()-before, want-1000+10; got != want || len(c.sums) != 1 {
+		t.Fatalf("after replacement: %d bytes charged over %d summaries, want %d over 1", got, len(c.sums), want)
+	}
+
+	budget := c.budget
+	c.budget = bytes() + 100
+	res.KeepSummary(fns[1], groups[1], "large", 1000)
+	if c.sums != nil || bytes() != before {
+		t.Fatalf("a summary over the budget left %d summaries and %d bytes charged", len(c.sums), bytes()-before)
+	}
+	c.budget = budget
+
+	res.KeepSummary(fn, ents, "summary", 1000)
+	c.start(term.NewTab())
+	if c.sums != nil || c.snap != nil || bytes() != 0 {
+		t.Fatalf("an analysis over another table left %d summaries and %d bytes charged", len(c.sums), bytes())
+	}
+	if _, ok := res.StoredSummary(fn, ents); ok {
+		t.Fatal("stored summary found after its snapshot was dropped")
+	}
+}

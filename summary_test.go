@@ -120,3 +120,20 @@ func TestSummaryConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSummarySize: the size a stored summary is charged counts the
+// struct and every string and slice it holds.
+func TestSummarySize(t *testing.T) {
+	empty := Summary{}.size()
+	s := Summary{
+		Pred:       "app/3",
+		Call:       "app(list(g), list(g), var)",
+		Success:    "app(list(g), list(g), list(g))",
+		Args:       make([]ArgSummary, 3),
+		AliasPairs: [][2]int{{1, 3}},
+	}
+	want := empty + int64(len(s.Pred)+len(s.Call)+len(s.Success)) + 3*int64(reflect.TypeOf(ArgSummary{}).Size()) + 16
+	if got := s.size(); got != want {
+		t.Fatalf("size %d, want %d", got, want)
+	}
+}
