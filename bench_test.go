@@ -1,6 +1,7 @@
 package awam
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -327,5 +328,35 @@ func BenchmarkTransformedAnalyze(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEditWarmFresh is the in-process edit_warm op: a store primed
+// with wide_512, then each op loads the base plus one distinct neutral
+// clause as a new program (its own symbol table), analyzes it through
+// the store and marshals the result.
+func BenchmarkEditWarmFresh(b *testing.B) {
+	src := bench.WideProgramSeeded(512, 1).Source
+	st, err := NewStore()
+	if err != nil {
+		b.Fatal(err)
+	}
+	op := func(i int) {
+		sys, err := Load(src + fmt.Sprintf("p%d_use(mutant_%d).\n", i%512, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := sys.Analyze(WithSummaryCache(st))
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.Marshal()
+	}
+	op(0)
+	op(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i + 2)
 	}
 }

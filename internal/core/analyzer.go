@@ -206,9 +206,10 @@ func (a *Analyzer) Interner() *domain.Interner { return a.in }
 
 // StartFrom makes the analyzer intern into in instead of an empty
 // interner: a clone (domain.Interner.Clone) of an earlier analysis'
-// interner over the same symbol table, whose IDs a WarmStart may
-// already use. Like interning before the analysis runs, it changes no
-// result. Call it before the analysis runs.
+// interner over a symbol table that spells every atom its nodes use as
+// this analysis' table does (domain.Interner.Atoms), whose IDs a
+// WarmStart may already use. Like interning before the analysis runs,
+// it changes no result. Call it before the analysis runs.
 func (a *Analyzer) StartFrom(in *domain.Interner) { a.in = in }
 
 // intern resolves cp to its hash-consed ID, counting interner traffic.
@@ -302,6 +303,10 @@ type Result struct {
 	// populated; covers the fixpoint phase only, so its totals match
 	// Steps.
 	Metrics *Metrics
+	// Texts, when set, is a memo of pattern texts Marshal reads and
+	// fills, shared beyond this result (the incremental engine keeps one
+	// with its interner snapshot). Nil renders every pattern here.
+	Texts domain.TextMemo
 }
 
 // AnalyzeMain analyzes the program from the conventional entry point

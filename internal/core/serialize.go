@@ -29,8 +29,16 @@ import (
 //	succ bottom
 func (r *Result) Marshal() string {
 	var b strings.Builder
+	texts := domain.NewPatternTexts(r.Tab, r.Texts)
+	r.MarshalTo(&b, texts)
+	texts.Share()
+	return b.String()
+}
+
+// MarshalTo writes Marshal's text to b, rendering patterns with texts,
+// which must be over r.Tab.
+func (r *Result) MarshalTo(b *strings.Builder, texts *domain.PatternTexts) {
 	b.WriteString("awam-analysis 1\n")
-	texts := domain.NewPatternTexts(r.Tab)
 	for _, e := range r.Entries {
 		b.WriteString("call ")
 		b.WriteString(texts.Text(e.CP))
@@ -38,7 +46,6 @@ func (r *Result) Marshal() string {
 		b.WriteString(texts.Text(e.Succ))
 		b.WriteByte('\n')
 	}
-	return b.String()
 }
 
 // ErrBadSummary reports a malformed serialized analysis summary. Every

@@ -2,6 +2,7 @@ package domain
 
 import (
 	"maps"
+	"slices"
 
 	"awam/internal/term"
 )
@@ -75,6 +76,11 @@ type Interner struct {
 	// resolves with one tree hash, one map probe and one compare against
 	// the canonical rep, instead of a per-node bucket probe in tbuck.
 	fast map[uint64][]PatternID
+	// atoms lists the distinct functor names the nodes use, in first-use
+	// order, and named marks them (a bit per atom): the names are what a
+	// node's meaning takes from the symbol table (see Atoms).
+	atoms []term.Atom
+	named []uint64
 	// sc is the reusable per-walk state, so the hot path allocates
 	// nothing.
 	sc internScratch
@@ -105,7 +111,31 @@ func (in *Interner) Clone() *Interner {
 		pats:  in.pats[:len(in.pats):len(in.pats)],
 		pbuck: clipped(in.pbuck),
 		fast:  clipped(in.fast),
+		atoms: in.atoms[:len(in.atoms):len(in.atoms)],
+		named: slices.Clone(in.named),
 		sc:    internScratch{renum: make(map[int]int, 8), ids: make([]TermID, 0, 16)},
+	}
+}
+
+// Atoms returns the distinct functor names the interned nodes use, the
+// pattern's and each structure's, in the order they first appeared.
+// The interner depends on a symbol table only through these names: its
+// nodes mean the same patterns over any table that spells each of them
+// alike, so a caller can check that in time proportional to the names,
+// not the nodes. The slice must not be modified.
+func (in *Interner) Atoms() []term.Atom {
+	return in.atoms[:len(in.atoms):len(in.atoms)]
+}
+
+// name records that a new node uses a.
+func (in *Interner) name(a term.Atom) {
+	w, bit := int(a)/64, uint64(1)<<(uint(a)%64)
+	for w >= len(in.named) {
+		in.named = append(in.named, 0)
+	}
+	if in.named[w]&bit == 0 {
+		in.named[w] |= bit
+		in.atoms = append(in.atoms, a)
 	}
 }
 
@@ -326,6 +356,7 @@ func (in *Interner) walkPattern(p *Pattern, sc *internScratch) (PatternID, bool)
 	}
 	rep := &Pattern{Fn: fn, Args: reps}
 	rep.Key() // precompute: reps are shared read-only
+	in.name(fn.Name)
 	pid := PatternID(len(in.pats))
 	in.pats = append(in.pats, pnode{fn: fn, args: append([]TermID(nil), args...), rep: rep})
 	in.pbuck[h] = append(in.pbuck[h], pid)
@@ -379,6 +410,7 @@ func (in *Interner) walkTerm(t *Term, sc *internScratch) TermID {
 			kids[i] = in.terms[id].rep
 		}
 		rep = &Term{Kind: Struct, Fn: fn, Args: kids, Share: int(share)}
+		in.name(fn.Name)
 	case List:
 		rep = &Term{Kind: List, Elem: in.terms[elem].rep, Share: int(share)}
 	default:

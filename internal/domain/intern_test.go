@@ -292,3 +292,64 @@ func TestInternerClone(t *testing.T) {
 		}
 	}
 }
+
+// TestInternerAtoms: Atoms lists each functor name the interned
+// patterns use, once; a clone adds the names of its own nodes and leaves
+// the source's list alone.
+func TestInternerAtoms(t *testing.T) {
+	tab := term.NewTab()
+	r := rand.New(rand.NewSource(3))
+	names := func(ps []*Pattern) map[term.Atom]bool {
+		out := make(map[term.Atom]bool)
+		var walk func(t *Term)
+		walk = func(t *Term) {
+			switch t.Kind {
+			case Struct:
+				out[t.Fn.Name] = true
+				for _, a := range t.Args {
+					walk(a)
+				}
+			case List:
+				walk(t.Elem)
+			}
+		}
+		for _, p := range ps {
+			out[p.Fn.Name] = true
+			for _, a := range p.Args {
+				walk(a)
+			}
+		}
+		return out
+	}
+	check := func(label string, in *Interner, ps []*Pattern) {
+		t.Helper()
+		want := names(ps)
+		got := in.Atoms()
+		seen := make(map[term.Atom]bool)
+		for _, a := range got {
+			if seen[a] || !want[a] {
+				t.Fatalf("%s: atom %s listed twice or used by no node", label, tab.Name(a))
+			}
+			seen[a] = true
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("%s: %d atoms listed, the patterns use %d", label, len(seen), len(want))
+		}
+	}
+	var ps []*Pattern
+	src := NewInterner()
+	for i := 0; i < 200; i++ {
+		p := genSharedPat(r, tab)
+		ps = append(ps, p)
+		src.Intern(p)
+	}
+	check("source", src, ps)
+	n := len(src.Atoms())
+	c := src.Clone()
+	extra := NewPattern(tab.Func("only_in_clone", 1), []*Term{MkStructT(tab.Func("f_in_clone", 1), top)})
+	c.Intern(extra)
+	check("clone", c, append(ps, extra))
+	if len(src.Atoms()) != n {
+		t.Fatal("interning into a clone changed the source's atoms")
+	}
+}

@@ -39,21 +39,54 @@ func PatternText(tab *term.Tab, p *Pattern) string {
 type PatternTexts struct {
 	tab  *term.Tab
 	memo map[*Pattern]string
+	// bytes is the length of the texts in memo.
+	bytes  int64
+	shared TextMemo
 }
 
-// NewPatternTexts returns an empty rendering memo over tab.
-func NewPatternTexts(tab *term.Tab) *PatternTexts {
-	return &PatternTexts{tab: tab, memo: make(map[*Pattern]string)}
+// TextMemo keeps rendered pattern texts beyond one serialization, by
+// pattern node. A node's text depends on the symbol table only through
+// the names of the atoms it uses, so a memo may serve every table that
+// spells them alike; its owner decides which nodes and tables those are.
+// Implementations are safe for concurrent use.
+type TextMemo interface {
+	// Text returns the text kept for p.
+	Text(p *Pattern) (string, bool)
+	// Keep offers texts, of bytes bytes in all. The memo may keep the
+	// map itself, so the caller must not use it afterwards.
+	Keep(texts map[*Pattern]string, bytes int64)
+}
+
+// NewPatternTexts returns an empty rendering memo over tab. A non-nil
+// shared memo is consulted before rendering, and offered the texts
+// rendered here by Share.
+func NewPatternTexts(tab *term.Tab, shared TextMemo) *PatternTexts {
+	return &PatternTexts{tab: tab, memo: make(map[*Pattern]string), shared: shared}
 }
 
 // Text returns PatternText(tab, p).
 func (pt *PatternTexts) Text(p *Pattern) string {
-	s, ok := pt.memo[p]
-	if !ok {
-		s = PatternText(pt.tab, p)
-		pt.memo[p] = s
+	if s, ok := pt.memo[p]; ok {
+		return s
 	}
+	if pt.shared != nil {
+		if s, ok := pt.shared.Text(p); ok {
+			return s
+		}
+	}
+	s := PatternText(pt.tab, p)
+	pt.memo[p] = s
+	pt.bytes += int64(len(s))
 	return s
+}
+
+// Share offers the texts rendered here to the shared memo, all in one
+// call; pt must not be used afterwards.
+func (pt *PatternTexts) Share() {
+	if pt.shared != nil && len(pt.memo) > 0 {
+		pt.shared.Keep(pt.memo, pt.bytes)
+	}
+	pt.memo = nil
 }
 
 func writeText(b *strings.Builder, tab *term.Tab, t *Term) {

@@ -38,67 +38,173 @@ type recordCache struct {
 	// sums holds the per-predicate summaries kept with the records
 	// (Result.KeepSummary), one per predicate. They belong to the
 	// snapshot: they are kept only while there is one, for analyses over
-	// its table, the only ones whose patterns they can match.
+	// tables it fits, the only ones whose patterns they can match.
 	sums   map[term.Functor]*storedSummary
 	bytes  int64
 	budget int64
-	// decodes counts records decoded from text (tests).
-	decodes int64
+	// decodes counts records decoded from text, and interned the served
+	// records interned into an analysis' interner (tests).
+	decodes, interned int64
 }
 
 // snapshot is the finished interner of the engine's last analysis,
 // with the warm entries, as IDs in it, of the records that analysis
-// served, by fingerprint. An analysis over the same symbol table starts
-// from a clone of the interner (domain.Interner.Clone), so the records
-// it serves again with the same bytes need no interning: consecutive
-// analyses of one program's versions (derived Systems share the table)
-// intern only the records of the dirty cone. The snapshot is never
-// changed; it is charged to the budget like the decoded records.
+// served, by fingerprint, and the texts of its patterns as far as they
+// were rendered. An analysis over a table the snapshot fits starts from
+// a clone of the interner (domain.Interner.Clone), so the records it
+// serves again with the same bytes need no interning, and the patterns
+// it keeps need no rendering: consecutive analyses of one program's
+// versions intern and render only the dirty cone's. The snapshot is
+// never changed; it is charged to the budget like the decoded records,
+// and its text memo as it grows.
 type snapshot struct {
 	tab   *term.Tab
 	in    *domain.Interner
 	comps map[cache.Fingerprint]*cachedSCC
+	texts *textMemo
 	cost  int64
+	// atoms are the names the interner's nodes use (Interner.Atoms), as
+	// tab spells them.
+	atoms []term.Atom
+	names []string
+	// checked is the last other table fits compared, and fit its
+	// verdict; c.mu guards both.
+	checked *term.Tab
+	fit     bool
 }
 
-// start returns the interner an analysis over tab starts from, and the
-// served records whose IDs it keeps; nil and nil when there is no
-// snapshot over tab. A snapshot over another table is dropped: the
-// analysis will replace it, and its memory is free while it runs.
-func (c *recordCache) start(tab *term.Tab) (*domain.Interner, map[cache.Fingerprint]*cachedSCC) {
+// fits reports whether the snapshot is valid for an analysis over tab:
+// whether tab spells every name the interner's nodes use as the
+// snapshot's table does. A node means a pattern over a table only
+// through those names (its atoms are numbers into the table), and so do
+// its text and the stored values computed from it; a fresh load of a
+// program whose names and their numbering did not change fits the
+// snapshot of the last one. The check costs one comparison per name,
+// and none for the snapshot's own table or the table checked last.
+// c.mu is held.
+func (s *snapshot) fits(tab *term.Tab) bool {
+	if tab == s.tab {
+		return true
+	}
+	if tab != s.checked {
+		s.checked, s.fit = tab, tab.Spells(s.atoms, s.names)
+	}
+	return s.fit
+}
+
+// start returns the interner an analysis over tab starts from and the
+// served records whose IDs it keeps, nil and nil when the snapshot does
+// not fit tab, and the text memo for the analysis' patterns. A snapshot
+// that does not fit is dropped: the analysis will replace it, and its
+// memory is free while it runs.
+func (c *recordCache) start(tab *term.Tab) (*domain.Interner, map[cache.Fingerprint]*cachedSCC, *textMemo) {
 	c.mu.Lock()
 	s := c.snap
-	if s != nil && s.tab != tab {
-		c.bytes -= s.cost
-		c.snap, s = nil, nil
-		c.dropSummaries()
+	if s != nil && !s.fits(tab) {
+		c.dropSnapshot()
+		s = nil
 	}
 	c.mu.Unlock()
 	if s == nil {
-		return nil, nil
+		return nil, nil, &textMemo{c: c}
 	}
-	return s.in.Clone(), s.comps
+	return s.in.Clone(), s.comps, s.texts
 }
 
 // keep makes in, the interner of a finished analysis over tab, the
-// snapshot, with comps, the records it served. A snapshot that does
-// not fit the budget is not kept, and the stored summaries go with the
-// last one.
-func (c *recordCache) keep(tab *term.Tab, in *domain.Interner, comps map[cache.Fingerprint]*cachedSCC) {
+// snapshot, with comps, the records it served, and texts, the memo the
+// analysis started with. A snapshot that does not fit the budget is not
+// kept, and the stored summaries go with the last one.
+func (c *recordCache) keep(tab *term.Tab, in *domain.Interner, comps map[cache.Fingerprint]*cachedSCC, texts *textMemo) {
 	pats, terms := in.Size()
-	s := &snapshot{tab: tab, in: in, comps: comps, cost: int64(pats+terms) * nodeBytes}
+	atoms := in.Atoms()
+	s := &snapshot{tab: tab, in: in, comps: comps, texts: texts, cost: int64(pats+terms) * nodeBytes,
+		atoms: atoms, names: tab.Names(atoms)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.snap != nil {
-		c.bytes -= c.snap.cost
+		c.bytes -= c.snap.cost + c.snap.texts.bytes
 		c.snap = nil
 	}
-	if c.bytes+s.cost <= c.budget {
+	if c.bytes+s.cost+texts.bytes <= c.budget {
 		c.snap = s
-		c.bytes += s.cost
+		c.bytes += s.cost + texts.bytes
 	} else {
 		c.dropSummaries()
 	}
+}
+
+// dropSnapshot forgets the snapshot, with its texts and the stored
+// summaries; c.mu is held.
+func (c *recordCache) dropSnapshot() {
+	if c.snap != nil {
+		c.bytes -= c.snap.cost + c.snap.texts.bytes
+		c.snap = nil
+	}
+	c.dropSummaries()
+}
+
+// textMemo keeps the texts (domain.PatternText) of a snapshot lineage's
+// pattern nodes: the analyses that start from one snapshot share its
+// memo, and pass it to the snapshot they make. Texts are rendered
+// lazily, by the serializations that need them (Result.Marshal, the
+// records of changed components), and offered here when a serialization
+// ends; the first one's map is kept as it is, so the analysis that
+// primes the memo pays nothing to fill it. Every analysis that can reach
+// a node of the lineage spells the node's names alike (snapshot.fits),
+// so one text serves them all; a node only one analysis made is keyed by
+// a pointer no other analysis holds. The memo grows only while it is the
+// snapshot's, within the budget, and its texts are charged while it is.
+type textMemo struct {
+	c     *recordCache
+	mu    sync.RWMutex
+	texts map[*domain.Pattern]string
+	// bytes is the charge for the texts; c.mu guards it.
+	bytes int64
+}
+
+// textBytes is the charge for a kept text besides its bytes: its map
+// slot (pointer key and string header, 24 bytes) with the map's load
+// and growth slack.
+const textBytes = 48
+
+func (m *textMemo) Text(p *domain.Pattern) (string, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	s, ok := m.texts[p]
+	return s, ok
+}
+
+func (m *textMemo) Keep(texts map[*domain.Pattern]string, n int64) {
+	c := m.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cost := textBytes*int64(len(texts)) + n // at most: some may be kept already
+	if c.snap == nil || c.snap.texts != m || c.bytes+cost > c.budget {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.texts == nil {
+		m.texts = texts
+	} else {
+		cost = 0
+		for p, s := range texts {
+			if _, ok := m.texts[p]; !ok {
+				m.texts[p] = s
+				cost += textBytes + int64(len(s))
+			}
+		}
+	}
+	m.bytes += cost
+	c.bytes += cost
+}
+
+// count adds n to the records interned.
+func (c *recordCache) count(n int) {
+	c.mu.Lock()
+	c.interned += int64(n)
+	c.mu.Unlock()
 }
 
 // storedSummary is a value an analysis kept for one predicate (see
@@ -117,11 +223,15 @@ type storedSummary struct {
 const storedBytes = 128
 
 // summary returns the summary stored for fn under fp over tab, if it
-// was computed from entries with ents' patterns.
+// was computed from entries with ents' patterns. The entries are
+// compared as interner nodes, so a match means they are the very nodes
+// the stored ones were: nodes of the snapshot tab fits, or of the
+// analysis that stored them over tab. ents must not be empty, since
+// only they tie fn's atom in tab to its name.
 func (c *recordCache) summary(tab *term.Tab, fp cache.Fingerprint, fn term.Functor, ents []*core.Entry) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.snap == nil || c.snap.tab != tab {
+	if c.snap == nil || !c.snap.fits(tab) || len(ents) == 0 {
 		return nil, false
 	}
 	s := c.sums[fn]
@@ -139,7 +249,7 @@ func (c *recordCache) summary(tab *term.Tab, fp cache.Fingerprint, fn term.Funct
 // keepSummary stores v, of size bytes, as fn's summary under fp,
 // computed from pats over tab; it replaces what fn had stored, under
 // whatever fingerprint. Summaries are kept only while there is a
-// snapshot over tab, and dropped with it. The patterns are the
+// snapshot that fits tab, and dropped with it. The patterns are the
 // interner's nodes, which the snapshot's lineage of clones holds and is
 // charged for (a summary from an analysis whose interner did not become
 // the snapshot may hold a few nodes besides, until fn stores again), so
@@ -149,7 +259,7 @@ func (c *recordCache) keepSummary(tab *term.Tab, fp cache.Fingerprint, fn term.F
 	s := &storedSummary{fp: fp, pats: pats, v: v, cost: storedBytes + size + 8*int64(len(pats))}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.snap == nil || c.snap.tab != tab {
+	if c.snap == nil || !c.snap.fits(tab) {
 		return
 	}
 	if old := c.sums[fn]; old != nil {
@@ -377,11 +487,13 @@ func (w *warmTable) index(we *warmEntry) {
 }
 
 // seed interns every served entry into in, indexes the calling patterns,
-// and returns the served records by component. A record prev holds
-// under the same fingerprint with the same bytes is taken from prev
-// without interning: in is a clone of the interner prev's IDs belong to.
-func (w *warmTable) seed(in *domain.Interner, served []servedSCC, prev map[cache.Fingerprint]*cachedSCC) map[int]*cachedSCC {
+// and returns the served records by component and how many of them it
+// interned. A record prev holds under the same fingerprint with the same
+// bytes is taken from prev without interning: in is a clone of the
+// interner prev's IDs belong to.
+func (w *warmTable) seed(in *domain.Interner, served []servedSCC, prev map[cache.Fingerprint]*cachedSCC) (map[int]*cachedSCC, int) {
 	cached := make(map[int]*cachedSCC, len(served))
+	interned := 0
 	// A callee's calling pattern recurs as a dep in every caller's
 	// trace, and records decoded in one load share those nodes.
 	ids := make(map[*domain.Pattern]domain.PatternID)
@@ -417,6 +529,7 @@ func (w *warmTable) seed(in *domain.Interner, served []servedSCC, prev map[cache
 			w.index(we)
 		}
 		cached[s.scc] = c
+		interned++
 	}
-	return cached
+	return cached, interned
 }

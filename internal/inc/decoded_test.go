@@ -3,6 +3,8 @@ package inc
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -77,15 +79,18 @@ func TestDecodedRecordsReused(t *testing.T) {
 }
 
 // TestConcurrentWarmAnalyses runs warm and one-edit analyses of one
-// program concurrently through one engine (go test -race): once with
-// every record cached, and once with a budget so small that loads keep
-// dropping the cache and its symbol table under each other.
+// program concurrently through one engine (go test -race), each on its
+// own symbol table, one of them numbered otherwise, so that they start
+// from, replace and drop the snapshot and its text memo under each
+// other: once with every record cached, and once with a budget so small
+// that loads keep dropping the cache and its symbol table too.
 func TestConcurrentWarmAnalyses(t *testing.T) {
 	base := bench.WideProgramSeeded(8, 1).Source
 	srcs := []string{base}
 	for i := 0; i < 3; i++ {
 		srcs = append(srcs, base+fmt.Sprintf("p%d_use(mutant_%d).\n", i, i))
 	}
+	srcs = append(srcs, "top(new).\n"+base) // renumbered: fits no other's snapshot
 	want := make([]string, len(srcs))
 	for i, src := range srcs {
 		want[i] = engineRun(t, NewEngine(nil), src).Marshal()
@@ -241,7 +246,7 @@ func TestInternerSnapshot(t *testing.T) {
 	if clean == 0 || kept != clean {
 		t.Fatalf("%d of %d clean served records taken from the snapshot, want all", kept, clean)
 	}
-	if in, _ := e.recs.start(term.NewTab()); in != nil || e.recs.snap != nil {
+	if in, _, _ := e.recs.start(term.NewTab()); in != nil || e.recs.snap != nil {
 		t.Fatal("an analysis over another table started from the snapshot, or kept it")
 	}
 
@@ -312,5 +317,193 @@ func TestStoredSummaryCharges(t *testing.T) {
 	}
 	if _, ok := res.StoredSummary(fn, ents); ok {
 		t.Fatal("stored summary found after its snapshot was dropped")
+	}
+}
+
+// interns returns how many served records analyses have interned.
+func (c *recordCache) interns() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.interned
+}
+
+// TestFreshLoadsThroughOneStore runs random edit sequences over wide_32
+// and wide_128 through one engine, each version loaded afresh onto its
+// own symbol table, as a batch client does, and checks every step
+// against a cold analysis. Some edits insert a new atom at the top of
+// the source or in the middle, or move a rule to the top, which
+// renumbers atoms: the snapshot must not fit then (after a top atom,
+// every served record is interned again), or the warm entries and the
+// texts of its nodes would be read under other names. After each step the same source is loaded twice more, each
+// time onto another fresh table; those loads fit the snapshot, the
+// second interns no served record, and they find the summary the step
+// kept.
+func TestFreshLoadsThroughOneStore(t *testing.T) {
+	for _, tc := range []struct {
+		families, steps int
+	}{{32, 12}, {128, 4}} {
+		t.Run(fmt.Sprintf("wide_%d", tc.families), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(tc.families)))
+			src := bench.WideProgramSeeded(tc.families, 1).Source
+			e := NewEngine(nil)
+			run := func(label, src string) *Result {
+				t.Helper()
+				res := engineRun(t, e, src)
+				_, cold := analyzeCold(t, src)
+				if res.Marshal() != cold.Marshal() {
+					t.Fatalf("%s: result differs from a cold analysis", label)
+				}
+				return res
+			}
+			run("base", src)
+			renumbered := 0
+			for step := 0; step < tc.steps; step++ {
+				edited, kind := freshEdit(r, src, step)
+				src = edited
+				before := e.recs.interns()
+				res := run(kind, src)
+				interned := e.recs.interns() - before
+				if kind == "top atom" {
+					renumbered++
+					if res.WarmSCCs == 0 || interned != int64(res.WarmSCCs) {
+						t.Fatalf("%s: %d of %d served records interned, want all: the snapshot fit a renumbered table",
+							kind, interned, res.WarmSCCs)
+					}
+				}
+				fns, groups := res.Grouped()
+				res.KeepSummary(fns[0], groups[0], "kept", 1)
+
+				// The records the step wrote are served now, and interned
+				// once; the records it served come from the snapshot.
+				run(kind+", loaded again", src)
+				before = e.recs.interns()
+				again := run(kind+", loaded a third time", src)
+				if n := e.recs.interns() - before; n != 0 || again.WarmSCCs == 0 {
+					t.Fatalf("%s, loaded a third time: %d of %d served records interned, want none", kind, n, again.WarmSCCs)
+				}
+				fns, groups = again.Grouped()
+				if v, ok := again.StoredSummary(fns[0], groups[0]); !ok || v != "kept" {
+					t.Fatalf("%s, loaded again: the summary kept over the last table is not found", kind)
+				}
+			}
+			if renumbered == 0 {
+				t.Fatal("no edit renumbered the atoms")
+			}
+		})
+	}
+}
+
+// analyzeCold is a storeless worklist analysis of src.
+func analyzeCold(t *testing.T, src string) (*term.Tab, *core.Result) {
+	t.Helper()
+	tab, mod := mustCompile(t, src)
+	cfg := core.DefaultConfig()
+	cfg.Strategy = core.StrategyWorklist
+	res, err := core.NewWith(mod, cfg).AnalyzeAllContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, res
+}
+
+// freshEdit returns a random one-clause edit of src, a wide program with
+// one clause per line, and its kind. Every third step, from the second
+// on, inserts a fact naming new atoms at the top of the source.
+func freshEdit(r *rand.Rand, src string, step int) (string, string) {
+	lines := strings.SplitAfter(src, "\n")
+	at := r.Intn(len(lines) + 1)
+	insert := func(s string) string {
+		return strings.Join(lines[:at], "") + s + strings.Join(lines[at:], "")
+	}
+	if step%3 == 1 {
+		return fmt.Sprintf("top%d(new%d).\n", step, step) + src, "top atom"
+	}
+	for {
+		i := r.Intn(len(lines))
+		line := strings.TrimSpace(lines[i])
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "main") || r.Intn(6) == 0 {
+			if !strings.Contains(line, ":-") {
+				continue
+			}
+			// Another first appearance order: the same names, numbered
+			// otherwise.
+			return lines[i] + strings.Join(lines[:i], "") + strings.Join(lines[i+1:], ""), "rule first"
+		}
+		switch r.Intn(5) {
+		case 0:
+			return strings.Join(lines[:i], "") + strings.Join(lines[i+1:], ""), "delete"
+		case 1:
+			return insert(lines[i]), "duplicate"
+		case 2:
+			if j := strings.Index(line, ":-"); j > 0 {
+				lines[i] = line[:len(line)-1] + fmt.Sprintf(", atom(chg%d).\n", step)
+				return strings.Join(lines, ""), "middle atom"
+			}
+		case 3:
+			return src + fmt.Sprintf("p%d_use(mutant_%d).\n", r.Intn(8), step), "neutral"
+		default:
+			return insert(fmt.Sprintf("fact%d(atom%d).\n", step%3, step)), "add fact"
+		}
+	}
+}
+
+// size counts the texts the memo keeps.
+func (m *textMemo) size() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.texts)
+}
+
+// TestTextMemo: the snapshot's text memo is filled by serializations,
+// not by the analysis; a fitting fresh load's Marshal renders no text
+// the memo keeps; the texts are charged to the budget while the memo is
+// the snapshot's, and dropped with it, after which it keeps nothing.
+func TestTextMemo(t *testing.T) {
+	src := bench.WideProgramSeeded(8, 1).Source
+	e := NewEngine(nil)
+	c := e.recs
+	res := engineRun(t, e, src)
+	m := c.snap.texts
+	if res.Texts != m || m.size() != 0 {
+		t.Fatalf("the analysis rendered %d texts before any serialization", m.size())
+	}
+	want := res.Marshal()
+	n := m.size()
+	if n == 0 {
+		t.Fatal("Marshal kept no text")
+	}
+	var cost int64
+	for _, s := range m.texts {
+		cost += textBytes + int64(len(s))
+	}
+	if m.bytes != cost {
+		t.Fatalf("texts charged %d bytes, want %d", m.bytes, cost)
+	}
+
+	again := engineRun(t, e, src) // a fresh table with the same names
+	if again.Texts != m || again.Marshal() != want || m.size() != n {
+		t.Fatalf("a fitting fresh load rendered %d texts again", m.size()-n)
+	}
+	edited := engineRun(t, e, src+"p3_use(mutant_1).\n")
+	if edited.Texts != m || edited.Marshal() != want || m.size() != n {
+		t.Fatalf("a neutral edit kept %d more texts, want none: its patterns are the base's", m.size()-n)
+	}
+
+	c.mu.Lock()
+	charged, snap := c.bytes, c.snap.cost
+	c.mu.Unlock()
+	c.start(term.NewTab())
+	c.mu.Lock()
+	after := c.bytes
+	c.mu.Unlock()
+	if charged-after != snap+m.bytes {
+		t.Fatalf("dropping the snapshot freed %d bytes, want %d", charged-after, snap+m.bytes)
+	}
+	m.Keep(map[*domain.Pattern]string{{}: "p"}, 1)
+	if m.size() != n {
+		t.Fatal("a dropped memo kept a text")
 	}
 }

@@ -178,21 +178,23 @@ func (e *Engine) AnalyzeCondensed(ctx context.Context, c *Condensation, cfg core
 	}
 
 	an := core.NewWith(mod, cfg)
-	in, prev := e.recs.start(mod.Tab)
+	in, prev, texts := e.recs.start(mod.Tab)
 	if in != nil {
 		an.StartFrom(in)
 	}
-	cached := warm.seed(an.Interner(), served, prev)
+	cached, interned := warm.seed(an.Interner(), served, prev)
+	e.recs.count(interned)
 	res, err := an.AnalyzeAllContext(ctx)
 	if err != nil {
 		return nil, err
 	}
+	res.Texts = texts
 	e.storeRecords(plan, mod.Tab, an.Interner(), res, cached)
 	comps := make(map[cache.Fingerprint]*cachedSCC, len(cached))
 	for i, c := range cached {
 		comps[cache.Fingerprint(plan.Fingerprints[i])] = c
 	}
-	e.recs.keep(mod.Tab, an.Interner(), comps)
+	e.recs.keep(mod.Tab, an.Interner(), comps, texts)
 	if f, ok := e.store.(flusher); ok {
 		f.Flush()
 	}
@@ -325,7 +327,7 @@ func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, in *domain.Interner, re
 				ents = append(ents, &core.Entry{CP: in.Pattern(we.cp), Succ: in.Pattern(we.succ), Consults: deps})
 			}
 		}
-		data := EncodeRecord(tab, ents)
+		data := encodeRecord(tab, ents, res.Texts)
 		if c != nil && bytes.Equal(c.raw, data) {
 			continue
 		}

@@ -87,19 +87,17 @@ func (c *Condensation) Fingerprint(format, context string, compSalt func(*SCC) s
 	defer c.mu.Unlock()
 	key := format + "\x00" + context
 	m := c.memo[key]
-	if m == nil {
-		m = &fpMemo{comps: make([]fpComp, len(c.SCCs))}
-		if roots == nil {
-			// A first whole-program pass hashes every component: size the
-			// own-hash store for all of them at once.
-			m.states = make([]byte, 0, len(c.SCCs)*stateSize)
-			if c.memo == nil {
-				c.memo = make(map[string]*fpMemo)
-			}
-			c.memo[key] = m
+	if m == nil && roots == nil {
+		// A first whole-program pass hashes every component: size the
+		// own-hash store for all of them at once.
+		m = &fpMemo{comps: make([]fpComp, len(c.SCCs)), states: make([]byte, 0, len(c.SCCs)*stateSize)}
+		if c.memo == nil {
+			c.memo = make(map[string]*fpMemo)
 		}
+		c.memo[key] = m
 	}
-	// A partial pass keeps the own hashes it computes to itself.
+	// A partial pass reads the memo, if there is one, and keeps the own
+	// hashes it computes to itself.
 	states := m
 	if roots != nil {
 		states = &fpMemo{}
@@ -117,7 +115,10 @@ func (c *Condensation) Fingerprint(format, context string, compSalt func(*SCC) s
 		if compSalt != nil {
 			salt.salted, salt.salt = true, compSalt(scc)
 		}
-		mc := m.comps[i]
+		var mc fpComp
+		if m != nil {
+			mc = m.comps[i]
+		}
 		sameSalt := mc.own != nil && mc.salted == salt.salted && mc.salt == salt.salt
 		if sameSalt && mc.fp != "" && allReused(scc.Callees, reused) {
 			p.Fingerprints[i] = mc.fp

@@ -121,3 +121,28 @@ c(a).
 		}
 	}
 }
+
+// TestPartialFingerprintKeepsNothing: a partial pass (roots) over a
+// condensation with no memo for its context hashes the roots' cone to
+// the whole plan's fingerprints and leaves no memo behind.
+func TestPartialFingerprintKeepsNothing(t *testing.T) {
+	tab, mod := mustCompile(t, fpBase)
+	c := NewCondensation(mod)
+	part := c.Fingerprint(fpFormat, "partial", nil, []int{c.PredSCC[tab.Func("rev", 2)]})
+	if len(c.memo) != 0 {
+		t.Fatal("a partial pass kept a memo")
+	}
+	whole := NewCondensation(mod).Fingerprint(fpFormat, "partial", nil, nil)
+	hashed := 0
+	for i, fp := range part.Fingerprints {
+		if fp != "" {
+			hashed++
+			if fp != whole.Fingerprints[i] {
+				t.Fatalf("component %d: partial fingerprint differs from the whole plan's", i)
+			}
+		}
+	}
+	if hashed != 2 || part.Hashed != 2 { // rev/2 and app/3
+		t.Fatalf("partial pass fingerprinted %d components, hashed %d; want rev/2 and app/3", hashed, part.Hashed)
+	}
+}

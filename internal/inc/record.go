@@ -54,12 +54,17 @@ type RecordEntry struct {
 // Consults traces) into a cacheable record. The entries must all come
 // from one finished worklist analysis over tab.
 func EncodeRecord(tab *term.Tab, entries []*core.Entry) []byte {
-	res := &core.Result{Tab: tab, Entries: entries}
+	return encodeRecord(tab, entries, nil)
+}
+
+// encodeRecord is EncodeRecord rendering patterns through memo (see
+// domain.NewPatternTexts).
+func encodeRecord(tab *term.Tab, entries []*core.Entry, memo domain.TextMemo) []byte {
+	texts := domain.NewPatternTexts(tab, memo)
 	var b strings.Builder
 	b.WriteString(recordHeader)
 	b.WriteByte('\n')
-	b.WriteString(res.Marshal())
-	texts := domain.NewPatternTexts(tab)
+	(&core.Result{Tab: tab, Entries: entries}).MarshalTo(&b, texts)
 	for i, e := range entries {
 		fmt.Fprintf(&b, "trace %d %d\n", i, len(e.Consults))
 		for _, dep := range e.Consults {
@@ -68,6 +73,7 @@ func EncodeRecord(tab *term.Tab, entries []*core.Entry) []byte {
 			b.WriteByte('\n')
 		}
 	}
+	texts.Share()
 	return []byte(b.String())
 }
 

@@ -223,46 +223,60 @@ func (s *scanner) key() ([]byte, bool) {
 }
 
 // str scans a string: every JSON escape, \uXXXX outside the surrogate
-// range, and valid UTF-8. Runs between escapes are copied whole.
+// range, and valid UTF-8. The runs between escapes are found with
+// bytes.IndexByte, checked in bulk and copied whole. The closing-quote
+// candidate is searched for again only once an escape has consumed it,
+// so the searches read each byte once.
 func (s *scanner) str() (string, bool) {
 	if !s.eat('"') {
 		return "", false
 	}
 	var b strings.Builder
-	start := s.i
-	for s.i < len(s.data) {
-		c := s.data[s.i]
-		switch {
-		case c == '"':
-			run := s.data[start:s.i]
-			s.i++
+	q := -1 // the first quote at or after s.i, once s.i has passed the last
+	for {
+		if q < s.i {
+			n := bytes.IndexByte(s.data[s.i:], '"')
+			if n < 0 {
+				return "", false
+			}
+			q = s.i + n
+		}
+		run := s.data[s.i:q]
+		esc := bytes.IndexByte(run, '\\')
+		if esc >= 0 {
+			run = run[:esc]
+		}
+		if !plain(run) {
+			return "", false
+		}
+		if esc < 0 {
+			s.i = q + 1
 			if b.Cap() == 0 {
 				return string(run), true
 			}
 			b.Write(run)
 			return b.String(), true
-		case c == '\\':
-			if b.Cap() == 0 {
-				b.Grow(len(s.data) - start) // the rest of the body bounds the string
-			}
-			b.Write(s.data[start:s.i])
-			if !s.escape(&b) {
-				return "", false
-			}
-			start = s.i
-		case c < 0x20:
+		}
+		if b.Cap() == 0 {
+			b.Grow(len(s.data) - s.i) // the rest of the body bounds the string
+		}
+		b.Write(run)
+		s.i += esc
+		if !s.escape(&b) {
 			return "", false
-		case c < utf8.RuneSelf:
-			s.i++
-		default:
-			r, n := utf8.DecodeRune(s.data[s.i:])
-			if r == utf8.RuneError && n == 1 {
-				return "", false
-			}
-			s.i += n
 		}
 	}
-	return "", false
+}
+
+// plain reports whether run, a stretch of a string between escapes,
+// holds no control byte and is valid UTF-8.
+func plain(run []byte) bool {
+	for _, c := range run {
+		if c < 0x20 {
+			return false
+		}
+	}
+	return utf8.Valid(run)
 }
 
 // escape decodes the escape sequence at s.i (a backslash) into b.

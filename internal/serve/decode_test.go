@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"awam/api"
 	"awam/internal/bench"
@@ -59,7 +60,9 @@ func TestScanRequestAcceptsTraffic(t *testing.T) {
 
 // FuzzDecodeRequest is the differential test of the one-pass request
 // decoder: for any body, decodeAnalyze and decodeBackward must give the
-// value and the error encoding/json's decoder gives.
+// value and the error encoding/json's decoder gives, and the scanner's
+// string reader, on the body as a string token, must accept, reject and
+// decode what a byte-by-byte reader does.
 //
 //	go test -fuzz '^FuzzDecodeRequest$' -fuzztime 15s ./internal/serve
 func FuzzDecodeRequest(f *testing.F) {
@@ -105,6 +108,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		got, gotOK := (&scanner{data: body}).str()
+		want, wantOK := scanStrBytewise(body)
+		if gotOK != wantOK || got != want {
+			t.Fatalf("str: (%q, %t), byte by byte (%q, %t)", got, gotOK, want, wantOK)
+		}
 		var ga, wa api.AnalyzeRequest
 		diffDecode(t, "analyze", decodeAnalyze(body, &ga), decodeJSON(body, &wa), ga, wa)
 		var gb, wb api.BackwardRequest
@@ -179,5 +187,55 @@ func TestResponsesCompact(t *testing.T) {
 	}
 	if got, want := string(data), compact.String()+"\n"; got != want {
 		t.Fatalf("response is not compact JSON:\n%s", data)
+	}
+}
+
+// scanStrBytewise is scanner.str one byte at a time: the reference for
+// the bulk reader.
+func scanStrBytewise(data []byte) (string, bool) {
+	s := &scanner{data: data}
+	if !s.eat('"') {
+		return "", false
+	}
+	var b strings.Builder
+	for s.i < len(s.data) {
+		c := s.data[s.i]
+		switch {
+		case c == '"':
+			return b.String(), true
+		case c == '\\':
+			if !s.escape(&b) {
+				return "", false
+			}
+			continue
+		case c < 0x20:
+			return "", false
+		case c < utf8.RuneSelf:
+			b.WriteByte(c)
+			s.i++
+			continue
+		}
+		r, n := utf8.DecodeRune(s.data[s.i:])
+		if r == utf8.RuneError && n == 1 {
+			return "", false
+		}
+		b.Write(s.data[s.i : s.i+n])
+		s.i += n
+	}
+	return "", false
+}
+
+// BenchmarkDecodeRequest decodes the /v1/backward body of a wide_512
+// query (BenchmarkServeBackward's), which is mostly the source string.
+func BenchmarkDecodeRequest(b *testing.B) {
+	src := bench.WideProgramSeeded(512, 1).Source
+	body, _ := json.Marshal(api.BackwardRequest{Source: src, Goals: []string{"p7_main/0"}})
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var req api.BackwardRequest
+		if err := decodeBackward(body, &req); err != nil || req.Source != src {
+			b.Fatal("wide_512 body not decoded")
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"awam"
 )
@@ -24,7 +25,9 @@ const recentDigests = 64
 // Derive): an edited source reads and compiles again only what the edit
 // touched, and shares the last program's symbol table. The table only
 // grows, so once it has doubled since its lineage was loaded fresh, the
-// next miss loads fresh onto a new table.
+// next miss loads fresh onto a new table. The analysis engine keeps its
+// interner snapshot across that rebase when the new table numbers the
+// names the snapshot uses as the old one did (inc's snapshot.fits).
 //
 // A program is admitted on second sight. Its first load only records
 // the digest among the recent ones; the System is kept when the same
@@ -85,7 +88,9 @@ type source struct {
 }
 
 func newSource(text string) source {
-	return source{text: text, digest: sha256.Sum256([]byte(text))}
+	// The hash reads the text in place: converting a whole program to
+	// []byte would copy it on every request, and hashing never writes.
+	return source{text: text, digest: sha256.Sum256(unsafe.Slice(unsafe.StringData(text), len(text)))}
 }
 
 // load returns the System for src: the resident one on a hit, else the

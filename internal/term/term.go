@@ -96,6 +96,37 @@ func (t *Tab) Name(a Atom) string {
 	return t.names[a]
 }
 
+// Names returns the spelling of each atom in atoms, under one lock.
+func (t *Tab) Names(atoms []Atom) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]string, len(atoms))
+	for i, a := range atoms {
+		if int(a) < 0 || int(a) >= len(t.names) {
+			out[i] = fmt.Sprintf("<atom#%d>", int(a))
+			continue
+		}
+		out[i] = t.names[a]
+	}
+	return out
+}
+
+// Spells reports whether t interns every atom in atoms with the name at
+// the same index of names (as Names returned them from some table).
+func (t *Tab) Spells(atoms []Atom, names []string) bool {
+	if len(atoms) != len(names) {
+		return false
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for i, a := range atoms {
+		if int(a) < 0 || int(a) >= len(t.names) || t.names[a] != names[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Func interns name and returns the functor name/arity.
 func (t *Tab) Func(name string, arity int) Functor {
 	return Functor{Name: t.Intern(name), Arity: arity}

@@ -214,3 +214,30 @@ func TestTabConcurrentIntern(t *testing.T) {
 		}
 	}
 }
+
+// TestSpells: a table spells atoms as another does exactly when each
+// atom is interned in both under the same name.
+func TestSpells(t *testing.T) {
+	a, b := NewTab(), NewTab()
+	for _, n := range []string{"p", "q", "r"} {
+		a.Intern(n)
+		b.Intern(n)
+	}
+	b.Intern("s")
+	atoms := []Atom{a.Intern("q"), a.Intern("p"), a.Dot}
+	names := a.Names(atoms)
+	if !b.Spells(atoms, names) || !a.Spells(atoms, names) {
+		t.Fatal("tables with the same numbering do not spell alike")
+	}
+	c := NewTab()
+	c.Intern("new") // numbers p, q and r one higher
+	for _, n := range []string{"p", "q", "r"} {
+		c.Intern(n)
+	}
+	if c.Spells(atoms, names) {
+		t.Fatal("a renumbered table spells alike")
+	}
+	if NewTab().Spells(atoms, names) {
+		t.Fatal("a table without the atoms spells alike")
+	}
+}
