@@ -360,3 +360,52 @@ func BenchmarkEditWarmFresh(b *testing.B) {
 		op(i + 2)
 	}
 }
+
+// BenchmarkWideCold is the in-process wide_cold op: load the seeded
+// wide_512 program, analyze it under the worklist fixpoint without a
+// store, and marshal the result.
+func BenchmarkWideCold(b *testing.B) {
+	src := bench.WideProgramSeeded(512, 1).Source
+	op := func() {
+		sys, err := Load(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := sys.Analyze(WithStrategy(Worklist))
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.Marshal()
+	}
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// BenchmarkTable1Pass is one pass of the in-process table1_batch op:
+// load, analyze with default options and marshal each of the paper's
+// Table 1 programs once.
+func BenchmarkTable1Pass(b *testing.B) {
+	pass := func() {
+		for _, p := range bench.Programs {
+			sys, err := Load(p.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := sys.Analyze()
+			if err != nil {
+				b.Fatal(err)
+			}
+			a.Marshal()
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}

@@ -6,6 +6,194 @@ import (
 	"awam/internal/term"
 )
 
+// abstractID interns the pattern abstractArgs builds for the cells at
+// argAddrs, counting interner traffic. A pattern that needs no widening
+// goes from the cells straight into the interner (internHeap); any
+// other is built as a tree, widened and interned. Both paths give the
+// same ID.
+func (a *Analyzer) abstractID(fn term.Functor, argAddrs []int) domain.PatternID {
+	id, hit, ok := a.internHeap(fn, argAddrs)
+	if ok {
+		a.countIntern(hit)
+	} else {
+		id = a.intern(a.abstractArgs(fn, argAddrs))
+	}
+	if a.absCheck != nil {
+		a.absCheck(ok, fn, argAddrs, id)
+	}
+	return id
+}
+
+// heapAbs is the analyzer's scratch for internHeap. marks is indexed by
+// heap address and stamped with the abstraction it belongs to, so a new
+// abstraction invalidates every mark by bumping gen. ids is the child-ID
+// stack of the interning pass.
+type heapAbs struct {
+	gen    uint32
+	marks  []heapMark
+	groups int
+	ids    []domain.TermID
+}
+
+// heapMark is one open cell's state within an abstraction: how often
+// the checking pass reached it, and the share group the interning pass
+// gave it (0 until then).
+type heapMark struct {
+	gen   uint32
+	seen  int32
+	group int32
+}
+
+// internHeap interns the pattern for the cells at argAddrs straight
+// from the heap, building no Term tree, when Widen would leave convert's
+// tree unchanged: every structure and alpha-list sits above depth k, and
+// no cons cell's tail is an alpha-list (a tail chain that reaches one
+// ends in such a cell, and only such a chain triggers the uniform-list
+// closure). The tree is then its own widening, and Canonical only
+// numbers its share groups, which are the open cells reached twice, in
+// first-occurrence preorder. The first pass checks the condition and
+// counts the visits of each open cell; the second numbers the groups in
+// that order and interns each node from its cell. A cyclic term exceeds
+// every depth, so it takes the tree path. ok is false when the pattern
+// needs the tree path; otherwise id and hit are what Intern of
+// abstractArgs' pattern returns.
+func (a *Analyzer) internHeap(fn term.Functor, argAddrs []int) (id domain.PatternID, hit, ok bool) {
+	s := &a.habs
+	s.gen++
+	if s.gen == 0 {
+		clear(s.marks)
+		s.gen = 1
+	}
+	if n := len(a.h.Cells); n > len(s.marks) {
+		s.marks = append(s.marks, make([]heapMark, n-len(s.marks))...)
+	}
+	for _, addr := range argAddrs {
+		if !a.scanHeap(addr, a.cfg.Depth) {
+			return 0, false, false
+		}
+	}
+	s.groups = 0
+	for _, addr := range argAddrs {
+		s.ids = append(s.ids, a.heapNode(addr))
+	}
+	id, hit = a.in.InternNodes(fn, s.ids)
+	s.ids = s.ids[:0]
+	return id, hit, true
+}
+
+// scanHeap reports whether the term at addr, with depth budget k, is
+// one Widen leaves unchanged (see internHeap), counting the visits of
+// its open cells.
+func (a *Analyzer) scanHeap(addr, k int) bool {
+	addr = a.h.Deref(addr)
+	cell := a.h.At(addr)
+	kind := a.cellKind(cell)
+	switch kind {
+	case domain.Empty:
+		return false
+	case domain.Struct:
+		if k < 2 {
+			return false
+		}
+		fn, first := a.cellStruct(cell)
+		if fn == a.tab.ConsFunctor() && a.h.At(a.h.Deref(first+1)).Tag == rt.AList {
+			return false
+		}
+		for i := 0; i < fn.Arity; i++ {
+			if !a.scanHeap(first+i, k-1) {
+				return false
+			}
+		}
+		return true
+	}
+	if kind.Open() {
+		m := &a.habs.marks[addr]
+		if m.gen != a.habs.gen {
+			*m = heapMark{gen: a.habs.gen}
+		}
+		m.seen++
+	}
+	if kind == domain.List {
+		return k >= 2 && a.scanHeap(cell.A, k-1)
+	}
+	return true
+}
+
+// heapNode interns the term at addr, which scanHeap accepted in this
+// abstraction, numbering share groups as it first meets them.
+func (a *Analyzer) heapNode(addr int) domain.TermID {
+	s := &a.habs
+	addr = a.h.Deref(addr)
+	cell := a.h.At(addr)
+	kind := a.cellKind(cell)
+	share := 0
+	if kind.Open() {
+		if m := &s.marks[addr]; m.seen > 1 {
+			if m.group == 0 {
+				s.groups++
+				m.group = int32(s.groups)
+			}
+			share = int(m.group)
+		}
+	}
+	switch kind {
+	case domain.Struct:
+		fn, first := a.cellStruct(cell)
+		base := len(s.ids)
+		for i := 0; i < fn.Arity; i++ {
+			s.ids = append(s.ids, a.heapNode(first+i))
+		}
+		id := a.in.Node(domain.Struct, 0, fn, 0, s.ids[base:])
+		s.ids = s.ids[:base]
+		return id
+	case domain.List:
+		return a.in.Node(domain.List, share, term.Functor{}, a.heapNode(cell.A), nil)
+	}
+	return a.in.Node(kind, share, term.Functor{}, 0, nil)
+}
+
+// cellKind is the kind of the abstract term a dereferenced heap cell
+// converts to: Struct for a cons pair (Lis) or a structure (Str), and
+// Empty for a cell no argument can reach, which converts to an unshared
+// any. Constants abstract to atom/integer (AbsType, Section 4.2).
+func (a *Analyzer) cellKind(c rt.Cell) domain.Kind {
+	switch c.Tag {
+	case rt.Ref, rt.AVar:
+		return domain.Var
+	case rt.AAny:
+		return domain.Any
+	case rt.ANV:
+		return domain.NV
+	case rt.AGround:
+		return domain.Ground
+	case rt.AConst:
+		return domain.Const
+	case rt.AAtom:
+		return domain.Atom
+	case rt.AInt, rt.Int:
+		return domain.Intg
+	case rt.Con:
+		if c.F.Name == a.tab.Nil {
+			return domain.Nil
+		}
+		return domain.Atom
+	case rt.AList:
+		return domain.List
+	case rt.Lis, rt.Str:
+		return domain.Struct
+	}
+	return domain.Empty
+}
+
+// cellStruct returns the functor of a Struct-kind cell and the address
+// of its first argument; the arguments are consecutive.
+func (a *Analyzer) cellStruct(c rt.Cell) (term.Functor, int) {
+	if c.Tag == rt.Lis {
+		return a.tab.ConsFunctor(), c.A
+	}
+	return a.h.At(c.A).F, c.A + 1
+}
+
 // abstractArgs builds the canonical pattern describing the cells at
 // argAddrs — "term abstraction before a predicate invocation" (Section
 // 6). Constants abstract to atom/integer (AbsType), concrete structure
@@ -30,7 +218,7 @@ func (a *Analyzer) abstractArgs(fn term.Functor, argAddrs []int) *domain.Pattern
 	busy := a.absBusy
 	args := make([]*domain.Term, len(argAddrs))
 	for i, addr := range argAddrs {
-		args[i] = conv.convert(addr, 1, busy)
+		args[i] = conv.convert(addr, busy)
 	}
 	// Widen argument-wise without renumbering so the group counts below
 	// stay comparable.
@@ -129,70 +317,38 @@ func (c *abstractor) share(addr int, t *domain.Term) {
 	c.first[addr] = genTerm{gen: c.gen, t: t}
 }
 
-func (c *abstractor) leaf(kind domain.Kind, addr, depth int) *domain.Term {
-	t := &domain.Term{Kind: kind}
-	if kind.Open() {
-		c.share(addr, t)
-	}
-	_ = depth
-	return t
-}
-
 // convert maps a heap cell to an abstract term. busy guards against
 // cyclic heap structure (possible without occurs check): a cycle widens
 // to any.
-func (c *abstractor) convert(addr, depth int, busy map[int]bool) *domain.Term {
-	h := c.a.h
-	addr = h.Deref(addr)
+func (c *abstractor) convert(addr int, busy map[int]bool) *domain.Term {
+	addr = c.a.h.Deref(addr)
 	if busy[addr] {
 		return domain.Top()
 	}
-	cell := h.At(addr)
-	switch cell.Tag {
-	case rt.Ref, rt.AVar:
-		return c.leaf(domain.Var, addr, depth)
-	case rt.AAny:
-		return c.leaf(domain.Any, addr, depth)
-	case rt.ANV:
-		return c.leaf(domain.NV, addr, depth)
-	case rt.AGround:
-		return c.leaf(domain.Ground, addr, depth)
-	case rt.AConst:
-		return c.leaf(domain.Const, addr, depth)
-	case rt.AAtom:
-		return domain.MkLeaf(domain.Atom)
-	case rt.AInt:
-		return domain.MkLeaf(domain.Intg)
-	case rt.Con:
-		if cell.F.Name == c.a.tab.Nil {
-			return domain.MkLeaf(domain.Nil)
-		}
-		// AbsType of a constant is atom (Section 4.2).
-		return domain.MkLeaf(domain.Atom)
-	case rt.Int:
-		return domain.MkLeaf(domain.Intg)
-	case rt.AList:
+	cell := c.a.h.At(addr)
+	switch kind := c.a.cellKind(cell); kind {
+	case domain.Var, domain.Any, domain.NV, domain.Ground, domain.Const:
+		t := &domain.Term{Kind: kind}
+		c.share(addr, t)
+		return t
+	case domain.Atom, domain.Intg, domain.Nil:
+		return domain.MkLeaf(kind)
+	case domain.List:
 		t := &domain.Term{Kind: domain.List}
 		c.share(addr, t)
 		busy[addr] = true
-		t.Elem = c.convert(cell.A, depth+1, busy)
+		t.Elem = c.convert(cell.A, busy)
 		delete(busy, addr)
 		return t
-	case rt.Lis:
+	case domain.Struct:
+		fn, first := c.a.cellStruct(cell)
+		args := make([]*domain.Term, fn.Arity)
 		busy[addr] = true
-		car := c.convert(cell.A, depth+1, busy)
-		cdr := c.convert(cell.A+1, depth+1, busy)
-		delete(busy, addr)
-		return domain.MkStructT(c.a.tab.ConsFunctor(), car, cdr)
-	case rt.Str:
-		fn := h.At(cell.A)
-		args := make([]*domain.Term, fn.F.Arity)
-		busy[addr] = true
-		for i := 0; i < fn.F.Arity; i++ {
-			args[i] = c.convert(cell.A+1+i, depth+1, busy)
+		for i := range args {
+			args[i] = c.convert(first+i, busy)
 		}
 		delete(busy, addr)
-		return domain.MkStructT(fn.F, args...)
+		return domain.MkStructT(fn, args...)
 	}
 	return domain.Top()
 }

@@ -150,8 +150,12 @@ type Analyzer struct {
 	argPool     [][]int
 	absScratch  *abstractor
 	absBusy     map[int]bool
+	habs        heapAbs
 	matGroups   map[int]genInt
 	matGen      uint64
+	// absCheck, when set, sees every abstraction: whether it took the
+	// heap path, and the ID it gave. Only tests set it (export_test.go).
+	absCheck func(heap bool, fn term.Functor, argAddrs []int, id domain.PatternID)
 
 	// Observability state (observe.go). met is the run's counter set
 	// (never nil); tr mirrors cfg.Tracer. attrFn/attrStart attribute step
@@ -215,12 +219,17 @@ func (a *Analyzer) StartFrom(in *domain.Interner) { a.in = in }
 // intern resolves cp to its hash-consed ID, counting interner traffic.
 func (a *Analyzer) intern(cp *domain.Pattern) domain.PatternID {
 	id, hit := a.in.Intern(cp)
+	a.countIntern(hit)
+	return id
+}
+
+// countIntern counts one pattern intern as a hit or a miss.
+func (a *Analyzer) countIntern(hit bool) {
 	if hit {
 		a.met.internHits++
 	} else {
 		a.met.internMisses++
 	}
-	return id
 }
 
 // leqSumm reports sp ⊑ succ on interned summaries, memoized so the
@@ -580,8 +589,7 @@ func (a *Analyzer) solveNaiveID(cp *domain.Pattern, id domain.PatternID) *domain
 			return nil
 		}
 		if ok {
-			sp := a.abstractArgs(cp.Fn, argAddrs)
-			spID := a.intern(sp)
+			spID := a.abstractID(cp.Fn, argAddrs)
 			a.noteSucc(spID)
 			// Fast path: a success pattern below the accumulated one
 			// cannot change it (the common case after the first

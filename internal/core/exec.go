@@ -377,15 +377,14 @@ func (a *Analyzer) specCall(cs *specialize.CompStream, k int32) bool {
 		}
 		sc := &row[cr.Static]
 		if !sc.ok {
-			sc.cp = a.abstractArgs(fn, argAddrs)
-			sc.id = a.intern(sc.cp)
+			sc.id = a.abstractID(fn, argAddrs)
 			sc.cp = a.in.Pattern(sc.id)
 			sc.ok = true
 		}
 		cp, id = sc.cp, sc.id
 	} else {
-		cp = a.abstractArgs(fn, argAddrs)
-		id = a.intern(cp)
+		id = a.abstractID(fn, argAddrs)
+		cp = a.in.Pattern(id)
 	}
 	succ := a.solveID(cp, id)
 	if a.err != nil {

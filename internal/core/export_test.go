@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"awam/internal/domain"
 	"awam/internal/term"
 	"awam/internal/wam"
@@ -117,4 +119,34 @@ func (p *passTables) take() {
 		t = append(t, [2]domain.PatternID{e.ID, e.succID})
 	}
 	p.passes = append(p.passes, t)
+}
+
+// PathCounts tallies an analysis' abstractions by the path they took.
+type PathCounts struct{ Heap, Tree int }
+
+// AnalyzeHeapChecked runs AnalyzeAll over mod under cfg. Every
+// abstraction that takes the heap path is also built as a tree by
+// abstractArgs and interned, and the first whose two IDs differ is
+// returned as an error.
+func AnalyzeHeapChecked(mod *wam.Module, cfg Config) (*Result, PathCounts, error) {
+	a := NewWith(mod, cfg)
+	var n PathCounts
+	var bad error
+	a.absCheck = func(heap bool, fn term.Functor, argAddrs []int, id domain.PatternID) {
+		if !heap {
+			n.Tree++
+			return
+		}
+		n.Heap++
+		p := a.abstractArgs(fn, argAddrs)
+		if want, _ := a.in.Intern(p); want != id && bad == nil {
+			bad = fmt.Errorf("heap path gave %s, tree path %s",
+				a.in.Pattern(id).String(a.tab), p.String(a.tab))
+		}
+	}
+	res, err := a.AnalyzeAll()
+	if err == nil {
+		err = bad
+	}
+	return res, n, err
 }

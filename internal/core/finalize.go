@@ -179,7 +179,7 @@ type finState struct {
 	replayed, executed int64
 	// cur is the entry whose clauses (or cached trace) are being
 	// replayed; consultations are recorded on it, deduplicated through
-	// the entry's finSeen scratch (first occurrences only — repeats are
+	// the entry's ConsultIDs (first occurrences only — repeats are
 	// no-ops for discovery, so replaying first sights reproduces the
 	// order).
 	cur *Entry
@@ -206,12 +206,12 @@ func (f *finState) consult(id domain.PatternID, cp *domain.Pattern) {
 	if f.cur == nil {
 		return
 	}
-	for _, s := range f.cur.finSeen {
+	for _, s := range f.cur.ConsultIDs {
 		if s == id {
 			return
 		}
 	}
-	f.cur.finSeen = append(f.cur.finSeen, id)
+	f.cur.ConsultIDs = append(f.cur.ConsultIDs, id)
 	f.cur.Consults = append(f.cur.Consults, cp)
 }
 
@@ -273,9 +273,6 @@ func (a *Analyzer) finalize(entries []*domain.Pattern) (*finState, error) {
 		if a.err != nil {
 			return nil, a.err
 		}
-	}
-	for _, e := range fs.order {
-		e.finSeen = nil // scratch only; don't retain it in the result
 	}
 	return fs, nil
 }
@@ -455,7 +452,7 @@ func (a *Analyzer) exploreFin(e *Entry) {
 			return
 		}
 		if ok {
-			accID = a.foldSucc(e, accID, a.intern(a.abstractArgs(e.CP.Fn, argAddrs)))
+			accID = a.foldSucc(e, accID, a.abstractID(e.CP.Fn, argAddrs))
 		}
 		a.h.Undo(mark)
 	}

@@ -64,17 +64,22 @@ type Entry struct {
 	// clauses. Populated by every strategy (each presents through
 	// finalize).
 	Consults []*domain.Pattern
-	// finSeen dedups Consults during the finalize pass (first
-	// occurrences only); cleared when the pass finishes. A small slice
-	// with linear scans beats a per-entry set: consult lists are short,
-	// and the replay visits every presented entry on every warm run.
-	finSeen []domain.PatternID
+	// ConsultIDs holds the interned IDs of Consults, in the same order.
+	// The finalize pass also dedups Consults through it: a small slice
+	// with linear scans beats a per-entry set, since consult lists are
+	// short and the replay visits every presented entry on every warm
+	// run.
+	ConsultIDs []domain.PatternID
 }
 
 // Key returns the calling pattern's canonical serialization — the
 // human-readable boundary (display, serialized summaries, cross-engine
 // test comparison). The engine itself keys on ID.
 func (e *Entry) Key() string { return e.CP.Key() }
+
+// SuccID returns Succ's interned identity (domain.BottomID while Succ is
+// nil).
+func (e *Entry) SuccID() domain.PatternID { return e.succID }
 
 // Warm reports whether the entry was seeded from a WarmStart cache
 // instead of being explored (incremental warm starts).

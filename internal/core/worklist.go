@@ -222,8 +222,7 @@ func (a *Analyzer) exploreWL(e *Entry) {
 			return
 		}
 		if ok {
-			sp := a.abstractArgs(e.CP.Fn, argAddrs)
-			spID := a.intern(sp)
+			spID := a.abstractID(e.CP.Fn, argAddrs)
 			a.noteSucc(spID)
 			if e.succID == domain.BottomID || !a.leqSumm(spID, e.succID) {
 				nextID, next := a.mergeSumm(e.succID, spID)

@@ -1,7 +1,6 @@
 package domain
 
 import (
-	"maps"
 	"slices"
 
 	"awam/internal/term"
@@ -26,8 +25,10 @@ import (
 // Ownership: an Interner belongs to one Analyzer and, like Memo, is
 // not safe for concurrent use. The depth-k-widened domain is finite, so
 // after a short warm-up almost every Intern call finds its pattern
-// through the whole-pattern fast bucket; a miss walks the pattern once,
-// inserting the nodes not yet present.
+// through the whole-pattern hash; a miss walks the pattern once,
+// inserting the nodes not yet present. Term nodes, pattern nodes and
+// whole-pattern hashes share one pointer-free index (index.go), and
+// every node's children sit in one shared ID slice.
 //
 // Each interned pattern stores a canonical representative (*Pattern)
 // whose Key is precomputed before its ID is returned, so callers may
@@ -46,21 +47,24 @@ type TermID int32
 // BottomID is the PatternID of the nil pattern (no success recorded).
 const BottomID PatternID = 0
 
+// span locates a node's children in Interner.kids.
+type span struct{ off, n int32 }
+
 // tnode is one interned term: its shallow structure over child IDs plus
 // the canonical representative subtree.
 type tnode struct {
 	kind  Kind
 	share int32 // pattern-renumbered group id, 0 = unshared
 	fn    term.Functor
-	elem  TermID   // List
-	args  []TermID // Struct
+	elem  TermID // List
+	args  span   // Struct
 	rep   *Term
 }
 
 // pnode is one interned pattern.
 type pnode struct {
 	fn   term.Functor
-	args []TermID
+	args span
 	rep  *Pattern
 }
 
@@ -68,14 +72,15 @@ type pnode struct {
 // safe for concurrent use. The zero value is not ready; use NewInterner.
 type Interner struct {
 	terms []tnode
-	tbuck map[uint64][]TermID
 	pats  []pnode
-	pbuck map[uint64][]PatternID
-	// fast buckets whole-pattern structural hashes to candidate IDs: the
-	// steady-state Intern call (finite widened domain, almost all hits)
-	// resolves with one tree hash, one map probe and one compare against
-	// the canonical rep, instead of a per-node bucket probe in tbuck.
-	fast map[uint64][]PatternID
+	// kids holds the child IDs of every node, term and pattern alike.
+	kids []TermID
+	// idx maps node hashes to term and pattern IDs, and whole-pattern
+	// structural hashes to pattern IDs: the steady-state Intern call
+	// (finite widened domain, almost all hits) resolves with one tree
+	// hash, one probe and one compare against the canonical rep, instead
+	// of a probe per node.
+	idx idIndex
 	// atoms lists the distinct functor names the nodes use, in first-use
 	// order, and named marks them (a bit per atom): the names are what a
 	// node's meaning takes from the symbol table (see Atoms).
@@ -90,10 +95,7 @@ type Interner struct {
 func NewInterner() *Interner {
 	return &Interner{
 		terms: make([]tnode, 1), // TermID 0 is never issued
-		tbuck: make(map[uint64][]TermID, 256),
 		pats:  make([]pnode, 1), // PatternID 0 = Bottom (nil pattern)
-		pbuck: make(map[uint64][]PatternID, 64),
-		fast:  make(map[uint64][]PatternID, 64),
 		sc:    internScratch{renum: make(map[int]int, 8), ids: make([]TermID, 0, 16)},
 	}
 }
@@ -106,12 +108,11 @@ func NewInterner() *Interner {
 // each, while in itself is no longer changed.
 func (in *Interner) Clone() *Interner {
 	return &Interner{
-		terms: in.terms[:len(in.terms):len(in.terms)],
-		tbuck: clipped(in.tbuck),
-		pats:  in.pats[:len(in.pats):len(in.pats)],
-		pbuck: clipped(in.pbuck),
-		fast:  clipped(in.fast),
-		atoms: in.atoms[:len(in.atoms):len(in.atoms)],
+		terms: slices.Clip(in.terms),
+		pats:  slices.Clip(in.pats),
+		kids:  slices.Clip(in.kids),
+		idx:   in.idx.clone(),
+		atoms: slices.Clip(in.atoms),
 		named: slices.Clone(in.named),
 		sc:    internScratch{renum: make(map[int]int, 8), ids: make([]TermID, 0, 16)},
 	}
@@ -124,7 +125,7 @@ func (in *Interner) Clone() *Interner {
 // alike, so a caller can check that in time proportional to the names,
 // not the nodes. The slice must not be modified.
 func (in *Interner) Atoms() []term.Atom {
-	return in.atoms[:len(in.atoms):len(in.atoms)]
+	return slices.Clip(in.atoms)
 }
 
 // name records that a new node uses a.
@@ -137,17 +138,6 @@ func (in *Interner) name(a term.Atom) {
 		in.named[w] |= bit
 		in.atoms = append(in.atoms, a)
 	}
-}
-
-// clipped copies a bucket map with every value clipped to its length.
-func clipped[K comparable, V any](m map[K][]V) map[K][]V {
-	out := maps.Clone(m)
-	for k, v := range out {
-		if cap(v) > len(v) {
-			out[k] = v[:len(v):len(v)]
-		}
-	}
-	return out
 }
 
 // internScratch is the per-walk state: the share renumbering map, a
@@ -182,15 +172,19 @@ func (in *Interner) Intern(p *Pattern) (PatternID, bool) {
 	sc := &in.sc
 	sc.reset()
 	h := hashPattern(p, sc)
-	for _, pid := range in.fast[h] {
+	for pr := in.idx.lookup(h, roleWhole); ; {
+		pid, ok := pr.next()
+		if !ok {
+			break
+		}
 		clear(sc.renum)
 		if eqCanonical(p, in.pats[pid].rep, sc) {
-			return pid, true
+			return PatternID(pid), true
 		}
 	}
 	clear(sc.renum)
 	id, hit := in.walkPattern(p, sc)
-	in.fast[h] = append(in.fast[h], id)
+	in.idx.insert(h, roleWhole, int32(id))
 	return id, hit
 }
 
@@ -335,32 +329,9 @@ func (in *Interner) walkPattern(p *Pattern, sc *internScratch) (PatternID, bool)
 	for _, a := range p.Args {
 		sc.ids = append(sc.ids, in.walkTerm(a, sc))
 	}
-	args := sc.ids[base:]
-	fn := sc.fn(p.Fn)
-	h := mix(mix(fnvOffset, uint64(uint32(fn.Name))), uint64(uint32(fn.Arity)))
-	for _, id := range args {
-		h = mix(h, uint64(id))
-	}
-	for _, pid := range in.pbuck[h] {
-		n := &in.pats[pid]
-		if n.fn == fn && eqIDs(n.args, args) {
-			return pid, true
-		}
-	}
-	var reps []*Term
-	if len(args) > 0 {
-		reps = make([]*Term, len(args))
-		for i, id := range args {
-			reps[i] = in.terms[id].rep
-		}
-	}
-	rep := &Pattern{Fn: fn, Args: reps}
-	rep.Key() // precompute: reps are shared read-only
-	in.name(fn.Name)
-	pid := PatternID(len(in.pats))
-	in.pats = append(in.pats, pnode{fn: fn, args: append([]TermID(nil), args...), rep: rep})
-	in.pbuck[h] = append(in.pbuck[h], pid)
-	return pid, false
+	id, hit := in.InternNodes(sc.fn(p.Fn), sc.ids[base:])
+	sc.ids = sc.ids[:base]
+	return id, hit
 }
 
 // walkTerm resolves t within the current pattern walk. Share groups are
@@ -368,14 +339,14 @@ func (in *Interner) walkPattern(p *Pattern, sc *internScratch) (PatternID, bool)
 // numbering Key() emits — before the children are resolved, so the
 // stored share values are canonical.
 func (in *Interner) walkTerm(t *Term, sc *internScratch) TermID {
-	var share int32
+	share := 0
 	if t.Share != 0 {
 		g, ok := sc.renum[t.Share]
 		if !ok {
 			g = len(sc.renum) + 1
 			sc.renum[t.Share] = g
 		}
-		share = int32(g)
+		share = g
 	}
 	var fn term.Functor
 	var elem TermID
@@ -389,53 +360,102 @@ func (in *Interner) walkTerm(t *Term, sc *internScratch) TermID {
 	case List:
 		elem = in.walkTerm(t.Elem, sc)
 	}
-	args := sc.ids[base:]
-	h := mix(mix(fnvOffset, uint64(t.Kind)<<32|uint64(uint32(share))), uint64(uint32(fn.Name))<<16|uint64(uint32(fn.Arity)))
+	id := in.Node(t.Kind, share, fn, elem, sc.ids[base:])
+	sc.ids = sc.ids[:base]
+	return id
+}
+
+// Node returns the ID of the term node with the given kind, share group
+// (0 for none), functor (Struct only) and children — elem for a List,
+// args for a Struct, each an ID of this interner — interning the node
+// if it is new. It is the one lookup-or-insert of a term node: Intern's
+// walk uses it, and so may a caller that holds a pattern in another
+// form and interns it bottom-up, without building a Term tree. Its share
+// groups must then be canonical: only groups of two or more
+// occurrences, numbered 1, 2, ... in the pattern's first-occurrence
+// preorder, a node before its children.
+func (in *Interner) Node(kind Kind, share int, fn term.Functor, elem TermID, args []TermID) TermID {
+	h := mix(mix(fnvOffset, uint64(kind)<<32|uint64(uint32(share))), uint64(uint32(fn.Name))<<16|uint64(uint32(fn.Arity)))
 	h = mix(h, uint64(elem))
 	for _, id := range args {
 		h = mix(h, uint64(id))
 	}
-	for _, id := range in.tbuck[h] {
+	for pr := in.idx.lookup(h, roleTerm); ; {
+		id, ok := pr.next()
+		if !ok {
+			break
+		}
 		n := &in.terms[id]
-		if n.kind == t.Kind && n.share == share && n.fn == fn && n.elem == elem && eqIDs(n.args, args) {
-			sc.ids = sc.ids[:base]
-			return id
+		if n.kind == kind && int(n.share) == share && n.fn == fn && n.elem == elem && slices.Equal(in.span(n.args), args) {
+			return TermID(id)
 		}
 	}
 	var rep *Term
-	switch t.Kind {
+	switch kind {
 	case Struct:
 		kids := make([]*Term, len(args))
 		for i, id := range args {
 			kids[i] = in.terms[id].rep
 		}
-		rep = &Term{Kind: Struct, Fn: fn, Args: kids, Share: int(share)}
+		rep = &Term{Kind: Struct, Fn: fn, Args: kids, Share: share}
 		in.name(fn.Name)
 	case List:
-		rep = &Term{Kind: List, Elem: in.terms[elem].rep, Share: int(share)}
+		rep = &Term{Kind: List, Elem: in.terms[elem].rep, Share: share}
 	default:
-		rep = &Term{Kind: t.Kind, Share: int(share)}
+		rep = &Term{Kind: kind, Share: share}
 	}
 	id := TermID(len(in.terms))
 	in.terms = append(in.terms, tnode{
-		kind: t.Kind, share: share, fn: fn, elem: elem,
-		args: append([]TermID(nil), args...), rep: rep,
+		kind: kind, share: int32(share), fn: fn, elem: elem,
+		args: in.store(args), rep: rep,
 	})
-	in.tbuck[h] = append(in.tbuck[h], id)
-	sc.ids = sc.ids[:base]
+	in.idx.insert(h, roleTerm, int32(id))
 	return id
 }
 
-func eqIDs(a []TermID, b []TermID) bool {
-	if len(a) != len(b) {
-		return false
+// InternNodes returns the ID of the pattern fn(args) over term nodes of
+// this interner (see Node), interning it if it is new, and reports
+// whether it was already present.
+func (in *Interner) InternNodes(fn term.Functor, args []TermID) (PatternID, bool) {
+	h := mix(mix(fnvOffset, uint64(uint32(fn.Name))), uint64(uint32(fn.Arity)))
+	for _, id := range args {
+		h = mix(h, uint64(id))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for pr := in.idx.lookup(h, rolePattern); ; {
+		pid, ok := pr.next()
+		if !ok {
+			break
+		}
+		n := &in.pats[pid]
+		if n.fn == fn && slices.Equal(in.span(n.args), args) {
+			return PatternID(pid), true
 		}
 	}
-	return true
+	var reps []*Term
+	if len(args) > 0 {
+		reps = make([]*Term, len(args))
+		for i, id := range args {
+			reps[i] = in.terms[id].rep
+		}
+	}
+	rep := &Pattern{Fn: fn, Args: reps}
+	rep.Key() // precompute: reps are shared read-only
+	in.name(fn.Name)
+	pid := PatternID(len(in.pats))
+	in.pats = append(in.pats, pnode{fn: fn, args: in.store(args), rep: rep})
+	in.idx.insert(h, rolePattern, int32(pid))
+	return pid, false
+}
+
+// store appends a node's children to kids.
+func (in *Interner) store(ids []TermID) span {
+	s := span{off: int32(len(in.kids)), n: int32(len(ids))}
+	in.kids = append(in.kids, ids...)
+	return s
+}
+
+func (in *Interner) span(s span) []TermID {
+	return in.kids[s.off : s.off+s.n]
 }
 
 // Memo caches the pattern-level lattice operations on interned IDs, so

@@ -49,10 +49,10 @@ type recordCache struct {
 
 // snapshot is the finished interner of the engine's last analysis,
 // with the warm entries, as IDs in it, of the records that analysis
-// served, by fingerprint, and the texts of its patterns as far as they
+// served or wrote, by fingerprint, and the texts of its patterns as far as they
 // were rendered. An analysis over a table the snapshot fits starts from
 // a clone of the interner (domain.Interner.Clone), so the records it
-// serves again with the same bytes need no interning, and the patterns
+// serves with the same bytes need no interning, and the patterns
 // it keeps need no rendering: consecutive analyses of one program's
 // versions intern and render only the dirty cone's. The snapshot is
 // never changed; it is charged to the budget like the decoded records,
@@ -93,7 +93,7 @@ func (s *snapshot) fits(tab *term.Tab) bool {
 }
 
 // start returns the interner an analysis over tab starts from and the
-// served records whose IDs it keeps, nil and nil when the snapshot does
+// records whose IDs it keeps, nil and nil when the snapshot does
 // not fit tab, and the text memo for the analysis' patterns. A snapshot
 // that does not fit is dropped: the analysis will replace it, and its
 // memory is free while it runs.
@@ -112,8 +112,8 @@ func (c *recordCache) start(tab *term.Tab) (*domain.Interner, map[cache.Fingerpr
 }
 
 // keep makes in, the interner of a finished analysis over tab, the
-// snapshot, with comps, the records it served, and texts, the memo the
-// analysis started with. A snapshot that does not fit the budget is not
+// snapshot, with comps, the records it served or wrote, and texts, the
+// memo the analysis started with. A snapshot that does not fit the budget is not
 // kept, and the stored summaries go with the last one.
 func (c *recordCache) keep(tab *term.Tab, in *domain.Interner, comps map[cache.Fingerprint]*cachedSCC, texts *textMemo) {
 	pats, terms := in.Size()

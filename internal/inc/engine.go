@@ -189,10 +189,12 @@ func (e *Engine) AnalyzeCondensed(ctx context.Context, c *Condensation, cfg core
 		return nil, err
 	}
 	res.Texts = texts
-	e.storeRecords(plan, mod.Tab, an.Interner(), res, cached)
-	comps := make(map[cache.Fingerprint]*cachedSCC, len(cached))
-	for i, c := range cached {
-		comps[cache.Fingerprint(plan.Fingerprints[i])] = c
+	written := e.storeRecords(plan, mod.Tab, an.Interner(), res, cached)
+	comps := make(map[cache.Fingerprint]*cachedSCC, len(cached)+len(written))
+	for _, recs := range []map[int]*cachedSCC{cached, written} {
+		for i, c := range recs {
+			comps[cache.Fingerprint(plan.Fingerprints[i])] = c
+		}
 	}
 	e.recs.keep(mod.Tab, an.Interner(), comps, texts)
 	if f, ok := e.store.(flusher); ok {
@@ -290,8 +292,11 @@ func (e *Engine) loadWarm(tab *term.Tab, plan *Plan) []servedSCC {
 // per component that was reached. Calling patterns a served record
 // carried but this run never consulted are merged in, so a record never
 // forgets summaries just because the current callers take other paths.
-// Byte-identical records are not re-Put.
-func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, in *domain.Interner, res *core.Result, cached map[int]*cachedSCC) {
+// Byte-identical records are not re-Put. It returns the records it
+// wrote by component, with the IDs their patterns have in in, so the
+// snapshot can serve them to the next analysis without interning them.
+func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, in *domain.Interner, res *core.Result, cached map[int]*cachedSCC) map[int]*cachedSCC {
+	written := make(map[int]*cachedSCC)
 	groups := make([][]*core.Entry, len(plan.SCCs))
 	for _, en := range res.Entries {
 		if i, ok := plan.PredSCC[en.CP.Fn]; ok {
@@ -311,6 +316,10 @@ func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, in *domain.Interner, re
 			// exploration, so it cannot slip past this check.)
 			continue
 		}
+		rec := &cachedSCC{entries: make([]warmEntry, len(ents))}
+		for k, en := range ents {
+			rec.entries[k] = warmEntry{cp: en.ID, succ: en.SuccID(), deps: en.ConsultIDs}
+		}
 		if c != nil {
 			seen := make(map[domain.PatternID]bool, len(ents))
 			for _, en := range ents {
@@ -325,6 +334,7 @@ func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, in *domain.Interner, re
 					deps[j] = in.Pattern(dep)
 				}
 				ents = append(ents, &core.Entry{CP: in.Pattern(we.cp), Succ: in.Pattern(we.succ), Consults: deps})
+				rec.entries = append(rec.entries, we)
 			}
 		}
 		data := encodeRecord(tab, ents, res.Texts)
@@ -332,7 +342,10 @@ func (e *Engine) storeRecords(plan *Plan, tab *term.Tab, in *domain.Interner, re
 			continue
 		}
 		e.store.Put(cache.Fingerprint(plan.Fingerprints[i]), data)
+		rec.raw = data
+		written[i] = rec
 	}
+	return written
 }
 
 // explored reports whether any member of scc was explored this run.
